@@ -1,20 +1,22 @@
-"""NumPy sliding-window engine, import-time fallback for the compiled core.
+"""The sliding-window engine: every full window position of a signal, each
+delay row of the weights plus the window deviation and RMS.
 
-Must match _core.pyx bit for bit. The contract is the accumulation order of
-the scalar loop: for every window position each accumulator (one per delay
-row, then the window sum and sum of squares, then the variance) starts at
-0.0 and takes its terms left to right over the window, each term one rounded
-multiply and one rounded add (no FMA); the mean is sum / window and both
-statistics take a correctly rounded sqrt last.
+The contract is the accumulation order of the scalar loop kept as the
+reference in tests/test_engine_oracle.py (scalar_eval_windows_raw): for every
+window position each accumulator (one per delay row, then the window sum and
+sum of squares, then the variance) starts at 0.0 and takes its terms left to
+right over the window, each term one rounded multiply and one rounded add (no
+FMA); the mean is sum / window and both statistics take a correctly rounded
+sqrt last. The results are bit-identical to that loop.
 
 Long calls keep that order while vectorizing across positions: a block of
 positions shares one accumulator array per statistic, and window offset i
 adds its terms to all of them at once (acc_v = acc_v + w[v, i] * y[lo+i:hi+i]),
 offsets in increasing order. Separate np.multiply and np.add calls round each
-step exactly as the scalar loop does, so the results are bit-identical; only
-the loop nesting changes. Calls with fewer than SHORT positions (a single
-streamed sample, say) run the scalar loop itself: below that count it beats
-the few NumPy calls per window offset, at W from 64 to 384.
+step exactly as the scalar loop does; only the loop nesting changes. Calls
+with fewer than SHORT positions (a single streamed sample, say) run the scalar
+loop itself: below that count it beats the few NumPy calls per window offset,
+at W from 64 to 384.
 """
 
 from __future__ import annotations
@@ -29,20 +31,27 @@ BLOCK = 16384
 SHORT = 32
 
 
-def eval_windows_raw(weights, signal, out_vnu, out_sigma, out_rms):
+def eval_windows_raw(weights, signal):
+    """Run the window engine over every full position of `signal`.
+
+    Returns (vnu, sigma, rms): vnu has shape (degree+1, npos).
+    """
+    weights = np.ascontiguousarray(weights, dtype=np.float64)
+    signal = np.ascontiguousarray(signal, dtype=np.float64)
     window = weights.shape[1]
-    npos = signal.shape[0] - window + 1
-    if npos < 0:
-        npos = 0
+    npos = max(0, signal.shape[0] - window + 1)
+    vnu = np.empty((weights.shape[0], npos), dtype=np.float64)
+    sigma = np.empty(npos, dtype=np.float64)
+    rms = np.empty(npos, dtype=np.float64)
     if npos < SHORT:
-        _eval_scalar(weights, signal, out_vnu, out_sigma, out_rms, npos)
-        return npos
+        _eval_scalar(weights, signal, vnu, sigma, rms, npos)
+        return vnu, sigma, rms
     wcols = weights.T.tolist()
     for lo in range(0, npos, BLOCK):
         hi = min(npos, lo + BLOCK)
-        _eval_block(wcols, signal[lo : hi + window - 1], out_vnu[:, lo:hi],
-                    out_sigma[lo:hi], out_rms[lo:hi])
-    return npos
+        _eval_block(wcols, signal[lo : hi + window - 1], vnu[:, lo:hi],
+                    sigma[lo:hi], rms[lo:hi])
+    return vnu, sigma, rms
 
 
 def _eval_block(wcols, seg, out_vnu, out_sigma, out_rms):

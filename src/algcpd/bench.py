@@ -135,15 +135,14 @@ def run_trial(
     snr_db: float,
     seed: int,
     cfg: DetectConfig,
-    backend: Optional[str] = None,
 ):
     """One noised detection pass; returns the detection list."""
     noisy = apply_noise(clean, noise_kind, snr_db, seed)
-    _, detections = detect_samples(dd, noisy, cfg, backend=backend)
+    _, detections = detect_samples(dd, noisy, cfg)
     return detections
 
 
-def run_campaign(c: Campaign, backend: Optional[str] = None, on_trial=None) -> CampaignResult:
+def run_campaign(c: Campaign, on_trial=None) -> CampaignResult:
     spec = builtin_suite(c.suite)
     _, clean = render(spec)
     truth = spec.change_times()
@@ -158,9 +157,7 @@ def run_campaign(c: Campaign, backend: Optional[str] = None, on_trial=None) -> C
     err_sum = 0.0
     err_n = 0
     for i in range(c.trials):
-        detections = run_trial(
-            dd, clean, spec.dt, c.noise_kind, c.snr_db, c.base_seed + i, cfg, backend
-        )
+        detections = run_trial(dd, clean, spec.dt, c.noise_kind, c.snr_db, c.base_seed + i, cfg)
         if on_trial is not None:
             on_trial(i, detections)
         est = [d.time for d in detections]
@@ -345,9 +342,8 @@ def reference_campaign(
 def run_reference_grid(
     trials: int = 100,
     base_seed: int = 24245,
-    backend: Optional[str] = None,
 ) -> List[CampaignResult]:
     return [
-        run_campaign(reference_campaign(s, k, db, trials, base_seed), backend=backend)
+        run_campaign(reference_campaign(s, k, db, trials, base_seed))
         for s, k, db in REFERENCE_GRID
     ]

@@ -290,7 +290,7 @@ def cmd_detect(args) -> int:
         mode=args.mode,
         scale=args.scale,
     )
-    trace, detections = detect_samples(dd, values, cfg, t0=float(times[0]), backend=args.backend)
+    trace, detections = detect_samples(dd, values, cfg, t0=float(times[0]))
     if args.out:
         with open(args.out, "w", newline="") as fh:
             write_detections_csv(fh, detections)
@@ -323,7 +323,7 @@ def cmd_bench(args) -> int:
                 with open(p, "w", newline="") as fh:
                     write_detections_csv(fh, dets)
 
-        results.append(bench_mod.run_campaign(c, backend=args.backend, on_trial=on_trial))
+        results.append(bench_mod.run_campaign(c, on_trial=on_trial))
 
     text = bench_mod.format_report(results)
     sys.stdout.write(text)
@@ -409,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fixed gate scale (default: batch MAD of the decision statistic)")
     t.add_argument("--min-separation", type=float, default=None,
                    help="minimum seconds between detections (default: window span)")
-    t.add_argument("--backend", choices=["compiled", "python"], default=None)
     t.add_argument("--out", metavar="PATH", help="detections CSV (default: stdout)")
     t.add_argument("--trace-out", metavar="PATH", help="decision trace CSV")
     t.set_defaults(func=cmd_detect)
@@ -418,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--config", metavar="PATH", help="JSON campaign config (see docs/config.md)")
     b.add_argument("--trials", type=int, default=None, help="override trials per campaign")
     b.add_argument("--seed", type=int, required=True, help="base seed; trial i uses seed+i")
-    b.add_argument("--backend", choices=["compiled", "python"], default=None)
     b.add_argument("--out", metavar="DIR", help="write report.txt, report.csv, histogram CSVs")
     b.add_argument("--emit-trials", action="store_true",
                    help="also write per-trial detection CSVs under DIR/trials")

@@ -33,7 +33,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._backend import eval_windows_raw
+from ._engine import eval_windows_raw
 from .kernels import DiscreteDetector
 
 MAD_FACTOR = 1.4826  # normal-consistency factor for median absolute deviation
@@ -126,7 +126,6 @@ def eval_windows(
     samples: Sequence[float],
     t0: float = 0.0,
     epsilon: float = 1e-12,
-    backend: Optional[str] = None,
 ) -> DecisionTrace:
     samples = np.ascontiguousarray(samples, dtype=np.float64)
     if samples.ndim != 1:
@@ -137,7 +136,7 @@ def eval_windows(
         raise ValueError(
             f"need at least window={dd.window} samples, got {samples.size}"
         )
-    vnu, sigma, rms = eval_windows_raw(dd.weights, samples, backend=backend)
+    vnu, sigma, rms = eval_windows_raw(dd.weights, samples)
     v = _collapse(vnu, dd.t_mid)
     d = _normalize(v, sigma, rms, dd.wnorm * math.sqrt(dd.window), epsilon)
     return DecisionTrace(
@@ -164,12 +163,12 @@ def batch_mad_scale(d: np.ndarray) -> float:
 class _Ring:
     """Trailing window statistics with absolute-position indexing."""
 
-    def __init__(self, nv: int):
+    def __init__(self):
         self.base = 0
         self.d = np.empty(0, dtype=np.float64)
         self.v = np.empty(0, dtype=np.float64)
         self.rms = np.empty(0, dtype=np.float64)
-        self.vnu = np.empty((nv, 0), dtype=np.float64)
+        self.vnu = np.empty((0, 0), dtype=np.float64)  # replaced by the first append
 
     @property
     def end(self) -> int:
@@ -245,36 +244,48 @@ class _Pending:
     position: int
     time: float
     score: float
-    kind: str
 
 
 class _GateEngine:
-    """Order-driven crossing gate + suppression, shared by batch and stream."""
+    """Order-driven crossing gate + suppression, shared by batch and stream.
 
-    def __init__(self, dd, cfg: DetectConfig, t0: float, scale: _ScaleProvider):
-        self.dd = dd
+    Takes the window geometry (samples per window, grid step, midpoint offset
+    and weight norm) and, per feed, the statistics the caller already holds:
+    the delay-row values vnu, their collapse v, the normalized d and the rms.
+    """
+
+    def __init__(
+        self,
+        window: int,
+        dt: float,
+        t_mid: float,
+        wnorm: float,
+        cfg: DetectConfig,
+        t0: float,
+        scale: _ScaleProvider,
+    ):
+        self.window = window
+        self.dt = dt
+        self.t_mid = t_mid
         self.cfg = cfg
         self.t0 = t0
         self.scale = scale
-        self.flank = dd.window // 2
+        self.flank = window // 2
         sep = cfg.min_separation
         if sep is None:
-            self.min_sep_pos = dd.window
+            self.min_sep_pos = window
         else:
-            self.min_sep_pos = max(1, int(round(sep / dd.dt)))
-        self.nv = dd.weights.shape[0]
-        self.ring = _Ring(self.nv)
+            self.min_sep_pos = max(1, int(round(sep / dt)))
+        self.ring = _Ring()
         self.crossings: List[int] = []  # queued, ascending
         self.pending: Optional[_Pending] = None
-        self.wnorm_sqrtw = dd.wnorm * math.sqrt(dd.window)
+        self.wnorm_sqrtw = wnorm * math.sqrt(window)
         self.finished = False
 
     # -- feeding -------------------------------------------------------------
-    def feed(self, vnu, sigma, rms, first_pos: int) -> List[Detection]:
+    def feed(self, vnu, v, d, rms, first_pos: int) -> List[Detection]:
         if first_pos != self.ring.end:
             raise AssertionError("engine fed out of order")
-        v = _collapse(vnu, self.dd.t_mid)
-        d = _normalize(v, sigma, rms, self.wnorm_sqrtw, self.cfg.epsilon)
         self.ring.append(d, v, rms, vnu)
         lo = max(1, first_pos)  # crossings need a left neighbor
         hi = self.ring.end - 1
@@ -308,7 +319,10 @@ class _GateEngine:
                 if cand is not None:
                     out.extend(self._push_candidate(cand))
             del self.crossings[:taken]
-        if self.pending is not None and not self.crossings:
+        # every crossing still queued lies past frontier - flank, so its
+        # candidate would land more than min_sep_pos past this pending one
+        # and emit it anyway: waiting for it only delays the emission
+        if self.pending is not None:
             resolvable = frontier if self.finished else frontier - self.flank
             if resolvable > self.pending.position + self.min_sep_pos:
                 out.append(self._emit(self.pending))
@@ -383,21 +397,19 @@ class _GateEngine:
         k_star = k - 1 if abs(ring.get_d(k - 1)) <= abs(ring.get_d(k)) else k
         score = min(left_exc, right_exc)
         if self.cfg.mode == "zero_crossing":
-            time = self.t0 + k_star * self.dd.dt + self.dd.t_mid
-            kind = "zero_crossing"
+            time = self.t0 + k_star * self.dt + self.t_mid
         else:
             col = k_star - ring.base
             v0 = float(ring.vnu[0, col])
-            v1 = float(ring.vnu[1, col]) if self.nv > 1 else 0.0
+            v1 = float(ring.vnu[1, col]) if ring.vnu.shape[0] > 1 else 0.0
             if v1 != 0.0:
                 local = -v0 / v1
-                span = (self.dd.window - 1) * self.dd.dt
+                span = (self.window - 1) * self.dt
                 local = min(max(local, 0.0), span)
             else:
-                local = self.dd.t_mid
-            time = self.t0 + k_star * self.dd.dt + local
-            kind = "linear_estimate"
-        return _Pending(position=k_star, time=time, score=score, kind=kind)
+                local = self.t_mid
+            time = self.t0 + k_star * self.dt + local
+        return _Pending(position=k_star, time=time, score=score)
 
     def _push_candidate(self, cand: _Pending) -> List[Detection]:
         if self.pending is None:
@@ -412,36 +424,20 @@ class _GateEngine:
         return out
 
     def _emit(self, p: _Pending) -> Detection:
-        return Detection(time=p.time, score=p.score, kind=p.kind, position=p.position)
-
-
-class _TraceShim:
-    """Window geometry of a trace, quacking like a DiscreteDetector for the
-    engine (which only reads window, dt, t_mid, wnorm and the row count)."""
-
-    __slots__ = ("window", "dt", "t_mid", "wnorm", "weights")
-
-    def __init__(self, trace: DecisionTrace):
-        self.window = trace.window
-        self.dt = trace.dt
-        self.t_mid = trace.t_mid
-        self.wnorm = trace.wnorm
-        self.weights = trace.vnu  # only .shape[0] is consulted
+        return Detection(time=p.time, score=p.score, kind=self.cfg.mode, position=p.position)
 
 
 def detect(trace: DecisionTrace, cfg: DetectConfig = DetectConfig()) -> List[Detection]:
     """Batch detection over a precomputed trace."""
-    shim = _TraceShim(trace)
-    if cfg.scale is not None:
-        provider: _ScaleProvider = _FixedScale(cfg.scale)
-    else:
-        d_cfg = _normalize(
-            trace.v, trace.sigma, trace.rms,
-            trace.wnorm * math.sqrt(trace.window), cfg.epsilon,
-        )
-        provider = _FixedScale(batch_mad_scale(d_cfg))
-    engine = _GateEngine(shim, cfg, trace.t0, provider)
-    out = engine.feed(trace.vnu, trace.sigma, trace.rms, 0)
+    d = _normalize(
+        trace.v, trace.sigma, trace.rms,
+        trace.wnorm * math.sqrt(trace.window), cfg.epsilon,
+    )
+    scale = cfg.scale if cfg.scale is not None else batch_mad_scale(d)
+    engine = _GateEngine(
+        trace.window, trace.dt, trace.t_mid, trace.wnorm, cfg, trace.t0, _FixedScale(scale)
+    )
+    out = engine.feed(trace.vnu, trace.v, d, trace.rms, 0)
     out.extend(engine.finish())
     return out
 
@@ -451,9 +447,8 @@ def detect_samples(
     samples: Sequence[float],
     cfg: DetectConfig = DetectConfig(),
     t0: float = 0.0,
-    backend: Optional[str] = None,
 ) -> Tuple[DecisionTrace, List[Detection]]:
-    trace = eval_windows(dd, samples, t0=t0, epsilon=cfg.epsilon, backend=backend)
+    trace = eval_windows(dd, samples, t0=t0, epsilon=cfg.epsilon)
     return trace, detect(trace, cfg)
 
 
@@ -463,8 +458,10 @@ class StreamDetector:
     With an explicit cfg.scale the emitted detections are bit-identical to the
     batch path on the same samples regardless of chunking; with cfg.scale=None
     the gate scale is a trailing MAD (chunk-invariant but not equal to the
-    batch whole-trace MAD). Worst-case emission latency is
-    min_separation + window/2 positions past the crossing.
+    batch whole-trace MAD). Fed one sample per push(), a detection is emitted
+    at most min_sep_pos + window//2 + 1 positions past its own position,
+    min_sep_pos being min_separation in samples (default: the window); a chunk
+    of n samples can add up to n - 1 more.
     """
 
     def __init__(
@@ -472,17 +469,15 @@ class StreamDetector:
         dd: DiscreteDetector,
         cfg: DetectConfig = DetectConfig(),
         t0: float = 0.0,
-        backend: Optional[str] = None,
     ):
         self.dd = dd
         self.cfg = cfg
         self.t0 = t0
-        self.backend = backend
         if cfg.scale is not None:
             provider: _ScaleProvider = _FixedScale(cfg.scale)
         else:
             provider = _TrailingMadScale(max(8 * dd.window, 512))
-        self._engine = _GateEngine(dd, cfg, t0, provider)
+        self._engine = _GateEngine(dd.window, dd.dt, dd.t_mid, dd.wnorm, cfg, t0, provider)
         self._tail = np.empty(0, dtype=np.float64)
         self._seen = 0
         self._positions = 0
@@ -513,10 +508,12 @@ class StreamDetector:
         self._tail = work[work.size - keep :].copy()
         if work.size < w:
             return []
-        vnu, sigma, rms = eval_windows_raw(self.dd.weights, work, backend=self.backend)
+        vnu, sigma, rms = eval_windows_raw(self.dd.weights, work)
+        v = _collapse(vnu, self.dd.t_mid)
+        d = _normalize(v, sigma, rms, self._engine.wnorm_sqrtw, self.cfg.epsilon)
         first = self._positions
         self._positions += vnu.shape[1]
-        out = self._engine.feed(vnu, sigma, rms, first)
+        out = self._engine.feed(vnu, v, d, rms, first)
         self.detections.extend(out)
         return out
 

@@ -1,60 +1,10 @@
-"""Compiled and NumPy fallback window engines must agree bit for bit."""
+"""Edge cases of the window engine's allocating entry point."""
 
 import numpy as np
-import pytest
 
-from algcpd import DEFAULT_BACKEND, HAVE_COMPILED
-from algcpd._backend import eval_windows_raw, get_backend
+from algcpd._engine import eval_windows_raw
 from algcpd.builder import ModelSpec, build_detector
 from algcpd.kernels import discretize
-from algcpd.runtime import DetectConfig, detect_samples
-
-
-def test_default_backend_consistent():
-    assert DEFAULT_BACKEND in ("compiled", "python")
-    if HAVE_COMPILED:
-        assert DEFAULT_BACKEND == "compiled"
-        assert get_backend("compiled") is not None
-    else:
-        assert DEFAULT_BACKEND == "python"
-        with pytest.raises(RuntimeError):
-            get_backend("compiled")
-    with pytest.raises(ValueError):
-        get_backend("fortran")
-
-
-def test_python_backend_always_available():
-    core = get_backend("python")
-    assert hasattr(core, "eval_windows_raw")
-
-
-@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled core not built")
-def test_backends_bit_identical_raw():
-    det = build_detector(ModelSpec.monomial(1, 0))
-    dd = discretize(det, window=48, dt=0.02)
-    rng = np.random.default_rng(17)
-    y = np.cumsum(rng.standard_normal(5000)) * 0.01 + rng.standard_normal(5000)
-    vc, sc, rc = eval_windows_raw(dd.weights, y, backend="compiled")
-    vp, sp, rp = eval_windows_raw(dd.weights, y, backend="python")
-    assert np.array_equal(vc, vp)
-    assert np.array_equal(sc, sp)
-    assert np.array_equal(rc, rp)
-
-
-@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled core not built")
-def test_backends_identical_detections():
-    det = build_detector(ModelSpec.monomial(0, 0))
-    dd = discretize(det, window=64, dt=0.01)
-    t = np.arange(2000) * 0.01
-    rng = np.random.default_rng(4)
-    y = np.where(t >= 7.3, 1.0, 0.0) + 0.08 * rng.standard_normal(2000)
-    cfg = DetectConfig()
-    _, a = detect_samples(dd, y, cfg, backend="compiled")
-    _, b = detect_samples(dd, y, cfg, backend="python")
-    assert [(d.time, d.score, d.kind, d.position) for d in a] == [
-        (d.time, d.score, d.kind, d.position) for d in b
-    ]
-    assert len(a) == 1
 
 
 def test_empty_position_range():

@@ -1,9 +1,8 @@
-"""The pure-Python window engine against the scalar loop, bit for bit.
+"""The NumPy window engine against the scalar loop, bit for bit.
 
 `scalar_eval_windows_raw` is the reference: one window position at a time,
 every accumulator starting at 0.0 and taking its terms left to right over the
-window with a plain float multiply and add, math.sqrt last. The compiled core
-keeps the same order, so agreeing with it here is agreeing with both.
+window with a plain float multiply and add, math.sqrt last.
 """
 
 import math
@@ -11,10 +10,11 @@ import math
 import numpy as np
 import pytest
 
-from algcpd import _core_py
-from algcpd._backend import eval_windows_raw
+from algcpd import _engine, runtime
+from algcpd._engine import eval_windows_raw
 from algcpd.builder import ModelSpec, build_detector
 from algcpd.kernels import discretize
+from algcpd.runtime import DetectConfig, detect_samples
 
 MODELS = {2: ModelSpec.monomial(0, 0), 5: ModelSpec.polynomial(3, 2)}
 
@@ -83,18 +83,18 @@ def assert_bit_identical(got, want):
 
 @pytest.mark.parametrize("nv", [2, 5])
 @pytest.mark.parametrize("window", [64, 128, 384])
-@pytest.mark.parametrize("block", [1, 50, _core_py.BLOCK])
+@pytest.mark.parametrize("block", [1, 50, _engine.BLOCK])
 def test_engine_matches_scalar_loop(nv, window, block, monkeypatch):
-    monkeypatch.setattr(_core_py, "BLOCK", block)
+    monkeypatch.setattr(_engine, "BLOCK", block)
     w = weights_for(nv, window)
-    short = _core_py.SHORT
+    short = _engine.SHORT
     counts = {1, short - 1, short, short + 1, 2 * short + 3}
     if block < 1000:
         counts |= {block - 1, block, block + 1, 3 * block + 7}
     for npos in sorted(counts):
         y = hard_signal(npos + window - 1, window, seed=npos)
         assert_bit_identical(
-            eval_windows_raw(w, y, backend="python"), scalar_eval_windows_raw(w, y)
+            eval_windows_raw(w, y), scalar_eval_windows_raw(w, y)
         )
 
 
@@ -104,10 +104,10 @@ def test_engine_matches_scalar_loop_across_block_edge(nv, window):
     """Positions on both sides of the real block boundary; each position
     depends only on its own window, so the oracle runs on that stretch."""
     w = weights_for(nv, window)
-    block = _core_py.BLOCK
+    block = _engine.BLOCK
     npos = 2 * block + 40
     y = hard_signal(npos + window - 1, window, seed=window + nv)
-    got = eval_windows_raw(w, y, backend="python")
+    got = eval_windows_raw(w, y)
     for edge in (block, 2 * block):
         lo, hi = edge - 40, edge + 40
         want = scalar_eval_windows_raw(w, y[lo : hi + window - 1])
@@ -116,5 +116,34 @@ def test_engine_matches_scalar_loop_across_block_edge(nv, window):
 
 def test_engine_writes_nothing_without_positions():
     w = weights_for(2, 64)
-    vnu, sigma, rms = np.empty((2, 0)), np.empty(0), np.empty(0)
-    assert _core_py.eval_windows_raw(w, np.zeros(63), vnu, sigma, rms) == 0
+    for n in (0, 10, 63):
+        vnu, sigma, rms = eval_windows_raw(w, np.zeros(n))
+        assert vnu.shape == (2, 0)
+        assert sigma.shape == rms.shape == (0,)
+
+
+def test_engine_matches_scalar_loop_on_a_random_walk():
+    """A degree-1 model (three delay rows) at a window size no other case
+    uses, over a random walk in noise."""
+    dd = discretize(build_detector(ModelSpec.monomial(1, 0)), window=48, dt=0.02)
+    rng = np.random.default_rng(17)
+    y = np.cumsum(rng.standard_normal(5000)) * 0.01 + rng.standard_normal(5000)
+    assert_bit_identical(eval_windows_raw(dd.weights, y), scalar_eval_windows_raw(dd.weights, y))
+
+
+def test_detections_match_scalar_loop(monkeypatch):
+    """detect_samples reaches the engine through runtime.eval_windows_raw;
+    with the scalar loop bound there, the detections are the same tuples."""
+    dd = discretize(build_detector(ModelSpec.monomial(0, 0)), window=64, dt=0.01)
+    t = np.arange(2000) * 0.01
+    rng = np.random.default_rng(4)
+    y = np.where(t >= 7.3, 1.0, 0.0) + 0.08 * rng.standard_normal(2000)
+
+    def key(dets):
+        return [(d.time, d.score, d.kind, d.position) for d in dets]
+
+    _, got = detect_samples(dd, y, DetectConfig())
+    monkeypatch.setattr(runtime, "eval_windows_raw", scalar_eval_windows_raw)
+    _, want = detect_samples(dd, y, DetectConfig())
+    assert key(got) == key(want)
+    assert len(got) == 1

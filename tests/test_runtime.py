@@ -1,11 +1,14 @@
 """Batch and streaming detection runtimes."""
 
+import math
+
 import numpy as np
 import pytest
 
 from algcpd import runtime
 from algcpd.builder import ModelSpec, build_detector
 from algcpd.kernels import discretize
+from algcpd.noise import apply_noise
 from algcpd.runtime import (
     DecisionTrace,
     DetectConfig,
@@ -15,6 +18,7 @@ from algcpd.runtime import (
     detect_samples,
     eval_windows,
 )
+from algcpd.signals import builtin_suite, render
 
 
 def step_detector(window=64, dt=0.01):
@@ -129,8 +133,13 @@ def unscreened_detect(trace, cfg):
         def value_at(self, pos, ring):
             return cfg.scale
 
-    engine = runtime._GateEngine(runtime._TraceShim(trace), cfg, trace.t0, Constant())
-    out = engine.feed(trace.vnu, trace.sigma, trace.rms, 0)
+    d = runtime._normalize(
+        trace.v, trace.sigma, trace.rms, trace.wnorm * math.sqrt(trace.window), cfg.epsilon
+    )
+    engine = runtime._GateEngine(
+        trace.window, trace.dt, trace.t_mid, trace.wnorm, cfg, trace.t0, Constant()
+    )
+    out = engine.feed(trace.vnu, trace.v, d, trace.rms, 0)
     return out + engine.finish()
 
 
@@ -214,6 +223,34 @@ def test_fixed_scale_gate_threshold_met_exactly_on_either_flank(peaks):
         got = detect(trace, cfg)
         assert as_tuples(got) == as_tuples(unscreened_detect(trace, cfg))
         assert len(got) == int(kept)
+
+
+@pytest.mark.parametrize("scale", [None, 96 ** -0.5], ids=["trailing_mad", "fixed"])
+@pytest.mark.parametrize("min_separation", [None, 0.5], ids=["sep_window", "sep_0.5s"])
+def test_stream_emission_lag_bound(scale, min_separation):
+    """Fed one sample per push(), each detection is emitted no later than the
+    push that completes position p + min_sep_pos + W//2 + 1, p being its own
+    position, even while later crossings are still queued (in noise they
+    almost always are)."""
+    window = 96
+    spec = builtin_suite("pc5")
+    _, clean = render(spec)
+    y = apply_noise(clean, "normal", 10.0, 0)
+    dd = step_detector(window=window, dt=spec.dt)
+    cfg = DetectConfig(kappa=3.0, scale=scale, min_separation=min_separation)
+    min_sep_pos = window if min_separation is None else round(min_separation / spec.dt)
+    bound = min_sep_pos + window // 2 + 1
+    sd = StreamDetector(dd, cfg)
+    lags = []
+    for i, x in enumerate(y.tolist()):
+        # position i + 1 - W is the last one this push completes
+        lags += [i + 1 - window - d.position for d in sd.push(x)]
+    sd.finalize()
+    assert len(lags) >= 3
+    assert max(lags) <= bound
+    if scale is not None:
+        _, batch = detect_samples(dd, y, cfg)
+        assert as_tuples(sd.detections) == as_tuples(batch)
 
 
 def test_stream_mad_scale_chunk_invariant():
