@@ -9,12 +9,20 @@ by (-tau)^a in the original domain). Summing over the monomials of each delay
 coefficient gives one exact bivariate polynomial kernel K_v(T, tau) per delay
 power, and a quadrature rule turns each kernel into a weight row. All kernel
 algebra is Fraction-exact; floats appear only in the frozen weight arrays.
+
+A row is evaluated on the integer tap grid: with T fixed and tau = i * dt,
+K_v(T, i * dt) is a polynomial in the tap index i, so it is brought to one
+denominator D and summed by Horner over plain ints. Each weight is then the
+int quotient q_i.numerator * sum / (q_i.denominator * D), which rounds
+correctly, so the rows are still exact and every float is the correctly
+rounded image of its exact weight.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
@@ -52,12 +60,6 @@ class BivariatePoly:
 
     def mul_tau_power(self, j: int) -> "BivariatePoly":
         return BivariatePoly({(i, jj + j): c for (i, jj), c in self.terms.items()})
-
-    def eval(self, T: Fraction, tau: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for (i, j), c in self.terms.items():
-            acc += c * T**i * tau**j
-        return acc
 
     def integrate_tau_full(self) -> "Polynomial":
         """integral_0^T (...) dtau as an exact univariate polynomial in T."""
@@ -179,7 +181,9 @@ class DiscreteDetector:
     dt: float
     rule: str
     weights: np.ndarray  # (degree+1, window) float64, C-contiguous
-    exact_weights: Tuple[Tuple[Fraction, ...], ...]
+    # per row (D, A): before quadrature, row v at tap i is exactly
+    # sum_j A[j] * i^j / D, an integer polynomial in the tap index
+    exact_rows: Tuple[Tuple[int, Tuple[int, ...]], ...]
     t_mid: float
     w_mid: np.ndarray
     wnorm: float
@@ -193,6 +197,44 @@ class DiscreteDetector:
     def span(self) -> float:
         """Window time span T = (window - 1) * dt."""
         return (self.window - 1) * self.dt
+
+    @cached_property
+    def exact_weights(self) -> Tuple[Tuple[Fraction, ...], ...]:
+        """The exact quadrature weights, built from exact_rows on first access.
+
+        The unprojected float weights are their float images.
+        """
+        q = quadrature_weights(self.window, Fraction(self.dt), self.rule)
+        return tuple(
+            tuple(
+                Fraction(qi.numerator * s, qi.denominator * den)
+                for qi, s in zip(q, _tap_numerators(coeffs, self.window))
+            )
+            for den, coeffs in self.exact_rows
+        )
+
+
+def _integer_row(tau_coeffs: List[Fraction], h: Fraction) -> Tuple[int, Tuple[int, ...]]:
+    """(D, A) with sum_j tau_coeffs[j] * (i*h)^j == sum_j A[j] * i^j / D for all i.
+
+    Folding h^j into each coefficient turns the row into a polynomial in the
+    integer tap index; D > 0 is the common denominator of the folded terms.
+    """
+    folded = [c * h**j for j, c in enumerate(tau_coeffs)]
+    den = math.lcm(*(c.denominator for c in folded))
+    return den, tuple(c.numerator * (den // c.denominator) for c in folded)
+
+
+def _tap_numerators(coeffs: Tuple[int, ...], window: int) -> List[int]:
+    """sum_j coeffs[j] * i^j at each tap i in range(window), Horner over ints."""
+    rev = coeffs[::-1]
+    out = []
+    for i in range(window):
+        acc = 0
+        for c in rev:
+            acc = acc * i + c
+        out.append(acc)
+    return out
 
 
 def _annihilated_moments(kv: BivariatePoly, T: Fraction) -> List[int]:
@@ -254,20 +296,17 @@ def discretize(
     T = (window - 1) * h
     q = quadrature_weights(window, h, rule)
 
-    exact_rows: List[Tuple[Fraction, ...]] = []
-    for kv in kern.kernels:
-        tau_coeffs = kv.tau_poly_at(T)
-        row = []
-        for i in range(window):
-            tau = i * h
-            acc = Fraction(0)
-            for c in reversed(tau_coeffs):
-                acc = acc * tau + c
-            row.append(q[i] * acc)
-        exact_rows.append(tuple(row))
-
-    weights = np.array([[float(w) for w in row] for row in exact_rows], dtype=np.float64)
-    weights = np.ascontiguousarray(weights)
+    rows = [_integer_row(kv.tau_poly_at(T), h) for kv in kern.kernels]
+    qn = [x.numerator for x in q]
+    qd = [x.denominator for x in q]
+    weights = np.array(
+        [
+            # int / int rounds correctly, exactly as float(Fraction) does
+            [n * s / (d * den) for n, d, s in zip(qn, qd, _tap_numerators(coeffs, window))]
+            for den, coeffs in rows
+        ],
+        dtype=np.float64,
+    )
 
     if project:
         grid = np.arange(window, dtype=np.float64) / max(window - 1, 1)
@@ -292,7 +331,7 @@ def discretize(
         dt=dt,
         rule=rule,
         weights=weights,
-        exact_weights=tuple(exact_rows),
+        exact_rows=tuple(rows),
         t_mid=t_mid,
         w_mid=w_mid,
         wnorm=wnorm,

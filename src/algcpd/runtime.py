@@ -83,6 +83,7 @@ class DecisionTrace:
     d: np.ndarray  # normalized decision values
     sigma: np.ndarray
     rms: np.ndarray
+    epsilon: Optional[float]  # the epsilon d was normalized with; None if unknown
 
     @property
     def positions(self) -> int:
@@ -150,6 +151,7 @@ def eval_windows(
         d=d,
         sigma=sigma,
         rms=rms,
+        epsilon=epsilon,
     )
 
 
@@ -429,10 +431,13 @@ class _GateEngine:
 
 def detect(trace: DecisionTrace, cfg: DetectConfig = DetectConfig()) -> List[Detection]:
     """Batch detection over a precomputed trace."""
-    d = _normalize(
-        trace.v, trace.sigma, trace.rms,
-        trace.wnorm * math.sqrt(trace.window), cfg.epsilon,
-    )
+    if trace.epsilon == cfg.epsilon:
+        d = trace.d
+    else:
+        d = _normalize(
+            trace.v, trace.sigma, trace.rms,
+            trace.wnorm * math.sqrt(trace.window), cfg.epsilon,
+        )
     scale = cfg.scale if cfg.scale is not None else batch_mad_scale(d)
     engine = _GateEngine(
         trace.window, trace.dt, trace.t_mid, trace.wnorm, cfg, trace.t0, _FixedScale(scale)

@@ -1,11 +1,16 @@
 """Kernel derivation, quadrature discretization, and the window-value oracle."""
 
+import dataclasses
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from algcpd import kernels
 from algcpd.builder import ModelSpec, build_detector
 from algcpd.kernels import (
     BivariatePoly,
@@ -177,3 +182,115 @@ def test_bivariate_poly_text():
     # T-degree renders as T, tau as u
     assert "T" in p.text() and "u^2" in p.text()
     assert BivariatePoly().text() == "0"
+
+
+# -- discretize against the per-tap Fraction Horner --------------------------
+
+
+def fraction_horner_rows(det, window, dt, rule):
+    """Exact weight rows by one Fraction Horner evaluation per tap: the
+    reference that discretize's integer-grid rows must equal."""
+    kern = kernelize(det)
+    h = Fraction(dt)
+    T = (window - 1) * h
+    q = quadrature_weights(window, h, rule)
+    rows = []
+    for kv in kern.kernels:
+        tau_coeffs = kv.tau_poly_at(T)
+        row = []
+        for i in range(window):
+            tau = i * h
+            acc = Fraction(0)
+            for c in reversed(tau_coeffs):
+                acc = acc * tau + c
+            row.append(q[i] * acc)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def reference_weights(det, exact_rows, dt, project):
+    """Float image of the reference rows, then the projection discretize applies."""
+    weights = np.array([[float(w) for w in row] for row in exact_rows], dtype=np.float64)
+    if project:
+        window = weights.shape[1]
+        T = (window - 1) * Fraction(dt)
+        grid = np.arange(window, dtype=np.float64) / (window - 1)
+        for vi, kv in enumerate(kernelize(det).kernels):
+            basis = [grid**m for m in kernels._annihilated_moments(kv, T)]
+            if basis:
+                weights[vi] = kernels._project_out(weights[vi], basis)
+    return weights
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+ORACLE_MODELS = {
+    "monomial(0,0)": (ModelSpec.monomial(0, 0), None),
+    "monomial(4,0)": (ModelSpec.monomial(4, 0), None),
+    "monomial(8,0)": (ModelSpec.monomial(8, 0), None),
+    "monomial(1,1,order=1)": (ModelSpec.monomial(1, 1, order=1), None),
+    "polynomial(3,2)": (ModelSpec.polynomial(3, 2), None),
+    "monomial(1,0)/general": (ModelSpec.monomial(1, 0), "general"),
+}
+ORACLE_DTS = (0.01, 0.001, 0.1, 1 / 3, 2**-7, 1e-6)
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_detector(name):
+    spec, method = ORACLE_MODELS[name]
+    return build_detector(spec, method=method)
+
+
+def check_against_reference(det, window, dt, rule):
+    want_exact = fraction_horner_rows(det, window, dt, rule)
+    for project in (False, True):
+        dd = discretize(det, window=window, dt=dt, rule=rule, project=project)
+        assert_same_bits(dd.weights, reference_weights(det, want_exact, dt, project))
+        assert dd.exact_weights == want_exact
+        assert all(type(w) is Fraction for row in dd.exact_weights for w in row)
+
+
+@pytest.mark.parametrize(
+    "window,rule",
+    [(2, "trapezoid"), (3, "trapezoid"), (64, "trapezoid"), (385, "trapezoid"),
+     (3, "simpson"), (385, "simpson")],
+)
+@pytest.mark.parametrize("model", list(ORACLE_MODELS))
+def test_discretize_matches_fraction_horner(model, window, rule):
+    det = oracle_detector(model)
+    for dt in ORACLE_DTS:
+        check_against_reference(det, window, dt, rule)
+
+
+def test_discretize_matches_fraction_horner_at_4096():
+    check_against_reference(oracle_detector("monomial(8,0)"), 4096, 0.01, "trapezoid")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    model=st.sampled_from(list(ORACLE_MODELS)),
+    dt=st.floats(min_value=1e-6, max_value=1.0, exclude_min=True, exclude_max=True),
+    window=st.integers(min_value=2, max_value=200),
+    rule=st.sampled_from(["trapezoid", "simpson"]),
+)
+def test_discretize_raw_weights_are_float_image_of_reference(model, dt, window, rule):
+    if rule == "simpson":
+        window = max(3, window | 1)
+    det = oracle_detector(model)
+    want_exact = fraction_horner_rows(det, window, dt, rule)
+    dd = discretize(det, window=window, dt=dt, rule=rule, project=False)
+    assert_same_bits(dd.weights, reference_weights(det, want_exact, dt, False))
+
+    # exact_weights is built on first access and leaves the floats alone
+    bits = dd.weights.tobytes()
+    assert "exact_weights" not in vars(dd)
+    assert dd.exact_weights == want_exact
+    assert dd.exact_weights is dd.exact_weights
+    assert dd.weights.tobytes() == bits
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        dd.window = window + 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        dd.exact_weights = ()

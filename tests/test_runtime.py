@@ -198,9 +198,10 @@ def flank_trace(left_peak, right_peak, reach=0):
     v[k - window // 2 - reach] = left_peak
     v[k + window // 2 + reach] = -right_peak
     ones = np.ones(200)
+    # d is made by hand, not by _normalize, so no epsilon: detect() renormalizes
     return DecisionTrace(
         t0=0.0, dt=0.01, window=window, t_mid=0.075, wnorm=1.0,
-        vnu=v[None, :], v=v, d=v / 4.0, sigma=ones, rms=ones,
+        vnu=v[None, :], v=v, d=v / 4.0, sigma=ones, rms=ones, epsilon=None,
     )
 
 
@@ -325,6 +326,25 @@ def test_detect_reuses_trace():
     b = detect(trace, DetectConfig())
     assert as_tuples(a) == as_tuples(b)
     assert len(a) == 1
+
+
+def test_detect_uses_trace_d_only_for_its_epsilon(monkeypatch):
+    dd, y = gate_case()
+    cfg = DetectConfig(kappa=3.0, scale=0.15)
+    want = detect(eval_windows(dd, y, epsilon=cfg.epsilon), cfg)
+    assert len(want) == 3
+
+    # a trace normalized with a much larger epsilon has a d too small to
+    # pass the gate; detect() must renormalize it with cfg.epsilon
+    stale = eval_windows(dd, y, epsilon=1e3)
+    assert stale.epsilon == 1e3
+    assert np.abs(stale.d).max() < 0.15
+    assert as_tuples(detect(stale, cfg)) == as_tuples(want)
+
+    # with the same epsilon, the trace's d is used as it is
+    trace = eval_windows(dd, y, epsilon=cfg.epsilon)
+    monkeypatch.setattr(runtime, "_normalize", None)
+    assert as_tuples(detect(trace, cfg)) == as_tuples(want)
 
 
 def test_config_validation():
