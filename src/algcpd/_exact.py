@@ -284,16 +284,6 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_polynomial(self) -> bool:
-        return self.den.degree == 0
-
-    def is_proper(self) -> bool:
-        """deg num <= deg den (zero counts as proper)."""
-        return self.is_zero() or self.num.degree <= self.den.degree
-
-    def is_strictly_proper(self) -> bool:
-        return self.is_zero() or self.num.degree < self.den.degree
-
     # -- field operations -------------------------------------------------------
     def __add__(self, other) -> "RationalFunction":
         other = _as_rf(other)

@@ -130,7 +130,6 @@ def _cached_detector(
 def run_trial(
     dd: DiscreteDetector,
     clean: np.ndarray,
-    dt: float,
     noise_kind: str,
     snr_db: float,
     seed: int,
@@ -157,7 +156,7 @@ def run_campaign(c: Campaign, on_trial=None) -> CampaignResult:
     err_sum = 0.0
     err_n = 0
     for i in range(c.trials):
-        detections = run_trial(dd, clean, spec.dt, c.noise_kind, c.snr_db, c.base_seed + i, cfg)
+        detections = run_trial(dd, clean, c.noise_kind, c.snr_db, c.base_seed + i, cfg)
         if on_trial is not None:
             on_trial(i, detections)
         est = [d.time for d in detections]

@@ -189,16 +189,6 @@ class DiffOperator:
         return " + ".join(parts)
 
     # -- integral-form predicates -------------------------------------------------------
-    def max_excess(self) -> int:
-        """Largest (numerator degree - denominator s-power shortfall) over terms.
-
-        For the monomial view: write each coefficient as a Laurent-style sum
-        of c*s^e with e possibly negative (only exact when the denominator is
-        a pure s power). Used through power_range below.
-        """
-        hi, _ = self.power_range()
-        return hi
-
     def power_range(self) -> Tuple[int, int]:
         """(max, min) exponent e over all monomials c*s^e*D^a of all coefficients.
 

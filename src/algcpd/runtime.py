@@ -14,13 +14,14 @@ implies the plain one-sided max |d| >= kappa * scale condition), plus a float
 dust floor so noise-free flat segments never fire.
 
 Batch and stream share one engine. The engine consumes window statistics in
-position order, resolves each crossing once its right flank is available, and
-feeds survivors to a time-ordered pending-candidate suppressor. Under a fixed
-scale the flank threshold is first applied to all ready crossings at once;
-it is exact, so only the cost changes. With an explicit cfg.scale the two
-paths are bit-identical and chunk-size invariant; with cfg.scale=None batch
-uses the whole-trace MAD of d while the stream uses a trailing MAD (a
-documented approximation, still chunk-size invariant).
+position order and, whenever crossings have their right flank available,
+resolves all of them in one vectorized gate under either scale: the flank
+threshold and the dust floor are masks, applied cheapest first, and only
+survivors become candidates for a time-ordered pending-candidate suppressor.
+With an explicit cfg.scale batch and stream are bit-identical and chunk-size
+invariant; with cfg.scale=None batch uses the whole-trace MAD of d while the
+stream uses a trailing MAD at each crossing (a documented approximation, still
+chunk-size invariant).
 """
 
 from __future__ import annotations
@@ -31,14 +32,13 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ._engine import eval_windows_raw
 from .kernels import DiscreteDetector
 
 MAD_FACTOR = 1.4826  # normal-consistency factor for median absolute deviation
 _MIN_SCALE_HISTORY = 16
-# flank values gathered per step of the vectorized crossing screen (128 kB):
+# flank values gathered per step of the crossing gate (128 kB):
 # more costs peak memory and saves little time
 _SCREEN_ELEMENTS = 1 << 14
 
@@ -194,52 +194,6 @@ class _Ring:
             self.vnu = self.vnu[:, cut:]
             self.base = keep_from
 
-    def get_d(self, pos: int) -> float:
-        return float(self.d[pos - self.base])
-
-    def slice_d(self, lo: int, hi: int) -> np.ndarray:
-        """d over absolute positions [lo, hi] inclusive."""
-        return self.d[lo - self.base : hi + 1 - self.base]
-
-    def slice_v(self, lo: int, hi: int) -> np.ndarray:
-        return self.v[lo - self.base : hi + 1 - self.base]
-
-
-class _ScaleProvider:
-    """Noise scale of d for the gate, queried at a resolution position."""
-
-    #: extra trailing positions the engine ring must retain for this provider
-    retention = 0
-
-    def value_at(self, pos: int, ring: _Ring) -> float:
-        raise NotImplementedError
-
-
-class _FixedScale(_ScaleProvider):
-    def __init__(self, scale: float):
-        self._scale = float(scale)
-
-    def value_at(self, pos: int, ring: _Ring) -> float:
-        return self._scale
-
-
-class _TrailingMadScale(_ScaleProvider):
-    """MAD of d over the trailing `length` positions ending at the query
-    position. A pure function of (pos, d history), so results are invariant
-    to how the stream was chunked."""
-
-    def __init__(self, length: int):
-        self.length = length
-        self.retention = length
-
-    def value_at(self, pos: int, ring: _Ring) -> float:
-        lo = max(ring.base, pos - self.length + 1)
-        window = ring.slice_d(lo, pos)
-        if window.size < _MIN_SCALE_HISTORY:
-            return math.inf
-        med = float(np.median(window))
-        return MAD_FACTOR * float(np.median(np.abs(window - med)))
-
 
 @dataclass
 class _Pending:
@@ -252,8 +206,11 @@ class _GateEngine:
     """Order-driven crossing gate + suppression, shared by batch and stream.
 
     Takes the window geometry (samples per window, grid step, midpoint offset
-    and weight norm) and, per feed, the statistics the caller already holds:
-    the delay-row values vnu, their collapse v, the normalized d and the rms.
+    and weight norm), the noise scale of d (a constant, or None for the
+    trailing MAD over max(8W, 512) positions) and, per feed, the statistics
+    the caller already holds: the delay-row values vnu, their collapse v, the
+    normalized d and the rms. One gate, _gate, resolves every ready crossing
+    under either scale; see it for the order in which its tests prune.
     """
 
     def __init__(
@@ -264,15 +221,18 @@ class _GateEngine:
         wnorm: float,
         cfg: DetectConfig,
         t0: float,
-        scale: _ScaleProvider,
+        scale: Optional[float],
     ):
         self.window = window
         self.dt = dt
         self.t_mid = t_mid
         self.cfg = cfg
         self.t0 = t0
-        self.scale = scale
+        self.scale = None if scale is None else float(scale)
+        # positions of d the trailing MAD reads, ending at a right flank's end
+        self.trailing = 0 if scale is not None else max(8 * window, 512)
         self.flank = window // 2
+        self._flanks = np.arange(-self.flank, self.flank + 1)  # column offsets
         sep = cfg.min_separation
         if sep is None:
             self.min_sep_pos = window
@@ -292,8 +252,7 @@ class _GateEngine:
         lo = max(1, first_pos)  # crossings need a left neighbor
         hi = self.ring.end - 1
         if hi >= lo:
-            seg = self.ring.slice_d(lo - 1, hi)
-            sign = np.sign(seg)
+            sign = np.sign(self.ring.d[lo - 1 - self.ring.base :])
             found = np.flatnonzero(sign[:-1] * sign[1:] < 0)
             if found.size:
                 self.crossings.extend((found + lo).tolist())
@@ -316,10 +275,8 @@ class _GateEngine:
         else:
             taken = bisect.bisect_right(self.crossings, frontier - self.flank)
         if taken:
-            for k in self._screen(self.crossings[:taken], frontier):
-                cand = self._resolve(k, frontier)
-                if cand is not None:
-                    out.extend(self._push_candidate(cand))
+            for cand in self._gate(self.crossings[:taken]):
+                out.extend(self._push_candidate(cand))
             del self.crossings[:taken]
         # every crossing still queued lies past frontier - flank, so its
         # candidate would land more than min_sep_pos past this pending one
@@ -333,75 +290,74 @@ class _GateEngine:
         return out
 
     def _trim(self) -> None:
-        anchor = self.ring.end - (2 * self.flank + 2) - self.scale.retention
-        if self.crossings:
-            anchor = min(
-                anchor, self.crossings[0] - self.flank - 1 - self.scale.retention
-            )
-        keep_from = max(self.ring.base, anchor)
-        self.ring.trim(keep_from)
+        # a queued crossing lies past frontier - flank, so this keeps its
+        # left flank, d[k-1] and the trailing MAD's history too
+        anchor = self.ring.end - (2 * self.flank + 2) - self.trailing
+        self.ring.trim(max(self.ring.base, anchor))
 
-    def _screen(self, ks: List[int], frontier: int) -> List[int]:
-        """Drop, all at once, the crossings that _resolve would reject at the
-        flank threshold. Only a fixed scale allows this, as its threshold is
-        known before the flanks are. Crossings with a clipped flank (near the
-        start, or near the end at finish) pass unscreened. max is exact, so
-        the survivors, and with them the detections, are unchanged."""
-        if not isinstance(self.scale, _FixedScale):
-            return ks
-        ring = self.ring
-        threshold = self.cfg.kappa * self.scale.value_at(frontier, ring)
-        batch = max(1, _SCREEN_ELEMENTS // (self.flank + 1))
-        keep: List[int] = []
-        for lo in range(0, len(ks), batch):
-            k = np.array(ks[lo : lo + batch], dtype=np.int64)
-            full = (k - self.flank >= ring.base) & (k + self.flank <= frontier)
-            col = k[full] - ring.base
-            drop = np.zeros_like(full)
-            if col.size:
-                falling = ring.d[col - 1] > 0  # sign_pre = +1 in _resolve
-                left = sliding_window_view(ring.d, self.flank)[col - self.flank]
-                # the complement of _resolve's test, so a NaN excursion is
-                # kept here and rejected there; the right flank is read only
-                # where the left one passed
-                fail = np.where(falling, left.max(axis=1), -left.min(axis=1)) < threshold
-                rest = np.flatnonzero(~fail)
-                right = sliding_window_view(ring.d, self.flank + 1)[col[rest]]
-                fail[rest] = np.where(
-                    falling[rest], -right.min(axis=1), right.max(axis=1)
-                ) < threshold
-                drop[full] = fail
-            keep.extend(k[~drop].tolist())
-        return keep
+    def _gate(self, ks: List[int]) -> List[_Pending]:
+        """Candidates of the ready crossings ks (ascending), in position order.
 
-    def _resolve(self, k: int, frontier: int) -> Optional[_Pending]:
+        The left flank of crossing k is d[k - W/2 .. k-1] and the right one
+        d[k .. k + W/2], clipped to the ring at the stream start and at
+        finish(). A clipped flank is gathered with its index clamped into it:
+        a repeated value changes no max, min or NaN. The cheap tests prune
+        first. Under a fixed scale: the left flank of every crossing, the
+        right flank where the left passed, then |v| for the dust floor on
+        flank survivors. Under the trailing MAD: both flanks and |v| for every
+        crossing, then the median only where the dust floor passed."""
+        ring, f = self.ring, self.flank
+        out: List[_Pending] = []
+        step = max(1, _SCREEN_ELEMENTS // (f + 1))
+        for lo in range(0, len(ks), step):
+            col = np.array(ks[lo : lo + step], dtype=np.int64) - ring.base
+            # +1 where d falls through zero at k, -1 where it rises
+            sign = np.where(ring.d[col - 1] > 0, 1.0, -1.0)
+            score = np.inf  # becomes the smaller flank excursion
+            for offsets, side in ((self._flanks[:f], 1.0), (self._flanks[f:], -1.0)):
+                flank = np.take(ring.d, col[:, None] + offsets, mode="clip")
+                score = np.minimum(score, (flank * (side * sign)[:, None]).max(axis=1))
+                if self.scale is not None:
+                    keep = self._reaching(col, score)
+                    col, sign, score = col[keep], sign[keep], score[keep]
+            # float dust floor: BOTH flanks must carry a macroscopic v
+            # excursion vs window rms, else the crossing is rounding dust next
+            # to a real lobe (e.g. where a response lobe decays into an
+            # event-free region)
+            v = np.abs(np.take(ring.v, col[:, None] + self._flanks, mode="clip"))
+            floor = self.cfg.dust * self.wnorm_sqrtw * ring.rms[col]
+            keep = ~(np.minimum(v[:, :f].max(axis=1), v[:, f:].max(axis=1)) <= floor)
+            col, score = col[keep], score[keep]
+            if self.scale is None:
+                keep = self._reaching(col, score)
+                col, score = col[keep], score[keep]
+            out.extend(map(self._candidate, col.tolist(), score.tolist()))
+        return out
+
+    def _reaching(self, col: np.ndarray, score: np.ndarray) -> np.ndarray:
+        """Mask of the crossings at ring columns col whose flank excursions
+        all reach kappa times the scale (a NaN excursion never does). The
+        trailing MAD is that of d over the trailing positions ending at the
+        crossing's right flank end; under 16 of them it is inf."""
+        if self.scale is not None:
+            threshold = self.cfg.kappa * self.scale
+        else:
+            d = self.ring.d
+            threshold = np.empty(col.size)
+            for i, hi in enumerate(np.minimum(col + self.flank, d.size - 1).tolist()):
+                window = d[max(0, hi + 1 - self.trailing) : hi + 1]
+                small = window.size < _MIN_SCALE_HISTORY
+                threshold[i] = self.cfg.kappa * (math.inf if small else batch_mad_scale(window))
+        return score >= threshold
+
+    def _candidate(self, k: int, score: float) -> _Pending:
+        """The candidate of the passing crossing at ring column k."""
         ring = self.ring
-        left_lo = max(ring.base, k - self.flank)
-        right_hi = min(frontier, k + self.flank)
-        sign_pre = 1.0 if ring.get_d(k - 1) > 0 else -1.0
-        left = ring.slice_d(left_lo, k - 1)
-        right = ring.slice_d(k, right_hi)
-        if left.size == 0 or right.size == 0:
-            return None
-        left_exc = float(np.max(sign_pre * left))
-        right_exc = float(np.max(-sign_pre * right))
-        threshold = self.cfg.kappa * self.scale.value_at(right_hi, ring)
-        if not (left_exc >= threshold and right_exc >= threshold):
-            return None
-        # float dust floor: BOTH flanks must carry a macroscopic v excursion
-        # vs window rms, else the crossing is rounding dust next to a real
-        # lobe (e.g. where a response lobe decays into an event-free region)
-        vleft = float(np.max(np.abs(ring.slice_v(left_lo, k - 1))))
-        vright = float(np.max(np.abs(ring.slice_v(k, right_hi))))
-        rms_k = float(ring.rms[k - ring.base])
-        if min(vleft, vright) <= self.cfg.dust * self.wnorm_sqrtw * rms_k:
-            return None
-        k_star = k - 1 if abs(ring.get_d(k - 1)) <= abs(ring.get_d(k)) else k
-        score = min(left_exc, right_exc)
+        col = k - 1 if abs(ring.d[k - 1]) <= abs(ring.d[k]) else k
+        k_star = ring.base + col
         if self.cfg.mode == "zero_crossing":
             time = self.t0 + k_star * self.dt + self.t_mid
         else:
-            col = k_star - ring.base
             v0 = float(ring.vnu[0, col])
             v1 = float(ring.vnu[1, col]) if ring.vnu.shape[0] > 1 else 0.0
             if v1 != 0.0:
@@ -439,9 +395,7 @@ def detect(trace: DecisionTrace, cfg: DetectConfig = DetectConfig()) -> List[Det
             trace.wnorm * math.sqrt(trace.window), cfg.epsilon,
         )
     scale = cfg.scale if cfg.scale is not None else batch_mad_scale(d)
-    engine = _GateEngine(
-        trace.window, trace.dt, trace.t_mid, trace.wnorm, cfg, trace.t0, _FixedScale(scale)
-    )
+    engine = _GateEngine(trace.window, trace.dt, trace.t_mid, trace.wnorm, cfg, trace.t0, scale)
     out = engine.feed(trace.vnu, trace.v, d, trace.rms, 0)
     out.extend(engine.finish())
     return out
@@ -478,11 +432,7 @@ class StreamDetector:
         self.dd = dd
         self.cfg = cfg
         self.t0 = t0
-        if cfg.scale is not None:
-            provider: _ScaleProvider = _FixedScale(cfg.scale)
-        else:
-            provider = _TrailingMadScale(max(8 * dd.window, 512))
-        self._engine = _GateEngine(dd.window, dd.dt, dd.t_mid, dd.wnorm, cfg, t0, provider)
+        self._engine = _GateEngine(dd.window, dd.dt, dd.t_mid, dd.wnorm, cfg, t0, cfg.scale)
         self._tail = np.empty(0, dtype=np.float64)
         self._seen = 0
         self._positions = 0

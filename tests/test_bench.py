@@ -57,8 +57,8 @@ def test_trial_seed_changes_noise():
     _, clean = render(spec)
     dd = discretize(build_detector(ModelSpec.monomial(0, 0)), window=96, dt=spec.dt)
     cfg = small_campaign().setup.config()
-    d1 = run_trial(dd, clean, spec.dt, "normal", 0.0, 100, cfg)
-    d2 = run_trial(dd, clean, spec.dt, "normal", 0.0, 101, cfg)
+    d1 = run_trial(dd, clean, "normal", 0.0, 100, cfg)
+    d2 = run_trial(dd, clean, "normal", 0.0, 101, cfg)
     assert [x.time for x in d1] != [x.time for x in d2]
 
 

@@ -1,9 +1,12 @@
 """Batch and streaming detection runtimes."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algcpd import runtime
 from algcpd.builder import ModelSpec, build_detector
@@ -125,29 +128,83 @@ def test_batch_stream_bit_identity_fixed_scale():
         assert as_tuples(sd.detections) == as_tuples(batch)
 
 
-def unscreened_detect(trace, cfg):
-    """detect() with every crossing sent through _GateEngine._resolve: the
-    same constant scale, from a provider the vectorized screen skips."""
+def gate_oracle(trace, cfg, scale):
+    """The gate as a plain loop over a whole trace, one crossing at a time.
 
-    class Constant(runtime._ScaleProvider):
-        def value_at(self, pos, ring):
-            return cfg.scale
+    A crossing at k is a strict sign change of d between k-1 and k. Its left
+    flank is d[k - W/2 .. k-1] and its right flank d[k .. k + W/2], both
+    clipped to the trace. It passes when the excursion away from zero on each
+    flank, in the direction of the crossing, reaches kappa times the scale,
+    and when max |v| on both flanks exceeds the dust floor. The scale is
+    `scale` when given; for None it is the MAD of d over the max(8W, 512)
+    positions ending at the right flank's end (inf under 16 of them). Passing
+    crossings closer than min_separation keep the higher score.
+    """
+    window, dt = trace.window, trace.dt
+    flank = window // 2
+    wnorm_sqrtw = trace.wnorm * math.sqrt(window)
+    d = runtime._normalize(trace.v, trace.sigma, trace.rms, wnorm_sqrtw, cfg.epsilon)
+    v, last, trailing = trace.v, d.size - 1, max(8 * window, 512)
+    if cfg.min_separation is None:
+        min_sep_pos = window
+    else:
+        min_sep_pos = max(1, int(round(cfg.min_separation / dt)))
+    out, pending = [], None
+    for k in range(1, d.size):
+        if not np.sign(d[k - 1]) * np.sign(d[k]) < 0:
+            continue
+        lo, hi = max(0, k - flank), min(last, k + flank)
+        sign_pre = 1.0 if d[k - 1] > 0 else -1.0
+        left_exc = float(np.max(sign_pre * d[lo:k]))
+        right_exc = float(np.max(-sign_pre * d[k : hi + 1]))
+        if scale is None:
+            history = d[max(0, hi - trailing + 1) : hi + 1]
+            if history.size < 16:
+                gate_scale = math.inf
+            else:
+                med = float(np.median(history))
+                gate_scale = runtime.MAD_FACTOR * float(np.median(np.abs(history - med)))
+        else:
+            gate_scale = scale
+        threshold = cfg.kappa * gate_scale
+        if not (left_exc >= threshold and right_exc >= threshold):
+            continue
+        vleft = float(np.max(np.abs(v[lo:k])))
+        vright = float(np.max(np.abs(v[k : hi + 1])))
+        if min(vleft, vright) <= cfg.dust * wnorm_sqrtw * float(trace.rms[k]):
+            continue
+        k_star = k - 1 if abs(float(d[k - 1])) <= abs(float(d[k])) else k
+        if cfg.mode == "zero_crossing":
+            time = trace.t0 + k_star * dt + trace.t_mid
+        else:
+            v0 = float(trace.vnu[0, k_star])
+            v1 = float(trace.vnu[1, k_star]) if trace.vnu.shape[0] > 1 else 0.0
+            if v1 != 0.0:
+                local = min(max(-v0 / v1, 0.0), (window - 1) * dt)
+            else:
+                local = trace.t_mid
+            time = trace.t0 + k_star * dt + local
+        cand = Detection(time=time, score=min(left_exc, right_exc), kind=cfg.mode, position=k_star)
+        if pending is None:
+            pending = cand
+        elif cand.position - pending.position <= min_sep_pos:
+            if cand.score > pending.score:
+                pending = cand
+        else:
+            out.append(pending)
+            pending = cand
+    return out if pending is None else out + [pending]
 
-    d = runtime._normalize(
-        trace.v, trace.sigma, trace.rms, trace.wnorm * math.sqrt(trace.window), cfg.epsilon
-    )
-    engine = runtime._GateEngine(
-        trace.window, trace.dt, trace.t_mid, trace.wnorm, cfg, trace.t0, Constant()
-    )
-    out = engine.feed(trace.vnu, trace.v, d, trace.rms, 0)
-    return out + engine.finish()
 
-
-def streamed(dd, y, cfg, chunk):
+def streamed(dd, y, cfg, *sizes):
+    """Stream y in chunks of the given sizes, repeated until y runs out."""
     sd = StreamDetector(dd, cfg)
-    got = []
-    for i in range(0, len(y), chunk):
-        got += sd.push_chunk(y[i : i + chunk])
+    got, i = [], 0
+    for size in itertools.cycle(sizes):
+        if i >= y.size:
+            break
+        got += sd.push_chunk(y[i : i + size])
+        i += size
     return got + sd.finalize()
 
 
@@ -166,7 +223,7 @@ def test_fixed_scale_gate_screen_changes_nothing(kappa):
     dd, y = gate_case()
     cfg = DetectConfig(kappa=kappa, scale=0.15)
     trace, batch = detect_samples(dd, y, cfg)
-    assert as_tuples(batch) == as_tuples(unscreened_detect(trace, cfg))
+    assert as_tuples(batch) == as_tuples(gate_oracle(trace, cfg, cfg.scale))
     if kappa:
         assert len(batch) == 3
         assert batch[-1].position + dd.window // 2 > trace.positions - 1
@@ -183,7 +240,7 @@ def test_fixed_scale_gate_threshold_met_exactly():
         cfg = DetectConfig(kappa=1.0, scale=float(scale))
         batch = detect(trace, cfg)
         assert (top.position in [d.position for d in batch]) == kept
-        assert as_tuples(batch) == as_tuples(unscreened_detect(trace, cfg))
+        assert as_tuples(batch) == as_tuples(gate_oracle(trace, cfg, cfg.scale))
         for chunk in (1, 7, 65536):
             assert as_tuples(streamed(dd, y, cfg, chunk)) == as_tuples(batch)
 
@@ -210,7 +267,7 @@ def test_fixed_scale_gate_flanks_end_where_resolve_ends_them(reach):
     trace = flank_trace(5.0, 5.0, reach)
     cfg = DetectConfig(kappa=1.0, scale=1.0)
     got = detect(trace, cfg)
-    assert as_tuples(got) == as_tuples(unscreened_detect(trace, cfg))
+    assert as_tuples(got) == as_tuples(gate_oracle(trace, cfg, cfg.scale))
     assert [d.position for d in got] == ([99] if reach == 0 else [])
 
 
@@ -222,8 +279,50 @@ def test_fixed_scale_gate_threshold_met_exactly_on_either_flank(peaks):
     for scale, kept in ((det.score, True), (np.nextafter(det.score, np.inf), False)):
         cfg = DetectConfig(kappa=1.0, scale=float(scale))
         got = detect(trace, cfg)
-        assert as_tuples(got) == as_tuples(unscreened_detect(trace, cfg))
+        assert as_tuples(got) == as_tuples(gate_oracle(trace, cfg, cfg.scale))
         assert len(got) == int(kept)
+
+
+def gate_detect(trace, cfg):
+    """The gate engine fed a whole trace, under cfg.scale as it is: None
+    selects the trailing MAD, which detect() never uses."""
+    d = runtime._normalize(
+        trace.v, trace.sigma, trace.rms, trace.wnorm * math.sqrt(trace.window), cfg.epsilon
+    )
+    engine = runtime._GateEngine(
+        trace.window, trace.dt, trace.t_mid, trace.wnorm, cfg, trace.t0, cfg.scale
+    )
+    return engine.feed(trace.vnu, trace.v, d, trace.rms, 0) + engine.finish()
+
+
+@pytest.mark.parametrize("scale", [1.0, None], ids=["fixed", "trailing_mad"])
+def test_dust_floor_met_exactly_rejects(scale):
+    """A crossing whose smaller flank max |v| equals the dust floor is dropped.
+    The floor is dust * wnorm * sqrt(W) * rms[k] = dust * 4.0, and max |v| is
+    5.0 on both flanks."""
+    trace = flank_trace(5.0, 5.0)
+    for dust, kept in ((1.25, False), (np.nextafter(1.25, 0.0), True)):
+        cfg = DetectConfig(kappa=1.0, scale=scale, dust=float(dust))
+        got = gate_detect(trace, cfg)
+        assert as_tuples(got) == as_tuples(gate_oracle(trace, cfg, scale))
+        assert len(got) == int(kept)
+
+
+@pytest.mark.parametrize("k, kept", [(6, False), (7, True)])
+def test_trailing_mad_needs_16_positions(k, kept):
+    """Under the trailing MAD, a crossing at k (W=16) has its right flank end
+    at k + 8. At k=7 the MAD reads 16 positions of d; it is 0, so the
+    crossing passes. At k=6 it has 15, the scale is inf and nothing passes."""
+    v = np.where(np.arange(200) < k, 0.1, -0.1)
+    ones = np.ones(200)
+    trace = DecisionTrace(
+        t0=0.0, dt=0.01, window=16, t_mid=0.075, wnorm=1.0,
+        vnu=v[None, :], v=v, d=v / 4.0, sigma=ones, rms=ones, epsilon=None,
+    )
+    cfg = DetectConfig(kappa=1.0, scale=None)
+    got = gate_detect(trace, cfg)
+    assert as_tuples(got) == as_tuples(gate_oracle(trace, cfg, None))
+    assert len(got) == int(kept)
 
 
 @pytest.mark.parametrize("scale", [None, 96 ** -0.5], ids=["trailing_mad", "fixed"])
@@ -268,6 +367,53 @@ def test_stream_mad_scale_chunk_invariant():
         runs.append(as_tuples(sd.detections))
     assert runs[0] == runs[1] == runs[2]
     assert len(runs[0]) == 2
+
+
+def test_stream_mad_scale_matches_gate_oracle():
+    """The stream's trailing-MAD gate against the plain loop, exactly, at
+    chunk sizes 1, 13 and the whole signal."""
+    window = 96
+    spec = builtin_suite("pc5")
+    _, clean = render(spec)
+    y = apply_noise(clean, "normal", 10.0, 0)
+    dd = step_detector(window=window, dt=spec.dt)
+    cfg = DetectConfig(kappa=3.0, scale=None)
+    want = as_tuples(gate_oracle(eval_windows(dd, y), cfg, None))
+    assert len(want) >= 3
+    for chunk in (1, 13, y.size):
+        assert as_tuples(streamed(dd, y, cfg, chunk)) == want
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    window=st.sampled_from([16, 33, 64]),
+    n=st.integers(400, 1400),
+    steps=st.lists(
+        st.tuples(st.floats(0.0, 1.0), st.floats(-3.0, 3.0)), min_size=0, max_size=4
+    ),
+    noise=st.sampled_from([0.0, 0.05, 0.3]),
+    seed=st.integers(0, 2**16),
+    kappa=st.sampled_from([0.0, 2.0, 3.0]),
+    mode=st.sampled_from(["zero_crossing", "linear_estimate"]),
+    fixed=st.booleans(),
+    sizes=st.lists(st.integers(1, 300), min_size=1, max_size=5),
+)
+def test_gate_matches_oracle_under_any_partition(
+    window, n, steps, noise, seed, kappa, mode, fixed, sizes
+):
+    """Step-plus-noise signals under either scale: batch and a stream cut at
+    random chunk sizes both give the oracle's detections, exactly."""
+    dt = 0.01
+    y = step_signal(n, dt, [(at * n * dt, amp) for at, amp in steps])
+    y = y + noise * np.random.default_rng(seed).standard_normal(n)
+    dd = step_detector(window=window, dt=dt)
+    trace = eval_windows(dd, y)
+    scale = window ** -0.5 if fixed else None
+    cfg = DetectConfig(kappa=kappa, mode=mode, scale=scale)
+    batch_scale = scale if fixed else runtime.batch_mad_scale(trace.d)
+    assert as_tuples(detect(trace, cfg)) == as_tuples(gate_oracle(trace, cfg, batch_scale))
+    got = streamed(dd, y, cfg, *sizes)
+    assert as_tuples(got) == as_tuples(gate_oracle(trace, cfg, scale))
 
 
 def test_stream_bookkeeping():
