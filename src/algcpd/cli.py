@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -171,10 +172,18 @@ def load_signal_config(path: str) -> SignalSpec:
         raise ValueError(f"{path}: bad signal config: {e}")
 
 
+# the setup keys a bench config may override, with their coercions
+_SETUP_KEYS = {
+    "n1": int, "n2": int, "order": int, "method": str, "window": int, "rule": str,
+    "kappa": float, "scale": lambda v: None if v is None else float(v), "mode": str,
+}
+
+
 def load_bench_config(path: str, base_seed: int, trials: Optional[int]) -> List[bench_mod.Campaign]:
     """JSON schema: one campaign object or {"campaigns": [...]}. Campaign keys:
     suite, noise, snr_db, trials, setup {n1, n2, order, method, window, rule,
-    kappa, scale, mode}; setup keys fall back to the suite's reference setup."""
+    kappa, scale, mode}; setup keys fall back to the suite's reference setup.
+    An unknown suite or setup key is an error."""
     with open(path, "r") as fh:
         obj = json.load(fh)
     items = obj["campaigns"] if isinstance(obj, dict) and "campaigns" in obj else obj
@@ -184,21 +193,13 @@ def load_bench_config(path: str, base_seed: int, trials: Optional[int]) -> List[
     try:
         for it in items:
             suite = it["suite"]
-            ref = bench_mod.REFERENCE_SETUPS.get(suite)
-            s = it.get("setup", {})
-            def pick(key, fallback):
-                return s[key] if key in s else (getattr(ref, key) if ref is not None else fallback)
-            setup = bench_mod.DetectorSetup(
-                n1=int(pick("n1", 0)),
-                n2=int(pick("n2", 0)),
-                order=int(pick("order", 0)),
-                method=str(pick("method", "linear")),
-                window=int(pick("window", 64)),
-                rule=str(pick("rule", "trapezoid")),
-                kappa=float(pick("kappa", 3.0)),
-                scale=(lambda v: None if v is None else float(v))(pick("scale", None)),
-                mode=str(pick("mode", "zero_crossing")),
-            )
+            if suite not in bench_mod.REFERENCE_SETUPS:
+                raise ValueError(
+                    f"{path}: unknown suite {suite!r}; "
+                    f"available: {', '.join(sorted(bench_mod.REFERENCE_SETUPS))}"
+                )
+            overrides = {k: _SETUP_KEYS[k](v) for k, v in it.get("setup", {}).items()}
+            setup = dataclasses.replace(bench_mod.REFERENCE_SETUPS[suite], **overrides)
             out.append(bench_mod.Campaign(
                 suite=suite,
                 noise_kind=it.get("noise", "normal"),

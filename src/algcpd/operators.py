@@ -259,10 +259,6 @@ class OperatorPolynomial:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @staticmethod
-    def from_operator(op: DiffOperator) -> "OperatorPolynomial":
-        return OperatorPolynomial((op,))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -424,8 +420,6 @@ def to_integral_form(op_poly: OperatorPolynomial) -> Tuple[int, OperatorPolynomi
     """Left-compose with s^-N for the smallest N making the result strictly
     finite-integral. Returns (N, transformed); N == 0 leaves it unchanged.
     """
-    if isinstance(op_poly, DiffOperator):
-        op_poly = OperatorPolynomial.from_operator(op_poly)
     n = integral_depth(op_poly)
     if n == 0:
         return 0, op_poly

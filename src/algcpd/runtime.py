@@ -4,7 +4,11 @@ The decision statistic at window position k is the collapsed window value
 v(k) (the delay polynomial evaluated at the window midpoint) normalized by
 the windowed noise scale:
 
-    d(k) = v(k) / (wnorm * sqrt(W) * sigma_k + epsilon)
+    d(k) = v(k) / (wnorm * sqrt(W) * (sigma(k) + SIGMA_FLOOR * rms(k)) + EPSILON)
+
+sigma(k) and rms(k) being the sample deviation and RMS of window k. The
+three rounding floors are module constants, and _statistics is the only
+place d is made; see SIGMA_FLOOR for what each floor guards.
 
 A change inside a window drives v through a sign change at the position
 where the hypothesized delay matches the true one, so detections are gated
@@ -47,10 +51,8 @@ _SCREEN_ELEMENTS = 1 << 14
 class DetectConfig:
     kappa: float = 3.0
     min_separation: Optional[float] = None  # seconds; None -> window * dt
-    epsilon: float = 1e-12
     mode: str = "zero_crossing"  # or "linear_estimate"
     scale: Optional[float] = None  # noise scale of d; None -> MAD estimate
-    dust: float = 1e-9
 
     def __post_init__(self):
         if self.mode not in ("zero_crossing", "linear_estimate"):
@@ -83,7 +85,6 @@ class DecisionTrace:
     d: np.ndarray  # normalized decision values
     sigma: np.ndarray
     rms: np.ndarray
-    epsilon: Optional[float]  # the epsilon d was normalized with; None if unknown
 
     @property
     def positions(self) -> int:
@@ -105,28 +106,35 @@ def _collapse(vnu: np.ndarray, t_mid: float) -> np.ndarray:
     return v
 
 
-# Relative deviation floor. Windows of an exactly constant signal have zero
-# sample deviation; dividing their rounding dust by epsilon alone would turn
-# them into huge spurious statistics. One part in 1e9 of the window RMS is far
+# The rounding floors of the decision statistic, all relative to one window.
+# SIGMA_FLOOR: windows of an exactly constant signal have zero sample
+# deviation; dividing their rounding dust by EPSILON alone would turn them
+# into huge spurious statistics. One part in 1e9 of the window RMS is far
 # below any resolvable noise level and keeps such windows at d ~ 0.
+# EPSILON: keeps d finite where the window is all zeros (sigma = rms = 0).
+# DUST: the gate drops a crossing unless both flanks reach a max |v| above
+# DUST * wnorm * sqrt(W) * rms(k); below that, v is rounding dust next to a
+# real lobe, as where a response lobe decays into an event-free region.
 SIGMA_FLOOR = 1e-9
+EPSILON = 1e-12
+DUST = 1e-9
 
 
-def _normalize(
-    v: np.ndarray,
-    sigma: np.ndarray,
-    rms: np.ndarray,
-    wnorm_sqrtw: float,
-    epsilon: float,
-) -> np.ndarray:
-    return v / (wnorm_sqrtw * (sigma + SIGMA_FLOOR * rms) + epsilon)
+def _statistics(dd: DiscreteDetector, samples: np.ndarray):
+    """(vnu, v, d, sigma, rms) of every window position over samples.
+
+    The engine is looked up in this module when called, so one bound to
+    runtime.eval_windows_raw sees every batch and stream evaluation."""
+    vnu, sigma, rms = eval_windows_raw(dd.weights, samples)
+    v = _collapse(vnu, dd.t_mid)
+    d = v / (dd.wnorm * math.sqrt(dd.window) * (sigma + SIGMA_FLOOR * rms) + EPSILON)
+    return vnu, v, d, sigma, rms
 
 
 def eval_windows(
     dd: DiscreteDetector,
     samples: Sequence[float],
     t0: float = 0.0,
-    epsilon: float = 1e-12,
 ) -> DecisionTrace:
     samples = np.ascontiguousarray(samples, dtype=np.float64)
     if samples.ndim != 1:
@@ -137,9 +145,7 @@ def eval_windows(
         raise ValueError(
             f"need at least window={dd.window} samples, got {samples.size}"
         )
-    vnu, sigma, rms = eval_windows_raw(dd.weights, samples)
-    v = _collapse(vnu, dd.t_mid)
-    d = _normalize(v, sigma, rms, dd.wnorm * math.sqrt(dd.window), epsilon)
+    vnu, v, d, sigma, rms = _statistics(dd, samples)
     return DecisionTrace(
         t0=t0,
         dt=dd.dt,
@@ -151,7 +157,6 @@ def eval_windows(
         d=d,
         sigma=sigma,
         rms=rms,
-        epsilon=epsilon,
     )
 
 
@@ -320,12 +325,9 @@ class _GateEngine:
                 if self.scale is not None:
                     keep = self._reaching(col, score)
                     col, sign, score = col[keep], sign[keep], score[keep]
-            # float dust floor: BOTH flanks must carry a macroscopic v
-            # excursion vs window rms, else the crossing is rounding dust next
-            # to a real lobe (e.g. where a response lobe decays into an
-            # event-free region)
+            # float dust floor (DUST): BOTH flanks must carry a macroscopic v
             v = np.abs(np.take(ring.v, col[:, None] + self._flanks, mode="clip"))
-            floor = self.cfg.dust * self.wnorm_sqrtw * ring.rms[col]
+            floor = DUST * self.wnorm_sqrtw * ring.rms[col]
             keep = ~(np.minimum(v[:, :f].max(axis=1), v[:, f:].max(axis=1)) <= floor)
             col, score = col[keep], score[keep]
             if self.scale is None:
@@ -386,17 +388,10 @@ class _GateEngine:
 
 
 def detect(trace: DecisionTrace, cfg: DetectConfig = DetectConfig()) -> List[Detection]:
-    """Batch detection over a precomputed trace."""
-    if trace.epsilon == cfg.epsilon:
-        d = trace.d
-    else:
-        d = _normalize(
-            trace.v, trace.sigma, trace.rms,
-            trace.wnorm * math.sqrt(trace.window), cfg.epsilon,
-        )
-    scale = cfg.scale if cfg.scale is not None else batch_mad_scale(d)
+    """Batch detection over a precomputed trace; the gate reads trace.d."""
+    scale = cfg.scale if cfg.scale is not None else batch_mad_scale(trace.d)
     engine = _GateEngine(trace.window, trace.dt, trace.t_mid, trace.wnorm, cfg, trace.t0, scale)
-    out = engine.feed(trace.vnu, trace.v, d, trace.rms, 0)
+    out = engine.feed(trace.vnu, trace.v, trace.d, trace.rms, 0)
     out.extend(engine.finish())
     return out
 
@@ -407,7 +402,7 @@ def detect_samples(
     cfg: DetectConfig = DetectConfig(),
     t0: float = 0.0,
 ) -> Tuple[DecisionTrace, List[Detection]]:
-    trace = eval_windows(dd, samples, t0=t0, epsilon=cfg.epsilon)
+    trace = eval_windows(dd, samples, t0=t0)
     return trace, detect(trace, cfg)
 
 
@@ -436,7 +431,6 @@ class StreamDetector:
         self._tail = np.empty(0, dtype=np.float64)
         self._seen = 0
         self._positions = 0
-        self._finished = False
         self.detections: List[Detection] = []
 
     @property
@@ -447,7 +441,7 @@ class StreamDetector:
         return self.push_chunk(np.array([float(sample)], dtype=np.float64))
 
     def push_chunk(self, chunk: Sequence[float]) -> List[Detection]:
-        if self._finished:
+        if self._engine.finished:
             raise RuntimeError("stream already finalized")
         chunk = np.ascontiguousarray(chunk, dtype=np.float64)
         if chunk.ndim != 1:
@@ -463,9 +457,7 @@ class StreamDetector:
         self._tail = work[work.size - keep :].copy()
         if work.size < w:
             return []
-        vnu, sigma, rms = eval_windows_raw(self.dd.weights, work)
-        v = _collapse(vnu, self.dd.t_mid)
-        d = _normalize(v, sigma, rms, self._engine.wnorm_sqrtw, self.cfg.epsilon)
+        vnu, v, d, _, rms = _statistics(self.dd, work)
         first = self._positions
         self._positions += vnu.shape[1]
         out = self._engine.feed(vnu, v, d, rms, first)
@@ -473,9 +465,8 @@ class StreamDetector:
         return out
 
     def finalize(self) -> List[Detection]:
-        if self._finished:
+        if self._engine.finished:
             return []
-        self._finished = True
         out = self._engine.finish()
         self.detections.extend(out)
         return out

@@ -191,3 +191,29 @@ def test_version_and_usage(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["detect"])  # missing required --in
     assert exc.value.code == 2
+
+
+def test_bench_setup_overrides_reference(tmp_path, capsys):
+    """A setup key replaces its reference value; the rest stay the suite's."""
+    cfg = tmp_path / "camp.json"
+    cfg.write_text(json.dumps(
+        {"suite": "sine3", "noise": "normal", "snr_db": 25.0, "trials": 2,
+         "setup": {"kappa": 2.0}}
+    ))
+    outdir = tmp_path / "rep"
+    code, _, _ = run(capsys, "bench", "--config", str(cfg), "--seed", "1",
+                     "--out", str(outdir))
+    assert code == 0
+    (row,) = list(csv.DictReader((outdir / "report.csv").open()))
+    assert float(row["kappa"]) == 2.0
+    assert int(row["window"]) == 96
+    assert row["scale"] == ""
+
+
+def test_bench_unknown_suite_fails(tmp_path, capsys):
+    cfg = tmp_path / "camp.json"
+    cfg.write_text(json.dumps({"suite": "nosuch", "trials": 2}))
+    code, _, err = run(capsys, "bench", "--config", str(cfg), "--seed", "1")
+    assert code == 1
+    assert err.startswith("error:")
+    assert "nosuch" in err

@@ -122,6 +122,14 @@ def test_engine_writes_nothing_without_positions():
         assert sigma.shape == rms.shape == (0,)
 
 
+def test_empty_position_range():
+    det = build_detector(ModelSpec.monomial(0, 0))
+    dd = discretize(det, window=64, dt=0.01)
+    vnu, sigma, rms = eval_windows_raw(dd.weights, np.zeros(10))
+    assert vnu.shape == (2, 0)
+    assert sigma.shape == rms.shape == (0,)
+
+
 def test_engine_matches_scalar_loop_on_a_random_walk():
     """A degree-1 model (three delay rows) at a window size no other case
     uses, over a random walk in noise."""

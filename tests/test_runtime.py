@@ -143,7 +143,7 @@ def gate_oracle(trace, cfg, scale):
     window, dt = trace.window, trace.dt
     flank = window // 2
     wnorm_sqrtw = trace.wnorm * math.sqrt(window)
-    d = runtime._normalize(trace.v, trace.sigma, trace.rms, wnorm_sqrtw, cfg.epsilon)
+    d = trace.d
     v, last, trailing = trace.v, d.size - 1, max(8 * window, 512)
     if cfg.min_separation is None:
         min_sep_pos = window
@@ -171,7 +171,7 @@ def gate_oracle(trace, cfg, scale):
             continue
         vleft = float(np.max(np.abs(v[lo:k])))
         vright = float(np.max(np.abs(v[k : hi + 1])))
-        if min(vleft, vright) <= cfg.dust * wnorm_sqrtw * float(trace.rms[k]):
+        if min(vleft, vright) <= runtime.DUST * wnorm_sqrtw * float(trace.rms[k]):
             continue
         k_star = k - 1 if abs(float(d[k - 1])) <= abs(float(d[k])) else k
         if cfg.mode == "zero_crossing":
@@ -255,10 +255,9 @@ def flank_trace(left_peak, right_peak, reach=0):
     v[k - window // 2 - reach] = left_peak
     v[k + window // 2 + reach] = -right_peak
     ones = np.ones(200)
-    # d is made by hand, not by _normalize, so no epsilon: detect() renormalizes
     return DecisionTrace(
         t0=0.0, dt=0.01, window=window, t_mid=0.075, wnorm=1.0,
-        vnu=v[None, :], v=v, d=v / 4.0, sigma=ones, rms=ones, epsilon=None,
+        vnu=v[None, :], v=v, d=v / 4.0, sigma=ones, rms=ones,
     )
 
 
@@ -286,23 +285,23 @@ def test_fixed_scale_gate_threshold_met_exactly_on_either_flank(peaks):
 def gate_detect(trace, cfg):
     """The gate engine fed a whole trace, under cfg.scale as it is: None
     selects the trailing MAD, which detect() never uses."""
-    d = runtime._normalize(
-        trace.v, trace.sigma, trace.rms, trace.wnorm * math.sqrt(trace.window), cfg.epsilon
-    )
     engine = runtime._GateEngine(
         trace.window, trace.dt, trace.t_mid, trace.wnorm, cfg, trace.t0, cfg.scale
     )
-    return engine.feed(trace.vnu, trace.v, d, trace.rms, 0) + engine.finish()
+    return engine.feed(trace.vnu, trace.v, trace.d, trace.rms, 0) + engine.finish()
 
 
 @pytest.mark.parametrize("scale", [1.0, None], ids=["fixed", "trailing_mad"])
 def test_dust_floor_met_exactly_rejects(scale):
     """A crossing whose smaller flank max |v| equals the dust floor is dropped.
-    The floor is dust * wnorm * sqrt(W) * rms[k] = dust * 4.0, and max |v| is
-    5.0 on both flanks."""
-    trace = flank_trace(5.0, 5.0)
-    for dust, kept in ((1.25, False), (np.nextafter(1.25, 0.0), True)):
-        cfg = DetectConfig(kappa=1.0, scale=scale, dust=float(dust))
+    The floor is DUST * wnorm * sqrt(W) * rms[k] = DUST * 4.0 * rms[k], and
+    max |v| is 5.0 on both flanks; rms[k] moves the floor."""
+    cfg = DetectConfig(kappa=1.0, scale=scale)
+    k = 100
+    for floor, kept in ((5.0, False), (float(np.nextafter(5.0, 0.0)), True)):
+        trace = flank_trace(5.0, 5.0)
+        trace.rms[k] = floor / (runtime.DUST * 4.0)
+        assert runtime.DUST * 4.0 * trace.rms[k] == floor
         got = gate_detect(trace, cfg)
         assert as_tuples(got) == as_tuples(gate_oracle(trace, cfg, scale))
         assert len(got) == int(kept)
@@ -317,7 +316,7 @@ def test_trailing_mad_needs_16_positions(k, kept):
     ones = np.ones(200)
     trace = DecisionTrace(
         t0=0.0, dt=0.01, window=16, t_mid=0.075, wnorm=1.0,
-        vnu=v[None, :], v=v, d=v / 4.0, sigma=ones, rms=ones, epsilon=None,
+        vnu=v[None, :], v=v, d=v / 4.0, sigma=ones, rms=ones,
     )
     cfg = DetectConfig(kappa=1.0, scale=None)
     got = gate_detect(trace, cfg)
@@ -433,12 +432,25 @@ def test_stream_bookkeeping():
 
 
 def test_stream_rejects_bad_chunks():
+    """A rejected chunk leaves the stream as it was: samples_seen and the
+    detections after a good continuation are those of a clean stream."""
     dd = step_detector()
-    sd = StreamDetector(dd)
+    rng = np.random.default_rng(3)
+    y = step_signal(600, 0.01, [(2.0, 1.0), (4.5, -1.0)]) + 0.05 * rng.standard_normal(600)
+    cfg = DetectConfig(kappa=3.0, scale=64 ** -0.5)
+    sd = StreamDetector(dd, cfg)
+    got = sd.push_chunk(y[:250])
     with pytest.raises(ValueError):
         sd.push_chunk(np.array([1.0, np.nan]))
+    assert sd.samples_seen == 250
     with pytest.raises(ValueError):
         sd.push_chunk(np.zeros((2, 2)))
+    assert sd.samples_seen == 250
+    got += sd.push_chunk(y[250:]) + sd.finalize()
+    clean = StreamDetector(dd, cfg)
+    want = clean.push_chunk(y[:250]) + clean.push_chunk(y[250:]) + clean.finalize()
+    assert len(want) == 2
+    assert as_tuples(got) == as_tuples(want)
 
 
 def test_eval_windows_validation():
@@ -474,23 +486,33 @@ def test_detect_reuses_trace():
     assert len(a) == 1
 
 
-def test_detect_uses_trace_d_only_for_its_epsilon(monkeypatch):
+def test_detect_gates_trace_d_as_given(monkeypatch):
+    """detect() uses trace.d and never recomputes it."""
     dd, y = gate_case()
     cfg = DetectConfig(kappa=3.0, scale=0.15)
-    want = detect(eval_windows(dd, y, epsilon=cfg.epsilon), cfg)
+    trace = eval_windows(dd, y)
+    want = detect(trace, cfg)
     assert len(want) == 3
-
-    # a trace normalized with a much larger epsilon has a d too small to
-    # pass the gate; detect() must renormalize it with cfg.epsilon
-    stale = eval_windows(dd, y, epsilon=1e3)
-    assert stale.epsilon == 1e3
-    assert np.abs(stale.d).max() < 0.15
-    assert as_tuples(detect(stale, cfg)) == as_tuples(want)
-
-    # with the same epsilon, the trace's d is used as it is
-    trace = eval_windows(dd, y, epsilon=cfg.epsilon)
-    monkeypatch.setattr(runtime, "_normalize", None)
+    monkeypatch.setattr(runtime, "_statistics", None)
     assert as_tuples(detect(trace, cfg)) == as_tuples(want)
+
+
+def test_decision_statistic_formula():
+    """eval_windows' d is the documented expression, bit for bit:
+    v / (wnorm * sqrt(W) * (sigma + SIGMA_FLOOR * rms) + EPSILON).
+    W=50, so sqrt(W) is not a power of two and the order of the products
+    shows in the bits."""
+    dd = step_detector(window=50)
+    rng = np.random.default_rng(5)
+    noisy = step_signal(400, 0.01, [(2.0, 1.0)]) + 0.05 * rng.standard_normal(400)
+    for y in (noisy, np.full(400, 5.0)):
+        trace = eval_windows(dd, y)
+        want = trace.v / (
+            trace.wnorm * math.sqrt(trace.window)
+            * (trace.sigma + runtime.SIGMA_FLOOR * trace.rms)
+            + runtime.EPSILON
+        )
+        assert np.array_equal(trace.d.view(np.uint64), want.view(np.uint64))
 
 
 def test_config_validation():
