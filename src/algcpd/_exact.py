@@ -7,7 +7,7 @@ appear once kernels are discretized. The indeterminate is rendered ``s``.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
 

@@ -38,7 +38,6 @@ __all__ = [
     "REFERENCE_SETUPS",
     "REFERENCE_GRID",
     "reference_campaign",
-    "run_reference_grid",
 ]
 
 # segment-count columns shown in reports: 1..HIST_MAX, then an overflow bin
@@ -337,12 +336,3 @@ def reference_campaign(
         setup=REFERENCE_SETUPS[suite], trials=trials, base_seed=base_seed,
     )
 
-
-def run_reference_grid(
-    trials: int = 100,
-    base_seed: int = 24245,
-) -> List[CampaignResult]:
-    return [
-        run_campaign(reference_campaign(s, k, db, trials, base_seed))
-        for s, k, db in REFERENCE_GRID
-    ]

@@ -17,11 +17,11 @@ the change time. Both properties are checked exactly by verify_detector.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
-from ._exact import Polynomial, RationalFunction
+from ._exact import RationalFunction
 from .operators import (
     DiffOperator,
     OperatorPolynomial,
@@ -136,28 +136,33 @@ class DetectorOperator:
     method: str  # "linear" or "general"
     omega: OperatorPolynomial
     depth: int  # integral depth N (the left s^-N already applied)
-    degree: int  # delay degree
-    max_deriv: int
-    cleared_by: Polynomial  # left polynomial factor applied before integralization
+
+    @property
+    def degree(self) -> int:
+        """Delay degree of omega."""
+        return self.omega.degree
+
+    @property
+    def max_deriv(self) -> int:
+        """Highest derivative order in omega."""
+        return self.omega.max_deriv_order()
 
     def text(self) -> str:
         return self.omega.text()
 
 
-def build_detector(
-    model: ModelSpec, extra_depth: int = 0, method: Optional[str] = None
-) -> DetectorOperator:
+def build_detector(model: ModelSpec, method: Optional[str] = None) -> DetectorOperator:
     """Dispatch on the jump shape; method overrides for cross-checking."""
     if method is None:
         method = "general" if isinstance(model.jump, PolynomialJump) else "linear"
     if method == "linear":
-        return build_detector_linear(model, extra_depth)
+        return build_detector_linear(model)
     if method == "general":
-        return build_detector_general(model, extra_depth)
+        return build_detector_general(model)
     raise ValueError(f"unknown method {method!r}")
 
 
-def build_detector_linear(model: ModelSpec, extra_depth: int = 0) -> DetectorOperator:
+def build_detector_linear(model: ModelSpec) -> DetectorOperator:
     """Known jump shape: Omega(r) = pi1 o (D + r) o P o s^order.
 
     P is the order-0 operator inverting the jump image (s^(n2+1) for a
@@ -185,10 +190,10 @@ def build_detector_linear(model: ModelSpec, extra_depth: int = 0) -> DetectorOpe
     # (D + r) as a degree-1 operator polynomial, then close the sandwich
     omega = OperatorPolynomial((DiffOperator.d(1), DiffOperator.identity()))
     omega = omega.compose_right(tail).compose_left(pi1)
-    return _finalize(model, "linear", omega, extra_depth)
+    return _finalize(model, "linear", omega)
 
 
-def build_detector_general(model: ModelSpec, extra_depth: int = 0) -> DetectorOperator:
+def build_detector_general(model: ModelSpec) -> DetectorOperator:
     """Unknown polynomial jump: Omega(r) = conj(pi2) o pi1 o s^order.
 
     pi1 annihilates the smooth basis. Conjugating pi1 by the delay splits it
@@ -215,30 +220,15 @@ def build_detector_general(model: ModelSpec, extra_depth: int = 0) -> DetectorOp
     omega = omega.compose_right(pi1)
     if model.order:
         omega = omega.compose_right(DiffOperator.mul(RF.s_power(model.order)))
-    return _finalize(model, "general", omega, extra_depth)
+    return _finalize(model, "general", omega)
 
 
-def _finalize(
-    model: ModelSpec, method: str, omega: OperatorPolynomial, extra_depth: int
-) -> DetectorOperator:
-    if extra_depth < 0:
-        raise ValueError("extra_depth must be >= 0")
-    m, omega = clear_polynomial_denominators(omega)
+def _finalize(model: ModelSpec, method: str, omega: OperatorPolynomial) -> DetectorOperator:
+    _, omega = clear_polynomial_denominators(omega)
     depth, omega = to_integral_form(omega)
-    if extra_depth:
-        omega = omega.scale(RF.s_power(-extra_depth))
-        depth += extra_depth
     if omega.degree < 1:
         raise AssertionError("built detector is not delay-identifying")
-    return DetectorOperator(
-        model=model,
-        method=method,
-        omega=omega,
-        depth=depth,
-        degree=omega.degree,
-        max_deriv=omega.max_deriv_order(),
-        cleared_by=m,
-    )
+    return DetectorOperator(model=model, method=method, omega=omega, depth=depth)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import os
 import sys
 from typing import List, Optional, Sequence, Tuple

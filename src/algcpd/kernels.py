@@ -28,8 +28,9 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ._exact import Polynomial, binomial
+from ._exact import binomial
 from .builder import DetectorOperator
+from .operators import DiffOperator
 
 
 class BivariatePoly:
@@ -53,26 +54,6 @@ class BivariatePoly:
         for k, c in other.terms.items():
             out[k] = out.get(k, Fraction(0)) + c
         return BivariatePoly(out)
-
-    def scale(self, c) -> "BivariatePoly":
-        c = Fraction(c)
-        return BivariatePoly({k: v * c for k, v in self.terms.items()})
-
-    def mul_tau_power(self, j: int) -> "BivariatePoly":
-        return BivariatePoly({(i, jj + j): c for (i, jj), c in self.terms.items()})
-
-    def integrate_tau_full(self) -> "Polynomial":
-        """integral_0^T (...) dtau as an exact univariate polynomial in T."""
-        coeffs: Dict[int, Fraction] = {}
-        for (i, j), c in self.terms.items():
-            k = i + j + 1
-            coeffs[k] = coeffs.get(k, Fraction(0)) + c / (j + 1)
-        if not coeffs:
-            return Polynomial()
-        out = [Fraction(0)] * (max(coeffs) + 1)
-        for k, c in coeffs.items():
-            out[k] = c
-        return Polynomial(out)
 
     def tau_poly_at(self, T: Fraction) -> List[Fraction]:
         """Coefficients in tau (ascending) with T substituted, exact."""
@@ -134,13 +115,22 @@ class SymbolicKernel:
         return "\n".join(f"K_{v}(T,u): {k.text()}" for v, k in enumerate(self.kernels))
 
 
+def _integral_monomials(comp: DiffOperator) -> List[Tuple[Fraction, int, int]]:
+    """[(c, m, a)] for the monomials c * s^-m * D^a of comp; raises ValueError
+    unless every m >= 1."""
+    out = []
+    for c, e, a in comp.laurent_terms():
+        if e >= 0:
+            raise ValueError("detector operator is not in strict integral form: " + comp.text())
+        out.append((c, -e, a))
+    return out
+
+
 def kernelize(det: DetectorOperator) -> SymbolicKernel:
-    if not det.omega.is_strict_integral():
-        raise ValueError("detector operator is not in strict integral form")
     kernels = []
     for comp in det.omega.coeffs:
         k = BivariatePoly()
-        for c, m, a in comp.monomial_terms():
+        for c, m, a in _integral_monomials(comp):
             k = k + _monomial_kernel(c, m, a)
         kernels.append(k)
     return SymbolicKernel(detector=det, kernels=tuple(kernels))
@@ -240,17 +230,20 @@ def _tap_numerators(coeffs: Tuple[int, ...], window: int) -> List[int]:
 def _annihilated_moments(kv: BivariatePoly, T: Fraction) -> List[int]:
     """Moment degrees m with integral_0^T kv(T, tau) * tau^m dtau exactly zero.
 
-    These are identities of the exact kernel (it annihilates the sampled
-    model-family polynomials); the discrete projection enforces the same
-    identities on the quadrature weights.
+    With row = kv.tau_poly_at(T), moment m is sum_j row[j] * T^(j+m+1) / (j+m+1);
+    T > 0, so it is zero exactly when sum_j row[j] * T^j / (j+m+1) is. The
+    range of m is bounded by kv's tau degree, not len(row): a trailing
+    coefficient of row can vanish at this T. These are identities of the exact
+    kernel (it annihilates the sampled model-family polynomials); the discrete
+    projection enforces the same identities on the quadrature weights.
     """
     deg_tau = max((j for _, j in kv.terms), default=0)
-    out = []
-    for m in range(deg_tau + 2):
-        moment = kv.mul_tau_power(m).integrate_tau_full()
-        if moment.eval(T) == 0:
-            out.append(m)
-    return out
+    scaled = [c * T**j for j, c in enumerate(kv.tau_poly_at(T))]
+    return [
+        m
+        for m in range(deg_tau + 2)
+        if sum(c / (j + m + 1) for j, c in enumerate(scaled)) == 0
+    ]
 
 
 def _project_out(row: np.ndarray, basis: List[np.ndarray]) -> np.ndarray:
@@ -289,8 +282,8 @@ def discretize(
     """
     if window < 2:
         raise ValueError("window must be >= 2")
-    if not (dt > 0):
-        raise ValueError("dt must be positive")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError("dt must be finite and positive")
     kern = kernelize(det)
     h = Fraction(dt)
     T = (window - 1) * h
@@ -361,7 +354,7 @@ def oracle_window_values(
     max_m = 0
     plan = []
     for comp in det.omega.coeffs:
-        terms = comp.monomial_terms()
+        terms = _integral_monomials(comp)
         plan.append(terms)
         for _, m, _ in terms:
             max_m = max(max_m, m)

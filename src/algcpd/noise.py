@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -60,7 +59,7 @@ def normals(seed: int, n: int, offset: int = 0) -> np.ndarray:
     """Box-Muller over consecutive uniform pairs; consumes 2*ceil(n/2) draws.
 
     offset counts NORMAL variates (must be even across calls to continue a
-    stream; the scalar Prng tracks this automatically).
+    stream).
     """
     if offset % 2:
         raise ValueError("normals offset must be even")
@@ -74,37 +73,6 @@ def normals(seed: int, n: int, offset: int = 0) -> np.ndarray:
     out[0::2] = r * np.cos(ang)
     out[1::2] = r * np.sin(ang)
     return out[:n]
-
-
-class Prng:
-    """Scalar stream view over the same splitmix64 sequence."""
-
-    def __init__(self, seed: int):
-        self.seed = seed & _MASK
-        self._drawn = 0
-        self._normal_cache: Optional[float] = None
-
-    def uniform(self) -> float:
-        v = float(uniforms(self.seed, 1, offset=self._drawn)[0])
-        self._drawn += 1
-        return v
-
-    def uniform_array(self, n: int) -> np.ndarray:
-        v = uniforms(self.seed, n, offset=self._drawn)
-        self._drawn += n
-        return v
-
-    def normal(self) -> float:
-        if self._normal_cache is not None:
-            v = self._normal_cache
-            self._normal_cache = None
-            return v
-        u1 = self.uniform()
-        u2 = self.uniform()
-        r = math.sqrt(-2.0 * math.log1p(-u1))
-        ang = 2.0 * math.pi * u2
-        self._normal_cache = r * math.sin(ang)
-        return r * math.cos(ang)
 
 
 @dataclass(frozen=True)

@@ -188,59 +188,23 @@ class DiffOperator:
             parts.append(f"{ct}*D^{a}")
         return " + ".join(parts)
 
-    # -- integral-form predicates -------------------------------------------------------
-    def power_range(self) -> Tuple[int, int]:
-        """(max, min) exponent e over all monomials c*s^e*D^a of all coefficients.
+    # -- strict integral form ----------------------------------------------------------
+    def laurent_terms(self) -> List[Tuple[Fraction, int, int]]:
+        """Flatten to [(c, e, a)] for the monomials c * s^e * D^a.
 
-        Requires every denominator to be a pure power of s; raises ValueError
-        otherwise (callers clear polynomial denominators first).
-        """
-        hi = None
-        lo = None
-        for a, c in self.terms.items():
-            den = c.den
-            shift = den.trailing_zero_count()
-            if den.degree != shift:
-                raise ValueError(
-                    "coefficient denominator is not a pure power of s: " + c.text()
-                )
-            for k, coef in enumerate(c.num.coeffs):
-                if coef == 0:
-                    continue
-                e = k - shift
-                hi = e if hi is None else max(hi, e)
-                lo = e if lo is None else min(lo, e)
-        if hi is None:
-            return (0, 0)
-        return (hi, lo)
-
-    def is_strict_integral(self) -> bool:
-        """True when every monomial is c*s^-m*D^a with m >= 1."""
-        if self.is_zero():
-            return True
-        try:
-            hi, _ = self.power_range()
-        except ValueError:
-            return False
-        return hi <= -1
-
-    def monomial_terms(self) -> List[Tuple[Fraction, int, int]]:
-        """Flatten to [(c, m, a)] for monomials c * s^-m * D^a, m >= 1.
-
-        Only valid on strict-integral operators.
+        Raises ValueError when a coefficient denominator is not a pure power
+        of s (clear_polynomial_denominators removes those first).
         """
         out: List[Tuple[Fraction, int, int]] = []
         for a, c in self.items():
             shift = c.den.trailing_zero_count()
             if c.den.degree != shift:
-                raise ValueError("not in strict integral form: " + c.text())
+                raise ValueError(
+                    "coefficient denominator is not a pure power of s: " + c.text()
+                )
             for k, coef in enumerate(c.num.coeffs):
-                if coef == 0:
-                    continue
-                m = shift - k
-                if m < 1:
-                    raise ValueError("not in strict integral form: " + c.text())
-                out.append((coef / c.den.leading(), m, a))
+                if coef != 0:
+                    out.append((coef / c.den.leading(), k - shift, a))
         return out
 
 
@@ -308,7 +272,11 @@ class OperatorPolynomial:
         return max((c.order for c in self.coeffs), default=-1)
 
     def is_strict_integral(self) -> bool:
-        return all(c.is_strict_integral() for c in self.coeffs)
+        """True when every monomial is c*s^-m*D^a with m >= 1."""
+        try:
+            return all(e <= -1 for c in self.coeffs for _, e, _ in c.laurent_terms())
+        except ValueError:
+            return False
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OperatorPolynomial):
@@ -400,28 +368,12 @@ def clear_polynomial_denominators(
     return m, cleared
 
 
-def integral_depth(op_poly: OperatorPolynomial) -> int:
-    """Smallest N >= 0 such that s^-N o op_poly is strictly integral.
-
-    Coefficient denominators must already be pure powers of s.
-    """
-    hi = None
-    for c in op_poly.coeffs:
-        if c.is_zero():
-            continue
-        h, _ = c.power_range()
-        hi = h if hi is None else max(hi, h)
-    if hi is None:
-        return 0
-    return max(0, hi + 1)
-
-
 def to_integral_form(op_poly: OperatorPolynomial) -> Tuple[int, OperatorPolynomial]:
-    """Left-compose with s^-N for the smallest N making the result strictly
-    finite-integral. Returns (N, transformed); N == 0 leaves it unchanged.
+    """Left-compose with s^-N for the smallest N >= 0 making the result strictly
+    finite-integral: N = 1 + the largest Laurent exponent, or 0 when that is
+    negative. Returns (N, transformed); N == 0 leaves it unchanged.
     """
-    n = integral_depth(op_poly)
-    if n == 0:
+    hi = max((e for c in op_poly.coeffs for _, e, _ in c.laurent_terms()), default=-1)
+    if hi < 0:
         return 0, op_poly
-    out = op_poly.scale(RF.s_power(-n))
-    return n, out
+    return hi + 1, op_poly.scale(RF.s_power(-(hi + 1)))

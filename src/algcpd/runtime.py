@@ -57,10 +57,12 @@ class DetectConfig:
     def __post_init__(self):
         if self.mode not in ("zero_crossing", "linear_estimate"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.kappa < 0:
-            raise ValueError("kappa must be >= 0")
-        if self.min_separation is not None and self.min_separation < 0:
-            raise ValueError("min_separation must be >= 0")
+        if not (math.isfinite(self.kappa) and self.kappa >= 0):
+            raise ValueError("kappa must be finite and >= 0")
+        for name in ("min_separation", "scale"):
+            x = getattr(self, name)
+            if x is not None and not (math.isfinite(x) and x >= 0):
+                raise ValueError(f"{name} must be finite and >= 0")
 
 
 @dataclass(frozen=True)

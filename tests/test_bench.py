@@ -5,6 +5,8 @@ import math
 
 import pytest
 
+import algcpd
+from algcpd import bench
 from algcpd.bench import (
     HIST_MAX,
     Campaign,
@@ -18,6 +20,12 @@ from algcpd.bench import (
     write_histogram_csv,
     write_report_csv,
 )
+
+
+def test_public_names_resolve():
+    for mod in (algcpd, bench):
+        missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+        assert missing == [], mod.__name__
 
 
 def small_campaign(noise_kind="none", snr_db=math.inf, trials=3):

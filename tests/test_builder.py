@@ -75,14 +75,6 @@ def test_differentiated_observation():
     assert verify_detector(det, n_delays=2).ok
 
 
-def test_extra_depth_preserves_nulling():
-    model = ModelSpec.monomial(0, 1)
-    base = build_detector(model)
-    deeper = build_detector(model, extra_depth=2)
-    assert deeper.depth == base.depth + 2
-    assert verify_detector(deeper, n_delays=2).ok
-
-
 def test_verify_catches_broken_operator():
     det = build_detector(ModelSpec.monomial(0, 0))
     junk = OperatorPolynomial((DiffOperator.mul(RF.s_power(-5)),))

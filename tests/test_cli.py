@@ -115,6 +115,26 @@ def test_detect_rejects_ragged_grid(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--kappa", "nan"),
+    ("--kappa", "inf"),
+    ("--scale", "nan"),
+    ("--dt", "inf"),
+    ("--min-separation", "inf"),
+])
+def test_detect_rejects_non_finite_parameters(tmp_path, capsys, flag, value):
+    """A non-finite gate or grid parameter is a one-line error, not an empty list."""
+    cfg = tmp_path / "step.json"
+    write_step_config(cfg)
+    sig = tmp_path / "sig.csv"
+    run(capsys, "simulate", "--config", str(cfg), "--out", str(sig))
+    code, out, err = run(capsys, "detect", "--in", str(sig), flag, value)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_detect_rejects_malformed_csv(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("t,y\n0.0,1.0\n")

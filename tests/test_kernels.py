@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algcpd import kernels
+from algcpd._exact import Polynomial, RationalFunction as RF
 from algcpd.builder import ModelSpec, build_detector
 from algcpd.kernels import (
     BivariatePoly,
@@ -19,6 +20,7 @@ from algcpd.kernels import (
     oracle_window_values,
     quadrature_weights,
 )
+from algcpd.operators import DiffOperator, OperatorPolynomial, to_integral_form
 
 
 def _smooth_samples(rng, n, dt):
@@ -39,14 +41,18 @@ def test_step_kernel_golden():
     assert kern.text() == "K_0(T,u): 3*u^2 - 2*T*u\nK_1(T,u): -2*u + T"
 
 
+def exact_moment(kv, T, m):
+    """integral_0^T kv(T, tau) * tau^m dtau, straight from the kernel's terms."""
+    return sum(c * T ** (i + j + m + 1) / (j + m + 1) for (i, j), c in kv.terms.items())
+
+
 def test_kernel_exact_moments():
     # step kernels integrate constants to zero on [0, T], exactly
     det = build_detector(ModelSpec.monomial(0, 0))
     kern = kernelize(det)
     T = Fraction(63, 100)
     for kv in kern.kernels:
-        moment0 = kv.integrate_tau_full().eval(T)
-        assert moment0 == 0
+        assert exact_moment(kv, T, 0) == 0
 
 
 def test_kernel_moments_grow_with_model():
@@ -55,22 +61,35 @@ def test_kernel_moments_grow_with_model():
     T = Fraction(63, 100)
     for kv in kern.kernels:
         for m in range(3):  # smooth degree bound 2: kills 1, t, t^2
-            moment = kv.mul_tau_power(m).integrate_tau_full().eval(T)
-            assert moment == 0
+            assert exact_moment(kv, T, m) == 0
+    # the projection basis is every vanishing moment up to tau degree + 1;
+    # the twice-differentiated step reaches that top one (tau degree 1, kills t^2)
+    tops = []
+    for model in (ModelSpec.monomial(2, 0), ModelSpec.monomial(0, 0, order=2)):
+        for kv in kernelize(build_detector(model)).kernels:
+            top = max(j for _, j in kv.terms) + 1
+            want = [m for m in range(top + 1) if exact_moment(kv, T, m) == 0]
+            assert kernels._annihilated_moments(kv, T) == want
+            tops.append(top in want)
+    assert any(tops)
 
 
 def test_kernelize_rejects_non_integral():
     det = build_detector(ModelSpec.monomial(0, 0))
-    import dataclasses
-
-    from algcpd._exact import RationalFunction as RF
-    from algcpd.operators import DiffOperator, OperatorPolynomial
-
-    bad = dataclasses.replace(
-        det, omega=OperatorPolynomial((DiffOperator.d(),))
-    )
+    # D alone: an s^0 monomial, not a finite integral
+    bad = dataclasses.replace(det, omega=OperatorPolynomial((DiffOperator.d(),)))
+    assert not bad.omega.is_strict_integral()
     with pytest.raises(ValueError):
         kernelize(bad)
+    # 1/(s+1): a denominator that is not a power of s has no Laurent monomials
+    shifted = RF(Polynomial.one(), Polynomial([Fraction(1), Fraction(1)]))
+    omega = OperatorPolynomial((DiffOperator.mul(shifted), DiffOperator.identity()))
+    bad = dataclasses.replace(det, omega=omega)
+    assert not omega.is_strict_integral()
+    with pytest.raises(ValueError):
+        kernelize(bad)
+    with pytest.raises(ValueError):
+        to_integral_form(omega)
 
 
 def test_quadrature_weights():
@@ -115,8 +134,9 @@ def test_discretize_validation():
     det = build_detector(ModelSpec.monomial(0, 0))
     with pytest.raises(ValueError):
         discretize(det, window=1)
-    with pytest.raises(ValueError):
-        discretize(det, window=8, dt=0.0)
+    for dt in (0.0, -0.01, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            discretize(det, window=8, dt=dt)
     with pytest.raises(ValueError):
         discretize(det, window=8, rule="gauss")
 

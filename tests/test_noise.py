@@ -8,7 +8,6 @@ import pytest
 from algcpd.noise import (
     NOISE_KINDS,
     PerlinParams,
-    Prng,
     apply_noise,
     derive_seed,
     measured_snr_db,
@@ -48,20 +47,6 @@ def test_normals_moments():
     assert abs(z.mean()) < 0.01
     assert abs(z.std() - 1.0) < 0.01
     assert np.isfinite(z).all()
-
-
-def test_prng_matches_vector_streams():
-    p = Prng(55)
-    scalar = [p.uniform() for _ in range(7)]
-    assert np.allclose(scalar, uniforms(55, 7), rtol=0, atol=0)
-    arr = p.uniform_array(5)
-    assert np.array_equal(arr, uniforms(55, 5, offset=7))
-
-
-def test_prng_normal_cache():
-    p = Prng(99)
-    got = [p.normal() for _ in range(6)]
-    assert np.allclose(got, normals(99, 6), rtol=0, atol=0)
 
 
 def test_derive_seed_substreams():

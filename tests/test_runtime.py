@@ -518,10 +518,13 @@ def test_decision_statistic_formula():
 def test_config_validation():
     with pytest.raises(ValueError):
         DetectConfig(mode="argmax")
-    with pytest.raises(ValueError):
-        DetectConfig(kappa=-1.0)
-    with pytest.raises(ValueError):
-        DetectConfig(min_separation=-0.5)
+    bad = [-1.0, math.nan, math.inf, -math.inf]
+    for field in ("kappa", "min_separation", "scale"):
+        for x in bad:
+            with pytest.raises(ValueError):
+                DetectConfig(**{field: x})
+    # the edge of each valid range is accepted
+    DetectConfig(kappa=0.0, min_separation=0.0, scale=0.0)
 
 
 def test_detection_fields():
