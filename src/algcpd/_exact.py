@@ -2,6 +2,13 @@
 
 Everything in the symbolic layer runs over ``fractions.Fraction``; floats only
 appear once kernels are discretized. The indeterminate is rendered ``s``.
+
+Operational images of polynomial pieces are Laurent polynomials in s
+(t^n/n! <-> s^-(n+1)), so almost every denominator the builder and the
+verifier meet is c*s^k. ``RationalFunction`` canonicalizes those by shifting
+coefficient tuples and adds two of them over s^max(i, j); every other
+denominator takes the Euclid path (``poly_gcd``). Both paths give the one
+canonical form, so equality and zero tests do not depend on the path taken.
 """
 
 from __future__ import annotations
@@ -230,7 +237,14 @@ class RationalFunction:
     """Quotient of polynomials in canonical form.
 
     Canonical: numerator and denominator coprime, denominator monic and
-    nonzero. The zero element is 0/1.
+    nonzero. The zero element is 0/1. The form is unique, so two paths reach it:
+
+    * den = c*s^k: gcd(num, den) is s^z with z = min(k, trailing zeros of
+      num), so dropping the z leading coefficients of both tuples cancels it;
+    * any other den: divide both by the Euclid gcd ``poly_gcd(num, den)``.
+
+    Either way the denominator is then made monic by dividing by its leading
+    coefficient.
     """
 
     __slots__ = ("num", "den")
@@ -248,10 +262,18 @@ class RationalFunction:
             self.num = Polynomial()
             self.den = Polynomial.one()
             return
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num = num // g
-            den = den // g
+        k = _s_power_degree(den)
+        if k is not None:
+            # den = c*s^k, so gcd(num, den) = s^z: cancel it by a shift.
+            z = min(k, num.trailing_zero_count())
+            if z:
+                num = Polynomial(num.coeffs[z:])
+                den = Polynomial(den.coeffs[z:])
+        else:
+            g = poly_gcd(num, den)
+            if g.degree > 0:
+                num = num // g
+                den = den // g
         lead = den.leading()
         if lead != 1:
             inv = 1 / lead
@@ -289,6 +311,14 @@ class RationalFunction:
         other = _as_rf(other)
         if other is NotImplemented:
             return NotImplemented
+        i, j = _s_power_degree(self.den), _s_power_degree(other.den)
+        if i is not None and j is not None:
+            # n1/s^i + n2/s^j = (n1*s^(m-i) + n2*s^(m-j)) / s^m, m = max(i, j)
+            m = max(i, j)
+            return RationalFunction(
+                _shift(self.num, m - i) + _shift(other.num, m - j),
+                Polynomial.s_power(m),
+            )
         return RationalFunction(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
@@ -376,6 +406,19 @@ class RationalFunction:
     def is_single_term(self) -> bool:
         """True when the rendering is one product term (no +/-, no division)."""
         return self.den.degree == 0 and self.num.term_count() <= 1
+
+
+def _s_power_degree(p: Polynomial):
+    """k when p is c*s^k with c != 0, else None."""
+    k = p.degree
+    return k if p.trailing_zero_count() == k else None
+
+
+def _shift(p: Polynomial, k: int) -> Polynomial:
+    """p * s**k for k >= 0, without a multiplication."""
+    if not k:
+        return p
+    return Polynomial((0,) * k + p.coeffs)
 
 
 def _as_rf(x):

@@ -56,8 +56,10 @@ class SignalSpec:
         starts = [s.start for s in self.segments]
         if any(b <= a for a, b in zip(starts, starts[1:])):
             raise ValueError("segment starts must be strictly increasing")
-        if not (self.dt > 0):
-            raise ValueError("dt must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError("dt must be finite and positive")
+        if not math.isfinite(self.duration):
+            raise ValueError("duration must be finite")
         if self.duration <= starts[-1]:
             raise ValueError("duration must exceed the last segment start")
         for s in self.segments:

@@ -18,10 +18,8 @@ from algcpd.bench import reference_campaign, run_campaign
 from algcpd.builder import ModelSpec, build_detector, verify_detector
 from algcpd.cli import main
 from algcpd.kernels import discretize, oracle_window_values
-from algcpd.noise import NOISE_KINDS
 from algcpd.operators import DiffOperator
-from algcpd.runtime import DetectConfig, StreamDetector, detect_samples, eval_windows
-from algcpd.signals import builtin_suite
+from algcpd.runtime import DetectConfig, StreamDetector, detect_samples
 
 
 def _report(num: int, name: str, ok: bool, detail: str = ""):

@@ -91,6 +91,20 @@ def test_simulate_detect_pipeline(tmp_path, capsys):
     assert score > 0 and kind == "zero_crossing"
 
 
+@pytest.mark.parametrize("duration", [float("inf"), float("nan")])
+def test_simulate_rejects_non_finite_duration(tmp_path, capsys, duration):
+    """A config with "duration": Infinity or NaN is a one-line error, not a traceback."""
+    cfg = tmp_path / "step.json"
+    write_step_config(cfg, duration=duration)
+    sig = tmp_path / "sig.csv"
+    code, out, err = run(capsys, "simulate", "--config", str(cfg), "--out", str(sig))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert len(err.strip().splitlines()) == 1
+    assert not sig.exists()
+
+
 def test_detect_stdout_and_trace(tmp_path, capsys):
     cfg = tmp_path / "step.json"
     write_step_config(cfg)

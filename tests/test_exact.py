@@ -3,6 +3,9 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from algcpd._exact import Polynomial, RationalFunction, binomial, poly_gcd, poly_lcm
 
 
@@ -167,3 +170,75 @@ def test_binomial_out_of_range():
     assert binomial(3, 5) == 0
     assert binomial(-1, 0) == 0
     assert binomial(4, -1) == 0
+
+
+# -- Laurent fast paths against the Euclid oracle --------------------------------
+
+coeff = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+nonzero = coeff.filter(lambda c: c != 0)
+not_one = nonzero.filter(lambda c: c != 1)
+
+
+@st.composite
+def poly_nonzero_at_0(draw, max_deg=3):
+    """A polynomial with a nonzero constant term (no root at s=0)."""
+    rest = draw(st.lists(coeff, max_size=max_deg))
+    return Polynomial([draw(nonzero)] + rest)
+
+
+@st.composite
+def laurent_pair(draw):
+    """(num, den): den = c*s^k with c != 1, num with 0..k+1 trailing zeros or zero."""
+    k = draw(st.integers(0, 5))
+    den = Polynomial.s_power(k, draw(not_one))
+    if draw(st.integers(0, 7)) == 0:
+        return Polynomial(), den
+    z = draw(st.integers(0, k + 1))
+    return Polynomial.s_power(z) * draw(poly_nonzero_at_0()), den
+
+
+@st.composite
+def general_pair(draw):
+    """(num, den) with den not a monomial, sharing s-powers and a factor with num."""
+    k = draw(st.integers(0, 3))
+    z = draw(st.integers(0, 4))
+    g = draw(poly_nonzero_at_0(max_deg=1))
+    q = draw(poly_nonzero_at_0(max_deg=2).filter(lambda p: p.degree >= 1))
+    num = Polynomial.s_power(z) * draw(poly_nonzero_at_0()) * g
+    den = Polynomial.s_power(k, draw(not_one)) * q * g
+    return num, den
+
+
+def euclid_form(num, den):
+    """Canonical (num, den) by hand: divide out the Euclid gcd, then make den monic."""
+    if num.is_zero():
+        return Polynomial(), Polynomial.one()
+    g = poly_gcd(num, den)
+    num, den = num // g, den // g
+    inv = 1 / den.leading()
+    return num * inv, den * inv
+
+
+def assert_canonical_as_euclid(r, num, den):
+    want_num, want_den = euclid_form(num, den)
+    assert r.num.coeffs == want_num.coeffs
+    assert r.den.coeffs == want_den.coeffs
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(pair=st.one_of(laurent_pair(), general_pair()))
+def test_canonical_form_matches_euclid(pair):
+    num, den = pair
+    assert_canonical_as_euclid(RationalFunction(num, den), num, den)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    a=st.one_of(laurent_pair(), general_pair()),
+    b=st.one_of(laurent_pair(), general_pair()),
+)
+def test_sum_matches_cross_multiplied_form(a, b):
+    x, y = RationalFunction(*a), RationalFunction(*b)
+    cross = (x.num * y.den + y.num * x.den, x.den * y.den)
+    assert_canonical_as_euclid(x + y, *cross)
+    assert_canonical_as_euclid(y + x, *cross)

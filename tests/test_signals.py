@@ -84,6 +84,10 @@ def test_spec_validation():
         SignalSpec(segments=(Segment(0.0, ()),), duration=1.0, dt=0.1)
     with pytest.raises(ValueError):
         SignalSpec(segments=(Segment(0.0, (math.nan,)),), duration=1.0, dt=0.1)
+    # a non-finite grid fails here, not later in n_samples
+    for duration, dt in ((math.inf, 0.1), (math.nan, 0.1), (1.0, math.inf), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            SignalSpec(segments=(Segment(0.0, (1.0,)),), duration=duration, dt=dt)
 
 
 def test_builtin_suites_frozen():
