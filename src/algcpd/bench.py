@@ -10,15 +10,15 @@ round-trippable through CSV.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ._csv import read_table, write_table
 from .builder import ModelSpec, build_detector
 from .kernels import DiscreteDetector, discretize
 from .noise import apply_noise
@@ -74,6 +74,13 @@ class DetectorSetup:
         return f"n1={self.n1} n2={self.n2} W={self.window} k={self.kappa:g} {kind}"
 
 
+# The one setup schema: each DetectorSetup field, in field order, with the
+# coercion (by declared type) that reads it from JSON or a report.csv cell.
+_COERCE = {"int": int, "float": float, "str": str,
+           "Optional[float]": lambda v: None if v is None or v == "" else float(v)}
+SETUP_FIELDS: Dict[str, Callable] = {f.name: _COERCE[f.type] for f in fields(DetectorSetup)}
+
+
 @dataclass(frozen=True)
 class Campaign:
     suite: str
@@ -82,6 +89,10 @@ class Campaign:
     setup: DetectorSetup
     trials: int = 100
     base_seed: int = 24245  # trial i uses base_seed + i
+
+    def __post_init__(self) -> None:
+        if self.trials < 1:
+            raise ValueError(f"trials must be at least 1, got {self.trials}")
 
 
 @dataclass
@@ -204,23 +215,7 @@ def format_report(results: Sequence[CampaignResult]) -> str:
 
 def write_histogram_csv(result: CampaignResult, f: Union[str, io.TextIOBase]) -> None:
     """Per-campaign histogram in the documented two-column form (segments,count)."""
-    own = isinstance(f, str)
-    fh = open(f, "w", newline="") if own else f
-    try:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["segments", "count"])
-        for segs in sorted(result.histogram):
-            w.writerow([segs, result.histogram[segs]])
-    finally:
-        if own:
-            fh.close()
-
-
-_CSV_FIELDS = [
-    "suite", "noise", "snr_db", "trials", "base_seed",
-    "n1", "n2", "order", "method", "window", "rule", "kappa", "scale", "mode",
-    "true_segments", "exact", "within_one", "mean_abs_err", "histogram",
-]
+    write_table(f, ("segments", "count"), sorted(result.histogram.items()))
 
 
 def _hist_to_text(h: Dict[int, int]) -> str:
@@ -236,66 +231,39 @@ def _hist_from_text(s: str) -> Dict[int, int]:
     return out
 
 
+# report.csv columns, each with the coercion that reads its cell back
+_REPORT = {
+    "suite": str, "noise": str, "snr_db": float, "trials": int, "base_seed": int,
+    **SETUP_FIELDS,
+    "true_segments": int, "exact": int, "within_one": int, "mean_abs_err": float,
+    "histogram": _hist_from_text,
+}
+
+
+def _report_row(r: CampaignResult) -> List:
+    c = r.campaign
+    # floats by repr so they round-trip; a scale of None is the empty cell
+    return ["" if v is None else repr(v) if isinstance(v, float) else v for v in (
+        c.suite, c.noise_kind, c.snr_db, c.trials, c.base_seed,
+        *(getattr(c.setup, k) for k in SETUP_FIELDS),
+        r.true_segments, r.exact, r.within_one, r.mean_abs_err, _hist_to_text(r.histogram),
+    )]
+
+
+def _result_from_row(row: List[str]) -> CampaignResult:
+    v = {k: coerce(cell) for (k, coerce), cell in zip(_REPORT.items(), row)}
+    setup = DetectorSetup(**{k: v.pop(k) for k in SETUP_FIELDS})
+    c = Campaign(v.pop("suite"), v.pop("noise"), v.pop("snr_db"), setup,
+                 v.pop("trials"), v.pop("base_seed"))
+    return CampaignResult(c, **v)
+
+
 def write_report_csv(results: Sequence[CampaignResult], f: Union[str, io.TextIOBase]) -> None:
-    own = isinstance(f, str)
-    fh = open(f, "w", newline="") if own else f
-    try:
-        w = csv.DictWriter(fh, fieldnames=_CSV_FIELDS, lineterminator="\n")
-        w.writeheader()
-        for r in results:
-            c = r.campaign
-            s = c.setup
-            w.writerow({
-                "suite": c.suite,
-                "noise": c.noise_kind,
-                "snr_db": repr(c.snr_db),
-                "trials": c.trials,
-                "base_seed": c.base_seed,
-                "n1": s.n1, "n2": s.n2, "order": s.order, "method": s.method,
-                "window": s.window, "rule": s.rule, "kappa": repr(s.kappa),
-                "scale": "" if s.scale is None else repr(s.scale),
-                "mode": s.mode,
-                "true_segments": r.true_segments,
-                "exact": r.exact,
-                "within_one": r.within_one,
-                "mean_abs_err": repr(r.mean_abs_err),
-                "histogram": _hist_to_text(r.histogram),
-            })
-    finally:
-        if own:
-            fh.close()
+    write_table(f, tuple(_REPORT), (_report_row(r) for r in results))
 
 
 def read_report_csv(f: Union[str, io.TextIOBase]) -> List[CampaignResult]:
-    own = isinstance(f, str)
-    fh = open(f, "r", newline="") if own else f
-    try:
-        out = []
-        for row in csv.DictReader(fh):
-            setup = DetectorSetup(
-                n1=int(row["n1"]), n2=int(row["n2"]), order=int(row["order"]),
-                method=row["method"], window=int(row["window"]), rule=row["rule"],
-                kappa=float(row["kappa"]),
-                scale=None if row["scale"] == "" else float(row["scale"]),
-                mode=row["mode"],
-            )
-            c = Campaign(
-                suite=row["suite"], noise_kind=row["noise"],
-                snr_db=float(row["snr_db"]), setup=setup,
-                trials=int(row["trials"]), base_seed=int(row["base_seed"]),
-            )
-            out.append(CampaignResult(
-                campaign=c,
-                true_segments=int(row["true_segments"]),
-                histogram=_hist_from_text(row["histogram"]),
-                exact=int(row["exact"]),
-                within_one=int(row["within_one"]),
-                mean_abs_err=float(row["mean_abs_err"]),
-            ))
-        return out
-    finally:
-        if own:
-            fh.close()
+    return read_table(f, tuple(_REPORT), _result_from_row)
 
 
 # Per-suite detector setups frozen after calibration. pc5 and poly6 use the

@@ -7,16 +7,13 @@ Subcommands:
   bench     run seeded Monte Carlo campaigns and write reports
   plot      render signal / decision-trace SVG plots from CSVs
 
-CSV columns: signals (time,value), truth (time), detections
-(time,score,kind), weights (index,w0,w1,...), decision traces
-(time,d,v,sigma,rms), campaign histograms (segments,count). All floats are
-written with repr so output is byte-stable for identical inputs.
+Every CSV table, its columns and the reader's checks are listed in
+docs/config.md, section "CSV tables".
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import os
@@ -27,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from . import bench as bench_mod
+from ._csv import read_table, write_table
 from .builder import ModelSpec, build_detector
 from .kernels import discretize, kernelize
 from .noise import apply_noise
@@ -39,106 +37,59 @@ def _f(x) -> str:
     return repr(float(x))
 
 
-# ---- CSV I/O ----------------------------------------------------------------
+# ---- CSV I/O (table formats: docs/config.md, "CSV tables") ------------------
+
+_SIGNAL = ("time", "value")
+_TRUTH = ("time",)
+_DETECTIONS = ("time", "score", "kind")
+_TRACE = ("time", "d", "v", "sigma", "rms")
+
+
+def _read_xy(path: str, header: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
+    """The first two columns of a table, as float64 arrays; no rows is an error."""
+    rows = read_table(path, header, lambda row: (float(row[0]), float(row[1])))
+    if not rows:
+        raise ValueError(f"{path}: no samples")
+    return tuple(np.array([r[i] for r in rows], dtype=np.float64) for i in (0, 1))
+
 
 def write_signal_csv(path: str, times, values) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["time", "value"])
-        for t, v in zip(times, values):
-            w.writerow([_f(t), _f(v)])
+    write_table(path, _SIGNAL, ((_f(t), _f(v)) for t, v in zip(times, values)))
 
 
 def read_signal_csv(path: str) -> Tuple[np.ndarray, np.ndarray]:
-    times: List[float] = []
-    values: List[float] = []
-    with open(path, "r", newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r, None)
-        if header is None or [c.strip().lower() for c in header[:2]] != ["time", "value"]:
-            raise ValueError(f"{path}: expected header 'time,value'")
-        for i, row in enumerate(r):
-            if not row:
-                continue
-            try:
-                times.append(float(row[0]))
-                values.append(float(row[1]))
-            except (IndexError, ValueError):
-                raise ValueError(f"{path}: bad row {i + 2}: {row!r}")
-    if not times:
-        raise ValueError(f"{path}: no samples")
-    return np.asarray(times, dtype=np.float64), np.asarray(values, dtype=np.float64)
+    return _read_xy(path, _SIGNAL)
 
 
 def write_truth_csv(path: str, times: Sequence[float]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["time"])
-        for t in times:
-            w.writerow([_f(t)])
+    write_table(path, _TRUTH, ((_f(t),) for t in times))
 
 
 def read_truth_csv(path: str) -> List[float]:
-    out: List[float] = []
-    with open(path, "r", newline="") as fh:
-        r = csv.reader(fh)
-        next(r, None)  # header
-        for row in r:
-            if row:
-                out.append(float(row[0]))
-    return out
+    return read_table(path, _TRUTH, lambda row: float(row[0]))
 
 
 def write_detections_csv(fh, detections: Sequence[Detection]) -> None:
-    w = csv.writer(fh, lineterminator="\n")
-    w.writerow(["time", "score", "kind"])
-    for d in detections:
-        w.writerow([_f(d.time), _f(d.score), d.kind])
+    write_table(fh, _DETECTIONS, ((_f(d.time), _f(d.score), d.kind) for d in detections))
 
 
 def read_detections_csv(path: str) -> List[Tuple[float, float, str]]:
-    out = []
-    with open(path, "r", newline="") as fh:
-        r = csv.reader(fh)
-        next(r, None)
-        for row in r:
-            if row:
-                out.append((float(row[0]), float(row[1]), row[2]))
-    return out
+    return read_table(path, _DETECTIONS, lambda row: (float(row[0]), float(row[1]), row[2]))
 
 
 def write_trace_csv(path: str, trace) -> None:
-    times = trace.times()
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["time", "d", "v", "sigma", "rms"])
-        for k in range(trace.positions):
-            w.writerow([
-                _f(times[k]), _f(trace.d[k]), _f(trace.v[k]),
-                _f(trace.sigma[k]), _f(trace.rms[k]),
-            ])
+    cols = (trace.times(), trace.d, trace.v, trace.sigma, trace.rms)
+    write_table(path, _TRACE, ([_f(x) for x in r] for r in zip(*cols)))
 
 
 def read_trace_csv(path: str) -> Tuple[np.ndarray, np.ndarray]:
     """Time and decision columns only (what plotting needs)."""
-    times: List[float] = []
-    d: List[float] = []
-    with open(path, "r", newline="") as fh:
-        r = csv.reader(fh)
-        next(r, None)
-        for row in r:
-            if row:
-                times.append(float(row[0]))
-                d.append(float(row[1]))
-    return np.asarray(times), np.asarray(d)
+    return _read_xy(path, _TRACE)
 
 
 def write_weights_csv(path: str, dd) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["index"] + [f"w{nu}" for nu in range(dd.weights.shape[0])])
-        for i in range(dd.window):
-            w.writerow([i] + [_f(x) for x in dd.weights[:, i]])
+    header = ["index"] + [f"w{nu}" for nu in range(dd.weights.shape[0])]
+    write_table(path, header, ([i] + [_f(x) for x in dd.weights[:, i]] for i in range(dd.window)))
 
 
 # ---- config files -----------------------------------------------------------
@@ -171,18 +122,11 @@ def load_signal_config(path: str) -> SignalSpec:
         raise ValueError(f"{path}: bad signal config: {e}")
 
 
-# the setup keys a bench config may override, with their coercions
-_SETUP_KEYS = {
-    "n1": int, "n2": int, "order": int, "method": str, "window": int, "rule": str,
-    "kappa": float, "scale": lambda v: None if v is None else float(v), "mode": str,
-}
-
-
 def load_bench_config(path: str, base_seed: int, trials: Optional[int]) -> List[bench_mod.Campaign]:
     """JSON schema: one campaign object or {"campaigns": [...]}. Campaign keys:
-    suite, noise, snr_db, trials, setup {n1, n2, order, method, window, rule,
-    kappa, scale, mode}; setup keys fall back to the suite's reference setup.
-    An unknown suite or setup key is an error."""
+    suite, noise, snr_db, trials, setup {any DetectorSetup field}; setup keys
+    fall back to the suite's reference setup. An unknown suite or setup key is
+    an error."""
     with open(path, "r") as fh:
         obj = json.load(fh)
     items = obj["campaigns"] if isinstance(obj, dict) and "campaigns" in obj else obj
@@ -197,7 +141,7 @@ def load_bench_config(path: str, base_seed: int, trials: Optional[int]) -> List[
                     f"{path}: unknown suite {suite!r}; "
                     f"available: {', '.join(sorted(bench_mod.REFERENCE_SETUPS))}"
                 )
-            overrides = {k: _SETUP_KEYS[k](v) for k, v in it.get("setup", {}).items()}
+            overrides = {k: bench_mod.SETUP_FIELDS[k](v) for k, v in it.get("setup", {}).items()}
             setup = dataclasses.replace(bench_mod.REFERENCE_SETUPS[suite], **overrides)
             out.append(bench_mod.Campaign(
                 suite=suite,
@@ -291,11 +235,7 @@ def cmd_detect(args) -> int:
         scale=args.scale,
     )
     trace, detections = detect_samples(dd, values, cfg, t0=float(times[0]))
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            write_detections_csv(fh, detections)
-    else:
-        write_detections_csv(sys.stdout, detections)
+    write_detections_csv(args.out or sys.stdout, detections)
     if args.trace_out:
         write_trace_csv(args.trace_out, trace)
     return 0
@@ -319,9 +259,7 @@ def cmd_bench(args) -> int:
             os.makedirs(trial_dir, exist_ok=True)
 
             def on_trial(i, dets, _ci=ci, _dir=trial_dir):
-                p = os.path.join(_dir, f"c{_ci:02d}_t{i:03d}.csv")
-                with open(p, "w", newline="") as fh:
-                    write_detections_csv(fh, dets)
+                write_detections_csv(os.path.join(_dir, f"c{_ci:02d}_t{i:03d}.csv"), dets)
 
         results.append(bench_mod.run_campaign(c, on_trial=on_trial))
 
@@ -344,17 +282,14 @@ def cmd_plot(args) -> int:
     sig_panel = Panel(series=[Series(times, values)], ylabel="signal")
     if args.truth:
         sig_panel.vlines.extend(VLine(t, "vtruth") for t in read_truth_csv(args.truth))
-    if args.detections:
-        sig_panel.vlines.extend(VLine(t, "vmark") for t, _, _ in read_detections_csv(args.detections))
+    marks = [t for t, _, _ in read_detections_csv(args.detections)] if args.detections else []
+    sig_panel.vlines.extend(VLine(t, "vmark") for t in marks)
     panels = [sig_panel]
     if args.trace:
         tt, d = read_trace_csv(args.trace)
         trace_panel = Panel(series=[Series(tt, d, "s1")], ylabel="decision")
         trace_panel.hlines.append(HLine(0.0))
-        if args.detections:
-            trace_panel.vlines.extend(
-                VLine(t, "vmark") for t, _, _ in read_detections_csv(args.detections)
-            )
+        trace_panel.vlines.extend(VLine(t, "vmark") for t in marks)
         panels.append(trace_panel)
     svg = render_svg(panels, title=args.title)
     with open(args.out, "w") as fh:

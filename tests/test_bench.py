@@ -1,5 +1,6 @@
 """Monte Carlo campaign driver and report serialization."""
 
+import dataclasses
 import io
 import math
 
@@ -104,15 +105,31 @@ def test_format_report_stars_truth():
     assert "exact" in text
 
 
+def off_default_result():
+    """A result whose setup has every field off its default."""
+    setup = DetectorSetup(
+        n1=1, n2=1, order=1, method="general", window=97, rule="simpson",
+        kappa=2.25, scale=0.1, mode="linear_estimate",
+    )
+    for f in dataclasses.fields(DetectorSetup):
+        if f.default is not dataclasses.MISSING:
+            assert getattr(setup, f.name) != f.default, f.name
+    c = Campaign(suite="poly6", noise_kind="perlin", snr_db=-3.5, setup=setup,
+                 trials=7, base_seed=9)
+    return CampaignResult(campaign=c, true_segments=7, histogram={1: 2, 7: 5},
+                          exact=5, within_one=6, mean_abs_err=0.0125)
+
+
 def test_report_csv_round_trip():
     a = run_campaign(small_campaign())
     b = run_campaign(small_campaign(noise_kind="normal", snr_db=10.0, trials=4))
+    c = off_default_result()
     buf = io.StringIO()
-    write_report_csv([a, b], buf)
+    write_report_csv([a, b, c], buf)
     buf.seek(0)
     back = read_report_csv(buf)
-    assert len(back) == 2
-    for orig, rt in zip([a, b], back):
+    assert len(back) == 3
+    for orig, rt in zip([a, b, c], back):
         assert rt.campaign == orig.campaign
         assert rt.histogram == orig.histogram
         assert rt.true_segments == orig.true_segments
@@ -121,6 +138,19 @@ def test_report_csv_round_trip():
         assert rt.mean_abs_err == orig.mean_abs_err or (
             math.isnan(rt.mean_abs_err) and math.isnan(orig.mean_abs_err)
         )
+        # the one setup schema, field by field, with each field's type
+        for f in dataclasses.fields(DetectorSetup):
+            got, want = getattr(rt.campaign.setup, f.name), getattr(orig.campaign.setup, f.name)
+            assert got == want and type(got) is type(want), f.name
+    again = io.StringIO()
+    write_report_csv(back, again)
+    assert again.getvalue() == buf.getvalue()
+
+
+def test_campaign_rejects_too_few_trials():
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="trials"):
+            small_campaign(trials=trials)
 
 
 def test_histogram_csv():

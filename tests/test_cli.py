@@ -2,11 +2,24 @@
 
 import csv
 import json
+import struct
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
-from algcpd.cli import main, read_detections_csv, read_signal_csv
+from algcpd.cli import (
+    main,
+    read_detections_csv,
+    read_signal_csv,
+    read_trace_csv,
+    read_truth_csv,
+    write_detections_csv,
+    write_signal_csv,
+    write_trace_csv,
+    write_truth_csv,
+)
+from algcpd.runtime import DecisionTrace, Detection
 
 
 def run(capsys, *argv):
@@ -157,6 +170,92 @@ def test_detect_rejects_malformed_csv(tmp_path, capsys):
     assert "error:" in err
 
 
+# (flag, case, contents): for each reader, a wrong header, a short row and a
+# non-numeric cell. A one-column truth table has no short row but a blank
+# one, which is skipped, so its second case is an empty cell.
+MALFORMED = [
+    ("--in", "header", "time;value\n0.0;1.0\n"),
+    ("--in", "short", "time,value\n0.0,1.0\n0.01\n"),
+    ("--in", "cell", "time,value\n0.0,1.0\n0.01,one\n"),
+    ("--detections", "header", "time,value\n1.0,2.0\n"),
+    ("--detections", "short", "time,score,kind\n1.0,2.0\n"),
+    ("--detections", "cell", "time,score,kind\n1.0,high,zero_crossing\n"),
+    ("--truth", "header", "value\n1.0\n"),
+    ("--truth", "short", 'time\n1.0\n""\n'),
+    ("--truth", "cell", "time\nsoon\n"),
+    ("--trace", "header", "time,value\n0.0,1.0\n"),
+    ("--trace", "short", "time,d,v,sigma,rms\n0.0,1.0\n"),
+    ("--trace", "cell", "time,d,v,sigma,rms\n0.0,nan?,1.0,1.0,1.0\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "flag,case,text", MALFORMED, ids=[f"{flag[2:]}-{case}" for flag, case, _ in MALFORMED]
+)
+def test_readers_reject_malformed_tables(tmp_path, capsys, flag, case, text):
+    """A malformed table is one `error:` line naming the file, not a traceback
+    or a silently wrong plot."""
+    cfg = tmp_path / "step.json"
+    write_step_config(cfg)
+    sig = tmp_path / "sig.csv"
+    run(capsys, "simulate", "--config", str(cfg), "--out", str(sig))
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    svg = tmp_path / "plot.svg"
+    if flag == "--in":
+        argv = ["detect", "--in", str(bad)]
+    else:
+        argv = ["plot", "--signal", str(sig), flag, str(bad), "--out", str(svg)]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {bad}: ")
+    assert ("expected header" if case == "header" else "bad row") in err
+    assert len(err.strip().splitlines()) == 1
+    assert not svg.exists()
+
+
+EDGE_FLOATS = [-0.0, 5e-324, 1.7976931348623157e308, 0.1]
+
+
+def bits(xs):
+    return [struct.pack("<d", float(x)) for x in xs]
+
+
+def test_cli_tables_round_trip_bit_for_bit(tmp_path):
+    """Every CLI table reads back the floats it wrote, bit for bit, under the
+    exact header its writer puts down."""
+    xs = EDGE_FLOATS
+    ys = xs[::-1]
+    sig, tru, det, tra = (str(tmp_path / n) for n in ("s.csv", "t.csv", "d.csv", "tr.csv"))
+
+    write_signal_csv(sig, xs, ys)
+    times, values = read_signal_csv(sig)
+    assert bits(times) == bits(xs) and bits(values) == bits(ys)
+
+    write_truth_csv(tru, xs)
+    assert bits(read_truth_csv(tru)) == bits(xs)
+
+    with open(det, "w", newline="") as fh:
+        write_detections_csv(fh, [Detection(x, y, "zero_crossing", 0) for x, y in zip(xs, ys)])
+    back = read_detections_csv(det)
+    assert bits(t for t, _, _ in back) == bits(xs)
+    assert bits(s for _, s, _ in back) == bits(ys)
+    assert {k for _, _, k in back} == {"zero_crossing"}
+
+    d = np.array(xs)
+    trace = DecisionTrace(
+        t0=0.1, dt=0.01, window=8, t_mid=0.035, wnorm=1.0, vnu=np.zeros((1, d.size)),
+        v=np.ones(d.size), d=d, sigma=np.ones(d.size), rms=np.ones(d.size),
+    )
+    write_trace_csv(tra, trace)
+    tt, dd = read_trace_csv(tra)
+    assert bits(tt) == bits(trace.times()) and bits(dd) == bits(xs)
+
+    headers = [open(p).readline() for p in (sig, tru, det, tra)]
+    assert headers == ["time,value\n", "time\n", "time,score,kind\n", "time,d,v,sigma,rms\n"]
+
+
 def test_bench_reference_subset(tmp_path, capsys):
     cfg = tmp_path / "camp.json"
     cfg.write_text(json.dumps({
@@ -242,6 +341,21 @@ def test_bench_setup_overrides_reference(tmp_path, capsys):
     assert float(row["kappa"]) == 2.0
     assert int(row["window"]) == 96
     assert row["scale"] == ""
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+def test_bench_rejects_zero_trials(tmp_path, capsys, via_config):
+    """Zero trials is a one-line error, not a ZeroDivisionError traceback."""
+    argv = ["bench", "--seed", "1", "--trials", "0"]
+    if via_config:
+        cfg = tmp_path / "camp.json"
+        cfg.write_text(json.dumps({"suite": "sine3", "trials": 0}))
+        argv = ["bench", "--seed", "1", "--config", str(cfg)]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "trials" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_bench_unknown_suite_fails(tmp_path, capsys):
