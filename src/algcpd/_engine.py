@@ -9,26 +9,34 @@ right over the window, each term one rounded multiply and one rounded add (no
 FMA); the mean is sum / window and both statistics take a correctly rounded
 sqrt last. The results are bit-identical to that loop.
 
-Long calls keep that order while vectorizing across positions: a block of
+Calls with fewer than SHORT positions (a single streamed sample, say) take
+the short path, _eval_short: every accumulator's terms sit in one row behind
+a leading 0.0 column, and np.add.accumulate runs the row's prefix sum. A
+prefix sum is left to right by definition, so its last column is the scalar
+loop's sum, bit for bit; the 0.0 column is the loop's 0.0 start, which keeps
+the sign of zero on an all -0.0 window. It costs about a dozen NumPy calls
+whatever the window, two prefix sums among them (the second over the squared
+deviations, once the mean is known).
+
+Longer calls keep the order while vectorizing across positions: a block of
 positions shares one accumulator array per statistic, and window offset i
 adds its terms to all of them at once (acc_v = acc_v + w[v, i] * y[lo+i:hi+i]),
 offsets in increasing order. Separate np.multiply and np.add calls round each
-step exactly as the scalar loop does; only the loop nesting changes. Calls
-with fewer than SHORT positions (a single streamed sample, say) run the scalar
-loop itself: below that count it beats the few NumPy calls per window offset,
-at W from 64 to 384.
+step exactly as the scalar loop does; only the loop nesting changes. That is
+(2 * nv + 5) * W NumPy calls however few the positions, while the short
+path's arrays grow with the positions times W. The two cross near 256 positions at nv 2 and 5 and W 96 to 384 (measured
+on a 2-CPU VM: the short path takes 0.6-0.75 of the block time at 256
+positions, and 0.95-1.6 of it at 320-384), hence SHORT.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 #: positions per block of the vectorized form (its arrays stay in L2)
 BLOCK = 16384
-#: calls with fewer positions than this run the scalar loop
-SHORT = 32
+#: calls with fewer positions than this take the prefix-sum short path
+SHORT = 256
 
 
 def eval_windows_raw(weights, signal):
@@ -44,7 +52,7 @@ def eval_windows_raw(weights, signal):
     sigma = np.empty(npos, dtype=np.float64)
     rms = np.empty(npos, dtype=np.float64)
     if npos < SHORT:
-        _eval_scalar(weights, signal, vnu, sigma, rms, npos)
+        _eval_short(weights, signal, vnu, sigma, rms)
         return vnu, sigma, rms
     wcols = weights.T.tolist()
     for lo in range(0, npos, BLOCK):
@@ -83,28 +91,26 @@ def _eval_block(wcols, seg, out_vnu, out_sigma, out_rms):
     np.sqrt(np.divide(ssq, window, out=ssq), out=ssq)
 
 
-def _eval_scalar(weights, signal, out_vnu, out_sigma, out_rms, npos):
-    nv = weights.shape[0]
-    window = weights.shape[1]
-    wrows = weights.tolist()
-    sig = signal.tolist()
-    for k in range(npos):
-        for v in range(nv):
-            acc = 0.0
-            row = wrows[v]
-            for i in range(window):
-                acc = acc + row[i] * sig[k + i]
-            out_vnu[v, k] = acc
-        ssum = 0.0
-        ssq = 0.0
-        for i in range(window):
-            x = sig[k + i]
-            ssum = ssum + x
-            ssq = ssq + x * x
-        mean = ssum / window
-        var = 0.0
-        for i in range(window):
-            dev = sig[k + i] - mean
-            var = var + dev * dev
-        out_sigma[k] = math.sqrt(var / window)
-        out_rms[k] = math.sqrt(ssq / window)
+def _eval_short(weights, signal, out_vnu, out_sigma, out_rms):
+    """Every position at once, each accumulator a prefix sum over one row of
+    its terms: np.add.accumulate runs left to right by definition, so the
+    last column is the scalar loop's sum, bit for bit. The leading 0.0
+    column is the loop's 0.0 start (it turns an all -0.0 sum into +0.0)."""
+    nv, window = weights.shape
+    npos = out_sigma.shape[0]
+    step = signal.strides[0]
+    x = np.ndarray((npos, window), np.float64, signal, 0, (step, step))  # windows, no copy
+    # rows: each delay row's w*x, then x, then x*x; later (x - mean)^2
+    terms = np.zeros((nv + 2, npos, window + 1))
+    np.multiply(weights[:, None, :], x, out=terms[:nv, :, 1:])
+    terms[nv, :, 1:] = x
+    np.multiply(x, x, out=terms[nv + 1, :, 1:])
+    np.add.accumulate(terms, axis=2, out=terms)
+    last = terms[:, :, window]
+    out_vnu[...] = last[:nv]
+    mean = np.divide(last[nv], window)
+    dev = terms[nv]  # its 0.0 column survives the first prefix sum
+    np.subtract(x, mean[:, None], out=dev[:, 1:])
+    np.multiply(dev[:, 1:], dev[:, 1:], out=dev[:, 1:])
+    np.add.accumulate(dev, axis=1, out=dev)
+    out_sigma[...], out_rms[...] = np.sqrt(np.divide(last[nv:], window))

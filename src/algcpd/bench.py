@@ -19,9 +19,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ._csv import read_table, write_table
-from .builder import ModelSpec, build_detector
-from .kernels import DiscreteDetector, discretize
-from .noise import apply_noise
+from .builder import METHODS, ModelSpec, build_detector
+from .kernels import RULES, DiscreteDetector, discretize
+from .noise import NOISE_KINDS, apply_noise
 from .runtime import DetectConfig, detect_samples
 from .signals import builtin_suite, render
 
@@ -63,6 +63,13 @@ class DetectorSetup:
     scale: Optional[float] = None
     mode: str = "zero_crossing"
 
+    def __post_init__(self) -> None:
+        if self.method not in METHODS:
+            raise ValueError(f"unknown method {self.method!r}; pick from {METHODS}")
+        if self.rule not in RULES:
+            raise ValueError(f"unknown quadrature rule {self.rule!r}; pick from {RULES}")
+        self.config()  # DetectConfig checks mode, kappa and scale
+
     def model(self) -> ModelSpec:
         return ModelSpec.monomial(self.n1, self.n2, self.order)
 
@@ -91,6 +98,8 @@ class Campaign:
     base_seed: int = 24245  # trial i uses base_seed + i
 
     def __post_init__(self) -> None:
+        if self.noise_kind not in NOISE_KINDS:
+            raise ValueError(f"unknown noise kind {self.noise_kind!r}; pick from {NOISE_KINDS}")
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
 

@@ -35,6 +35,8 @@ from .operators import (
 RF = RationalFunction
 
 MAX_MODEL_DEGREE = 8
+# the build methods build_detector dispatches on
+METHODS = ("linear", "general")
 
 
 @dataclass(frozen=True)

@@ -25,9 +25,9 @@ import numpy as np
 from . import __version__
 from . import bench as bench_mod
 from ._csv import read_table, write_table
-from .builder import ModelSpec, build_detector
-from .kernels import discretize, kernelize
-from .noise import apply_noise
+from .builder import METHODS, ModelSpec, build_detector
+from .kernels import RULES, discretize, kernelize
+from .noise import NOISE_KINDS, apply_noise
 from .runtime import DetectConfig, Detection, detect_samples
 from .signals import SUITES, Carrier, Segment, SignalSpec, builtin_suite, render
 from .svgplot import HLine, Panel, Series, VLine, render_svg
@@ -125,20 +125,23 @@ def load_signal_config(path: str) -> SignalSpec:
 def load_bench_config(path: str, base_seed: int, trials: Optional[int]) -> List[bench_mod.Campaign]:
     """JSON schema: one campaign object or {"campaigns": [...]}. Campaign keys:
     suite, noise, snr_db, trials, setup {any DetectorSetup field}; setup keys
-    fall back to the suite's reference setup. An unknown suite or setup key is
-    an error."""
+    fall back to the suite's reference setup. An unknown suite or setup key,
+    or a value Campaign or DetectorSetup rejects, in any campaign is an error
+    raised before the first campaign runs."""
     with open(path, "r") as fh:
         obj = json.load(fh)
     items = obj["campaigns"] if isinstance(obj, dict) and "campaigns" in obj else obj
     if isinstance(items, dict):
         items = [items]
     out = []
+    where = ""
     try:
-        for it in items:
+        for i, it in enumerate(items):
+            where = f" (campaign {i})"
             suite = it["suite"]
             if suite not in bench_mod.REFERENCE_SETUPS:
                 raise ValueError(
-                    f"{path}: unknown suite {suite!r}; "
+                    f"unknown suite {suite!r}; "
                     f"available: {', '.join(sorted(bench_mod.REFERENCE_SETUPS))}"
                 )
             overrides = {k: bench_mod.SETUP_FIELDS[k](v) for k, v in it.get("setup", {}).items()}
@@ -151,8 +154,8 @@ def load_bench_config(path: str, base_seed: int, trials: Optional[int]) -> List[
                 trials=int(trials if trials is not None else it.get("trials", 100)),
                 base_seed=base_seed,
             ))
-    except (KeyError, TypeError) as e:
-        raise ValueError(f"{path}: bad bench config: {e}")
+    except (KeyError, TypeError, ValueError) as e:
+        raise ValueError(f"{path}: bad bench config{where}: {e}") from None
     return out
 
 
@@ -254,7 +257,7 @@ def cmd_bench(args) -> int:
     results = []
     for ci, c in enumerate(campaigns):
         on_trial = None
-        if args.out and args.emit_trials:
+        if args.emit_trials:
             trial_dir = os.path.join(args.out, "trials")
             os.makedirs(trial_dir, exist_ok=True)
 
@@ -312,10 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--n1", type=int, default=0, help="smooth part degree bound")
     d.add_argument("--n2", type=int, default=0, help="jump part degree")
     d.add_argument("--order", type=int, default=0, help="derivative order of the change")
-    d.add_argument("--method", choices=["linear", "general"], default=None)
+    d.add_argument("--method", choices=METHODS, default=None)
     d.add_argument("--window", type=int, default=64, help="samples per window for --emit-weights")
     d.add_argument("--dt", type=float, default=0.01, help="sample spacing for --emit-weights")
-    d.add_argument("--rule", choices=["trapezoid", "simpson"], default="trapezoid")
+    d.add_argument("--rule", choices=RULES, default="trapezoid")
     d.add_argument("--emit-weights", metavar="PATH", help="write discretized weights CSV")
     d.set_defaults(func=cmd_derive)
 
@@ -323,8 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     src = s.add_mutually_exclusive_group(required=True)
     src.add_argument("--suite", choices=sorted(SUITES), help="built-in suite name")
     src.add_argument("--config", metavar="PATH", help="JSON signal config (see docs/config.md)")
-    s.add_argument("--noise", default="none",
-                   choices=["none", "normal", "uniform", "perlin", "mult_uniform"])
+    s.add_argument("--noise", default="none", choices=NOISE_KINDS)
     s.add_argument("--snr", type=float, default=25.0, help="SNR in dB (ignored for --noise none)")
     s.add_argument("--seed", type=int, default=None, help="required when noise is not 'none'")
     s.add_argument("--out", required=True, metavar="PATH", help="signal CSV (time,value)")
@@ -334,10 +336,10 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("detect", help="batch change detection over a signal CSV")
     t.add_argument("--in", dest="infile", required=True, metavar="PATH", help="signal CSV (time,value)")
     t.add_argument("--model", default="0,0,0", help="'n1[,n2[,order]]' (default 0,0,0)")
-    t.add_argument("--method", choices=["linear", "general"], default=None)
+    t.add_argument("--method", choices=METHODS, default=None)
     t.add_argument("--window", type=int, default=64, help="samples per sliding window")
     t.add_argument("--dt", type=float, default=None, help="override inferred sample spacing")
-    t.add_argument("--rule", choices=["trapezoid", "simpson"], default="trapezoid")
+    t.add_argument("--rule", choices=RULES, default="trapezoid")
     t.add_argument("--kappa", type=float, default=3.0, help="gate threshold multiplier")
     t.add_argument("--mode", choices=["zero_crossing", "linear_estimate"], default="zero_crossing")
     t.add_argument("--scale", type=float, default=None,
@@ -371,6 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "bench" and args.emit_trials and not args.out:
+        parser.error("bench --emit-trials needs --out DIR")
     try:
         return args.func(args)
     except (ValueError, OSError, RuntimeError) as e:

@@ -32,6 +32,9 @@ from ._exact import binomial
 from .builder import DetectorOperator
 from .operators import DiffOperator
 
+# the quadrature rules quadrature_weights knows
+RULES = ("trapezoid", "simpson")
+
 
 class BivariatePoly:
     """Exact polynomial in (T, tau): {(i, j): c} for c * T^i * tau^j."""

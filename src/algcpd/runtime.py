@@ -162,44 +162,81 @@ def eval_windows(
     )
 
 
+def _median(a: np.ndarray) -> float:
+    """np.median of a non-empty 1-D float64 array, bit for bit, from one
+    np.partition: the same kth (the middle one or two, then the last, which
+    is NaN if any value is), and the mean of the middle value or two as
+    np.mean makes it. Its sum starts at 0.0, so a -0.0 median is +0.0, and
+    (0.0 + a + b) / 2 overflows to inf where a + b does."""
+    n = a.shape[0]
+    h = n // 2
+    part = np.partition(a, [h, -1] if n % 2 else [h - 1, h, -1])
+    if math.isnan(part[-1]):
+        return math.nan
+    if n % 2:
+        return 0.0 + float(part[h])
+    lo, hi = part[h - 1 : h + 1].tolist()
+    return (0.0 + lo + hi) / 2
+
+
 def batch_mad_scale(d: np.ndarray) -> float:
     if d.size == 0:
         return math.inf
-    med = float(np.median(d))
-    return MAD_FACTOR * float(np.median(np.abs(d - med)))
+    med = _median(d)
+    return MAD_FACTOR * _median(np.abs(d - med))
 
 
 class _Ring:
-    """Trailing window statistics with absolute-position indexing."""
+    """Trailing window statistics with absolute-position indexing.
+
+    d, v, rms and vnu are views of the live positions, base to end, in
+    storage with room to append. An append that fits is written in place;
+    one that does not moves the live positions into new storage of twice
+    their count plus the append, so one-position appends cost amortized
+    O(1) and a large append copies what np.concatenate would. The first
+    append is held as given, without a copy (a whole batch trace, say), and
+    is never written to: the next append always moves."""
 
     def __init__(self):
         self.base = 0
-        self.d = np.empty(0, dtype=np.float64)
-        self.v = np.empty(0, dtype=np.float64)
-        self.rms = np.empty(0, dtype=np.float64)
-        self.vnu = np.empty((0, 0), dtype=np.float64)  # replaced by the first append
+        self._lo = self._hi = 0  # the live columns of storage
+        empty = np.empty(0, dtype=np.float64)
+        self._store = (empty, empty, empty, np.empty((0, 0), dtype=np.float64))
+        self._view()
 
     @property
     def end(self) -> int:
-        return self.base + self.d.shape[0]
+        return self.base + self._hi - self._lo
 
     def append(self, d, v, rms, vnu) -> None:
-        if self.d.size == 0:  # a whole batch trace, say: hold it, no copy
-            self.d, self.v, self.rms, self.vnu = d, v, rms, vnu
-            return
-        self.d = np.concatenate([self.d, d])
-        self.v = np.concatenate([self.v, v])
-        self.rms = np.concatenate([self.rms, rms])
-        self.vnu = np.concatenate([self.vnu, vnu], axis=1)
+        new = (d, v, rms, vnu)
+        if self._hi == 0:  # the first append: hold it
+            self._store, self._hi = new, d.shape[0]
+        else:
+            hi = self._hi + d.shape[0]
+            if hi > self._store[0].shape[0]:
+                live = self._hi - self._lo
+                cap = 2 * live + d.shape[0]
+                store = tuple(np.empty(a.shape[:-1] + (cap,), dtype=np.float64) for a in new)
+                for dst, src in zip(store, (self.d, self.v, self.rms, self.vnu)):
+                    dst[..., :live] = src
+                self._store, self._lo, self._hi, hi = store, 0, live, live + d.shape[0]
+            for dst, src in zip(self._store, new):
+                dst[..., self._hi : hi] = src
+            self._hi = hi
+        self._view()
 
     def trim(self, keep_from: int) -> None:
         cut = keep_from - self.base
         if cut > 0:
-            self.d = self.d[cut:]
-            self.v = self.v[cut:]
-            self.rms = self.rms[cut:]
-            self.vnu = self.vnu[:, cut:]
+            self._lo += cut
             self.base = keep_from
+            self._view()
+
+    def _view(self) -> None:
+        lo, hi = self._lo, self._hi
+        d, v, rms, vnu = self._store
+        self.d, self.v, self.rms, self.vnu = d[lo:hi], v[lo:hi], rms[lo:hi], vnu[:, lo:hi]
 
 
 @dataclass
@@ -255,14 +292,20 @@ class _GateEngine:
     def feed(self, vnu, v, d, rms, first_pos: int) -> List[Detection]:
         if first_pos != self.ring.end:
             raise AssertionError("engine fed out of order")
-        self.ring.append(d, v, rms, vnu)
-        lo = max(1, first_pos)  # crossings need a left neighbor
-        hi = self.ring.end - 1
-        if hi >= lo:
-            sign = np.sign(self.ring.d[lo - 1 - self.ring.base :])
-            found = np.flatnonzero(sign[:-1] * sign[1:] < 0)
-            if found.size:
-                self.crossings.extend((found + lo).tolist())
+        ring = self.ring
+        ring.append(d, v, rms, vnu)
+        if d.shape[0] == 1 and first_pos:  # one pushed position, on Python floats
+            a, b = ring.d[-2:].tolist()
+            if a > 0.0 > b or a < 0.0 < b:
+                self.crossings.append(first_pos)
+        else:
+            lo = max(1, first_pos)  # crossings need a left neighbor
+            hi = ring.end - 1
+            if hi >= lo:
+                sign = np.sign(ring.d[lo - 1 - ring.base :])
+                found = np.flatnonzero(sign[:-1] * sign[1:] < 0)
+                if found.size:
+                    self.crossings.extend((found + lo).tolist())
         return self._drain()
 
     def finish(self) -> List[Detection]:
@@ -418,6 +461,14 @@ class StreamDetector:
     at most min_sep_pos + window//2 + 1 positions past its own position,
     min_sep_pos being min_separation in samples (default: the window); a chunk
     of n samples can add up to n - 1 more.
+
+    A push() costs a fixed number of NumPy calls: the engine's prefix-sum
+    short path over one window position, the decision statistic, and the
+    gate's bookkeeping. The sample buffer and the gate's ring append in
+    place, in amortized O(1), and however long the stream runs they hold
+    O(W) samples and O(W) positions, or O(max(8W, 512)) under the trailing
+    MAD. At W=96 (pc5 at 10 dB) a push
+    takes about 60 us on a 2-CPU VM under either scale.
     """
 
     def __init__(
@@ -430,7 +481,10 @@ class StreamDetector:
         self.cfg = cfg
         self.t0 = t0
         self._engine = _GateEngine(dd.window, dd.dt, dd.t_mid, dd.wnorm, cfg, t0, cfg.scale)
-        self._tail = np.empty(0, dtype=np.float64)
+        # the sample buffer: the last min(samples_seen, W-1) samples are
+        # _buf[_lo:_hi], and a chunk is copied in right after them
+        self._buf = np.empty(0, dtype=np.float64)
+        self._lo = self._hi = 0
         self._seen = 0
         self._positions = 0
         self.detections: List[Detection] = []
@@ -452,12 +506,9 @@ class StreamDetector:
             return []
         if not np.isfinite(chunk).all():
             raise ValueError("samples must be finite")
-        work = np.concatenate([self._tail, chunk]) if self._tail.size else chunk
+        work = self._take(chunk)
         self._seen += chunk.size
-        w = self.dd.window
-        keep = min(work.size, w - 1)
-        self._tail = work[work.size - keep :].copy()
-        if work.size < w:
+        if work.size < self.dd.window:
             return []
         vnu, v, d, _, rms = _statistics(self.dd, work)
         first = self._positions
@@ -465,6 +516,26 @@ class StreamDetector:
         out = self._engine.feed(vnu, v, d, rms, first)
         self.detections.extend(out)
         return out
+
+    def _take(self, chunk: np.ndarray) -> np.ndarray:
+        """The tail and chunk, contiguous in the sample buffer, as a view;
+        the tail becomes the last W-1 samples of that view. When the chunk
+        does not fit after the tail, the tail moves to the front of the
+        buffer, in place, or, if the two do not fit at all, to a new buffer
+        twice their size. Single pushes so cost amortized O(1), and the
+        buffer is never more than twice the largest tail plus chunk."""
+        n = chunk.shape[0]
+        tail = self._hi - self._lo
+        if self._hi + n > self._buf.shape[0]:
+            buf = self._buf if tail + n <= self._buf.shape[0] else np.empty(2 * (tail + n))
+            buf[:tail] = self._buf[self._lo : self._hi]  # NumPy copies an overlap safely
+            self._buf, self._lo, self._hi = buf, 0, tail
+        hi = self._hi + n
+        self._buf[self._hi : hi] = chunk
+        work = self._buf[self._lo : hi]
+        self._lo = hi - min(work.shape[0], self.dd.window - 1)
+        self._hi = hi
+        return work
 
     def finalize(self) -> List[Detection]:
         if self._engine.finished:

@@ -8,6 +8,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from algcpd import bench
 from algcpd.cli import (
     main,
     read_detections_csv,
@@ -286,6 +287,44 @@ def test_bench_emit_trials(tmp_path, capsys):
     trials = sorted((outdir / "trials").glob("*.csv"))
     assert len(trials) == 2
     assert read_detections_csv(str(trials[0]))
+
+
+def test_bench_emit_trials_needs_out(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--seed", "1", "--trials", "1", "--emit-trials"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].endswith("error: bench --emit-trials needs --out DIR")
+
+
+@pytest.mark.parametrize("bad", [
+    {"noise": "gauss"},
+    {"setup": {"method": "exact"}},
+    {"setup": {"rule": "midpoint"}},
+    {"setup": {"mode": "peak"}},
+    {"setup": {"kappa": -1.0}},
+    {"setup": {"kappa": float("nan")}},
+    {"setup": {"scale": -0.5}},
+], ids=["noise", "method", "rule", "mode", "kappa", "kappa_nan", "scale"])
+def test_bench_config_checked_before_any_trial(tmp_path, capsys, monkeypatch, bad):
+    """A bad value in the second campaign is a one-line error raised before
+    the first campaign runs a trial; no report is written."""
+    trials = []
+    monkeypatch.setattr(bench, "run_trial", lambda *args: trials.append(args))
+    cfg = tmp_path / "camp.json"
+    cfg.write_text(json.dumps({"campaigns": [
+        {"suite": "sine3", "trials": 2},
+        {"suite": "sine3", "trials": 2, **bad},
+    ]}))
+    outdir = tmp_path / "rep"
+    code, out, err = run(capsys, "bench", "--config", str(cfg), "--seed", "1",
+                         "--out", str(outdir))
+    assert code == 1
+    assert trials == []
+    assert out == ""
+    assert not outdir.exists()
+    assert err.startswith("error:") and "(campaign 1)" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_plot_svg(tmp_path, capsys):

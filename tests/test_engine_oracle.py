@@ -82,7 +82,7 @@ def assert_bit_identical(got, want):
 
 
 @pytest.mark.parametrize("nv", [2, 5])
-@pytest.mark.parametrize("window", [64, 128, 384])
+@pytest.mark.parametrize("window", [64, 96, 128, 384])
 @pytest.mark.parametrize("block", [1, 50, _engine.BLOCK])
 def test_engine_matches_scalar_loop(nv, window, block, monkeypatch):
     monkeypatch.setattr(_engine, "BLOCK", block)

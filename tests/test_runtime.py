@@ -415,6 +415,49 @@ def test_gate_matches_oracle_under_any_partition(
     assert as_tuples(got) == as_tuples(gate_oracle(trace, cfg, scale))
 
 
+def test_stream_push_storage_bounded():
+    """20 * max(8W, 512) single-sample pushes under the trailing MAD leave the
+    sample buffer and the ring's storage within a constant times the
+    max(8W, 512) + W positions they must keep."""
+    window = 96
+    keep = max(8 * window, 512)
+    sd = StreamDetector(step_detector(window=window), DetectConfig())
+    y = 0.1 * np.random.default_rng(2).standard_normal(20 * keep)
+    most_buf = most_ring = 0
+    for x in y.tolist():
+        sd.push(x)
+        most_buf = max(most_buf, sd._buf.shape[0])
+        most_ring = max(most_ring, sd._engine.ring._store[0].shape[0])
+    assert most_buf <= 4 * (keep + window)
+    assert most_ring <= 4 * (keep + window)
+
+
+def test_median_matches_np_median_bit_for_bit():
+    """runtime._median and the MAD it makes against np.median over odd and
+    even counts, ties, signed zeros, NaN, and middle pairs whose sum
+    overflows to inf (np.median's own mean overflows there too)."""
+    rng = np.random.default_rng(11)
+    big = np.finfo(np.float64).max
+    cases = [rng.standard_normal(n) for n in (1, 2, 3, 4, 767, 768)]
+    cases += [rng.integers(-2, 3, n).astype(np.float64) for n in (5, 6, 16, 17)]
+    cases += [np.array(a) for a in (
+        [0.0, -0.0], [-0.0, -0.0], [-0.0, 0.0, -0.0], [0.0, -0.0, -0.0, 0.0], [-0.0],
+        [1.7e308, big], [-big, -1.7e308, 5.0], [-big, 1.0, -1.7e308, 2.0],
+        [big, big, -big], [1.0, np.nan, 2.0], [np.nan, 3.0],
+    )]
+
+    def bits(x):
+        return np.float64(x).view(np.uint64)
+
+    for a in cases:
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = float(np.median(a))
+            mad = runtime.MAD_FACTOR * float(np.median(np.abs(a - want)))
+            got_mad = runtime.batch_mad_scale(a)
+        assert bits(runtime._median(a)) == bits(want), a
+        assert bits(got_mad) == bits(mad), a
+
+
 def test_stream_bookkeeping():
     dd = step_detector()
     sd = StreamDetector(dd)
