@@ -1,0 +1,91 @@
+"""Pinned outputs of the exact layer: sha256 digests in tests/golden.json.
+
+Each model of the grid below is one case. Its digests cover the built
+operator's text, the verification report, the symbolic kernels and, at two
+windows, the float weight rows and the exact integer rows they come from. A
+change that moves any of them fails under the model's label and names the
+fields that moved.
+
+Regenerate the file after a deliberate change with
+
+    python tests/test_golden.py --write
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+GOLDEN = HERE / "golden.json"
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(HERE.parent / "src"))
+
+import pytest  # noqa: E402
+
+from algcpd._exact import Polynomial, RationalFunction as RF  # noqa: E402
+from algcpd.builder import ModelSpec, build_detector, verify_detector  # noqa: E402
+from algcpd.kernels import discretize, kernelize  # noqa: E402
+
+WINDOWS = (64, 385)
+
+
+def model_grid():
+    models = [ModelSpec.monomial(n1, n2) for n1 in range(9) for n2 in range(3)]
+    models += [ModelSpec.polynomial(n1, n2) for n1 in range(4) for n2 in range(3)]
+    models.append(ModelSpec.monomial(1, 2, order=1))
+    # the rational jumps of tests/test_builder.py: 1/(s+1) takes the Euclid path
+    models.append(ModelSpec.rational(1, RF(Polynomial.one(), Polynomial([Fraction(1), Fraction(1)]))))
+    models.append(ModelSpec.rational(0, RF.s_power(-2)))
+    return {m.label(): m for m in models}
+
+
+MODELS = model_grid()
+
+
+def sha(data) -> str:
+    if isinstance(data, str):
+        data = data.encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def digests(model: ModelSpec) -> dict:
+    det = build_detector(model)
+    out = {
+        "text": sha(det.text()),
+        "verify": sha(repr(verify_detector(det))),
+        "kernel": sha(kernelize(det).text()),
+    }
+    for w in WINDOWS:
+        dd = discretize(det, window=w)
+        out[f"weights_W{w}"] = sha(dd.weights.tobytes())
+        out[f"rows_W{w}"] = sha(repr(dd.exact_rows))
+    return out
+
+
+def load_golden() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+def test_golden_covers_the_grid():
+    assert sorted(load_golden()) == sorted(MODELS)
+
+
+@pytest.mark.parametrize("label", list(MODELS))
+def test_golden(label):
+    want = load_golden()[label]
+    got = digests(MODELS[label])
+    moved = sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
+    assert not moved, f"{label}: digests moved: {moved}"
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_golden.py --write")
+    table = {label: digests(m) for label, m in MODELS.items()}
+    GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(table)} cases to {GOLDEN}")
