@@ -5,6 +5,7 @@ every accumulator starting at 0.0 and taking its terms left to right over the
 window with a plain float multiply and add, math.sqrt last.
 """
 
+import collections
 import math
 
 import numpy as np
@@ -81,21 +82,46 @@ def assert_bit_identical(got, want):
         assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
 
 
+@pytest.fixture
+def calls(monkeypatch):
+    """Calls of the engine's two paths, counted by function name."""
+    seen = collections.Counter()
+    for name in ("_eval_short", "_eval_block"):
+        def spy(*args, _real=getattr(_engine, name), _name=name):
+            seen[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(_engine, name, spy)
+    return seen
+
+
 @pytest.mark.parametrize("nv", [2, 5])
 @pytest.mark.parametrize("window", [64, 96, 128, 384])
 @pytest.mark.parametrize("block", [1, 50, _engine.BLOCK])
-def test_engine_matches_scalar_loop(nv, window, block, monkeypatch):
-    monkeypatch.setattr(_engine, "BLOCK", block)
+def test_engine_matches_scalar_loop(nv, window, block, monkeypatch, calls):
+    """Position counts on both sides of each path switch. Under the real
+    BLOCK: the SHORT edge, so the first counts take the short path and the
+    rest the block path. Under a small BLOCK: its block edges, each once with
+    SHORT at 0 (the block path, over several blocks) and once with the real
+    SHORT (the short path). The spies check the path each count took."""
     w = weights_for(nv, window)
     short = _engine.SHORT
-    counts = {1, short - 1, short, short + 1, 2 * short + 3}
-    if block < 1000:
-        counts |= {block - 1, block, block + 1, 3 * block + 7}
-    for npos in sorted(counts):
+    if block == _engine.BLOCK:
+        cases = [(n, short) for n in (1, short - 1, short, short + 1, 2 * short + 3)]
+    else:
+        monkeypatch.setattr(_engine, "BLOCK", block)
+        edges = (block - 1, block, block + 1, 3 * block + 7)
+        cases = [(n, at) for n in edges for at in (0, short)]
+    for npos, short_at in cases:
+        monkeypatch.setattr(_engine, "SHORT", short_at)
+        calls.clear()
         y = hard_signal(npos + window - 1, window, seed=npos)
         assert_bit_identical(
             eval_windows_raw(w, y), scalar_eval_windows_raw(w, y)
         )
+        if npos < short_at:
+            assert calls == {"_eval_short": 1}
+        else:
+            assert calls == ({"_eval_block": -(-npos // block)} if npos else {})
 
 
 @pytest.mark.parametrize("nv", [2, 5])
