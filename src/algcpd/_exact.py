@@ -1,12 +1,23 @@
 """Exact univariate polynomial and rational-function arithmetic.
 
-Everything in the symbolic layer runs over ``fractions.Fraction``; floats only
-appear once kernels are discretized. The indeterminate is rendered ``s``.
+The symbolic layer is exact over the rationals; floats only appear once
+kernels are discretized. The indeterminate is rendered ``s``.
+
+A ``Polynomial`` is a tuple of Python ``int`` numerators over one positive
+``int`` denominator, kept reduced: the gcd of the numerators and the
+denominator is 1 and the top numerator is nonzero. That is the canonical form
+of FLINT's ``fmpq_poly`` (FLINT documentation, "fmpq_poly.h: univariate
+polynomials over the rational numbers"). A product is an integer convolution
+and one gcd, a sum scales both sides to the lcm of the denominators, and
+division is pseudo-division on the integers; no ring operation makes a
+``Fraction``. ``Fraction`` is the type at the boundary only: the constructor
+takes ``int``/``Fraction``/``str`` coefficients, and ``coeffs``,
+``__getitem__``, ``leading`` and ``binomial`` give ``Fraction``s.
 
 Operational images of polynomial pieces are Laurent polynomials in s
 (t^n/n! <-> s^-(n+1)), so almost every denominator the builder and the
-verifier meet is c*s^k. ``RationalFunction`` canonicalizes those by shifting
-coefficient tuples and adds two of them over s^max(i, j); every other
+verifier meet is c*s^k. ``RationalFunction`` canonicalizes those by slicing
+numerator tuples and adds two of them over s^max(i, j); every other
 denominator takes the Euclid path (``poly_gcd``). Both paths give the one
 canonical form, so equality and zero tests do not depend on the path taken.
 """
@@ -14,7 +25,8 @@ canonical form, so equality and zero tests do not depend on the path taken.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
+from math import gcd
+from typing import Iterable, Tuple, Union
 
 Scalar = Union[int, Fraction]
 
@@ -29,107 +41,148 @@ def _frac(x) -> Fraction:
     raise TypeError(f"exact scalar expected, got {type(x).__name__}")
 
 
-class Polynomial:
-    """Dense polynomial over Fraction, coefficients indexed by degree.
+def _poly(nums, den: int) -> "Polynomial":
+    """The canonical Polynomial of sum_k nums[k] * s^k / den (den != 0)."""
+    n = len(nums)
+    while n and not nums[n - 1]:
+        n -= 1
+    if not n:
+        return _ZERO
+    if den < 0:
+        den = -den
+        nums = [-c for c in nums[:n]]
+    g = gcd(den, *nums[:n])
+    p = object.__new__(Polynomial)
+    if g == 1:
+        p.nums = tuple(nums[:n])
+        p.den = den
+    else:
+        p.nums = tuple(c // g for c in nums[:n])
+        p.den = den // g
+    return p
 
-    The zero polynomial has ``degree == -1`` (sentinel) and an empty
-    coefficient tuple.
+
+def _raw(nums: tuple, den: int) -> "Polynomial":
+    """Polynomial from numerators and denominator already in canonical form."""
+    p = object.__new__(Polynomial)
+    p.nums = nums
+    p.den = den
+    return p
+
+
+class Polynomial:
+    """Dense polynomial over the rationals, coefficients indexed by degree.
+
+    Stored as ``nums`` (a tuple of ``int``, lowest degree first) over ``den``
+    (an ``int`` > 0), reduced so that gcd(*nums, den) == 1 and nums[-1] != 0.
+    The zero polynomial has ``degree == -1`` (sentinel), no numerators and
+    denominator 1. Instances are immutable.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [_frac(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple = tuple(cs)
+        den = 1
+        for c in cs:
+            d = c.denominator
+            if den % d:
+                den = den // gcd(den, d) * d
+        q = _poly([c.numerator * (den // c.denominator) for c in cs], den)
+        self.nums = q.nums
+        self.den = q.den
 
     # -- constructors ----------------------------------------------------
     @staticmethod
     def zero() -> "Polynomial":
-        return Polynomial()
+        return _ZERO
 
     @staticmethod
     def one() -> "Polynomial":
-        return Polynomial((1,))
+        return _ONE
 
     @staticmethod
     def constant(c) -> "Polynomial":
-        return Polynomial((c,))
+        c = _frac(c)
+        return _poly((c.numerator,), c.denominator)
 
     @staticmethod
     def s_power(k: int, coeff=1) -> "Polynomial":
         """coeff * s**k"""
         if k < 0:
             raise ValueError("s_power exponent must be >= 0")
-        return Polynomial((0,) * k + (coeff,))
+        c = _frac(coeff)
+        return _poly((0,) * k + (c.numerator,), c.denominator)
 
     # -- structure --------------------------------------------------------
     @property
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        """The coefficients as Fractions, lowest degree first."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.nums)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.nums:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.nums[-1], self.den)
 
     def __getitem__(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.nums):
+            return Fraction(self.nums[k], self.den)
         return Fraction(0)
 
     def trailing_zero_count(self) -> int:
         """Multiplicity of the root at s=0 (0 for the zero polynomial)."""
         n = 0
-        for c in self.coeffs:
-            if c != 0:
+        for c in self.nums:
+            if c:
                 break
             n += 1
         return n
 
     # -- ring operations ---------------------------------------------------
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
+        return _combine(self, other, 1)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coeffs))
+        return _raw(tuple(-c for c in self.nums), self.den)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        return _combine(self, other, -1)
 
     def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return Polynomial()
-            return Polynomial(tuple(c * other for c in self.coeffs))
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return Polynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
+        if isinstance(other, Polynomial):
+            a, b = self.nums, other.nums
+            if not a or not b:
+                return _ZERO
+            if len(a) < len(b):
+                a, b = b, a
+            out = [0] * (len(a) + len(b) - 1)
+            for j, y in enumerate(b):
+                if y:
+                    for i, x in enumerate(a, j):
+                        out[i] += x * y
+            return _poly(out, self.den * other.den)
+        if isinstance(other, int):
+            return _poly([c * other for c in self.nums], self.den)
+        if isinstance(other, Fraction):
+            p = other.numerator
+            return _poly([c * p for c in self.nums], self.den * other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = Polynomial.one()
+        result = _ONE
         base = self
         while n:
             if n & 1:
@@ -139,24 +192,39 @@ class Polynomial:
         return result
 
     def divmod(self, other: "Polynomial") -> tuple:
-        if other.is_zero():
+        """(q, r) with self == q * other + r and deg r < deg other.
+
+        Pseudo-division on the numerators: with b the divisor's top numerator,
+        b^e * A == Q * B + R over the integers, where e counts the steps whose
+        top remainder numerator b did not divide. Dividing by b^e and the two
+        denominators then gives q and r.
+        """
+        if not other.nums:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dv = other.coeffs
-        dd = len(dv) - 1
-        lead = dv[-1]
-        if len(rem) - 1 < dd:
-            return Polynomial(), Polynomial(rem)
-        quot = [Fraction(0)] * (len(rem) - dd)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i]
-            if c == 0:
+        B = other.nums
+        dd = len(B) - 1
+        if len(self.nums) - 1 < dd:
+            return _ZERO, self
+        lead = B[-1]
+        R = list(self.nums)
+        Q = [0] * (len(R) - dd)
+        scale = 1
+        for i in range(len(R) - 1, dd - 1, -1):
+            c = R[i]
+            if not c:
                 continue
-            q = c / lead
-            quot[i - dd] = q
-            for j in range(dd + 1):
-                rem[i - dd + j] -= q * dv[j]
-        return Polynomial(quot), Polynomial(rem)
+            q, rem = divmod(c, lead)
+            if rem:
+                R = [lead * x for x in R]
+                Q = [lead * x for x in Q]
+                scale *= lead
+                q = c
+            k = i - dd
+            Q[k] = q
+            for j in range(dd):
+                R[k + j] -= q * B[j]
+        den = scale * self.den
+        return _poly([x * other.den for x in Q], den), _poly(R[:dd], den)
 
     def __floordiv__(self, other: "Polynomial") -> "Polynomial":
         return self.divmod(other)[0]
@@ -166,19 +234,28 @@ class Polynomial:
 
     # -- calculus / evaluation ----------------------------------------------
     def derivative(self) -> "Polynomial":
-        return Polynomial(tuple(k * c for k, c in enumerate(self.coeffs) if k))
+        return _poly([k * c for k, c in enumerate(self.nums)][1:], self.den)
 
     def eval(self, x):
-        """Horner evaluation; exact when x is Fraction/int."""
-        acc = Fraction(0) if isinstance(x, (int, Fraction)) else 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
+        """Horner evaluation; exact (a Fraction) when x is Fraction/int."""
+        if isinstance(x, (int, Fraction)):
+            # with x = p/q and degree d: sum_k c_k p^k q^(d-k) / (den * q^d)
+            p, q = x.numerator, x.denominator
+            acc, qk = 0, 1
+            for c in reversed(self.nums):
+                acc = acc * p + c * qk
+                qk *= q
+            return Fraction(acc * q, self.den * qk)
+        acc = 0.0
+        den = self.den
+        for c in reversed(self.nums):
+            acc = acc * x + c / den
         return acc
 
     def monic(self) -> "Polynomial":
-        if self.is_zero():
+        if not self.nums:
             return self
-        return self * (1 / self.leading())
+        return _poly(self.nums, self.nums[-1])
 
     # -- comparison ---------------------------------------------------------
     def __eq__(self, other) -> bool:
@@ -186,29 +263,32 @@ class Polynomial:
             other = Polynomial.constant(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.nums == other.nums and self.den == other.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __repr__(self) -> str:
         return f"Polynomial({self.text()!r})"
 
     # -- rendering ------------------------------------------------------------
     def text(self, var: str = "s") -> str:
-        if self.is_zero():
+        if not self.nums:
             return "0"
         parts = []
+        den = self.den
         for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
+            c = self.nums[k]
+            if not c:
                 continue
-            mag = abs(c)
+            g = gcd(c, den)
+            mag = abs(c) // g
+            mag = str(mag) if den == g else f"{mag}/{den // g}"
             if k == 0:
-                body = str(mag)
+                body = mag
             else:
                 core = var if k == 1 else f"{var}^{k}"
-                body = core if mag == 1 else f"{mag}*{core}"
+                body = core if mag == "1" else f"{mag}*{core}"
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
             else:
@@ -216,7 +296,33 @@ class Polynomial:
         return "".join(parts)
 
     def term_count(self) -> int:
-        return sum(1 for c in self.coeffs if c != 0)
+        return sum(1 for c in self.nums if c)
+
+
+_ZERO = _raw((), 1)
+_ONE = _raw((1,), 1)
+
+
+def _combine(a: Polynomial, b: Polynomial, sign: int) -> Polynomial:
+    """a + sign * b over the lcm of the two denominators (sign is 1 or -1)."""
+    if not b.nums:
+        return a
+    if not a.nums:
+        return -b if sign < 0 else b
+    da, db = a.den, b.den
+    if da == db:
+        fa = fb = 1
+    else:
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+    fb *= sign
+    x = [c * fa for c in a.nums] if fa != 1 else list(a.nums)
+    y = [c * fb for c in b.nums]
+    if len(x) < len(y):
+        x, y = y, x
+    for i, c in enumerate(y):
+        x[i] += c
+    return _poly(x, da * fa)
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -228,7 +334,7 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 
 def poly_lcm(a: Polynomial, b: Polynomial) -> Polynomial:
     if a.is_zero() or b.is_zero():
-        return Polynomial()
+        return _ZERO
     g = poly_gcd(a, b)
     return ((a * b) // g).monic()
 
@@ -244,41 +350,45 @@ class RationalFunction:
     * any other den: divide both by the Euclid gcd ``poly_gcd(num, den)``.
 
     Either way the denominator is then made monic by dividing by its leading
-    coefficient.
+    coefficient, which rescales one integer denominator of each polynomial.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        if isinstance(num, (int, Fraction)):
+        if not isinstance(num, Polynomial):
             num = Polynomial.constant(num)
         if den is None:
-            den = Polynomial.one()
-        elif isinstance(den, (int, Fraction)):
+            den = _ONE
+        elif not isinstance(den, Polynomial):
             den = Polynomial.constant(den)
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
-            self.num = Polynomial()
-            self.den = Polynomial.one()
+            self.num = _ZERO
+            self.den = _ONE
             return
         k = _s_power_degree(den)
         if k is not None:
-            # den = c*s^k, so gcd(num, den) = s^z: cancel it by a shift.
+            # den = c*s^k, so gcd(num, den) = s^z: cancel it by a slice, and
+            # dividing both by c leaves den = s^(k-z).
             z = min(k, num.trailing_zero_count())
-            if z:
-                num = Polynomial(num.coeffs[z:])
-                den = Polynomial(den.coeffs[z:])
+            c_num, c_den = den.nums[-1], den.den
+            if c_num == c_den:  # c == 1 (den is reduced)
+                num = _raw(num.nums[z:], num.den) if z else num
+            else:
+                num = _poly([x * c_den for x in num.nums[z:]], num.den * c_num)
+            den = _raw((0,) * (k - z) + (1,), 1)
         else:
             g = poly_gcd(num, den)
             if g.degree > 0:
                 num = num // g
                 den = den // g
-        lead = den.leading()
-        if lead != 1:
-            inv = 1 / lead
-            num = num * inv
-            den = den * inv
+            lead = den.nums[-1]
+            if lead != den.den:
+                # divide both by the leading coefficient lead / den.den
+                num = _poly([x * den.den for x in num.nums], num.den * lead)
+                den = _poly(den.nums, lead)
         self.num = num
         self.den = den
 
@@ -386,7 +496,7 @@ class RationalFunction:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.num.coeffs, self.den.coeffs))
+        return hash((self.num, self.den))
 
     def __repr__(self) -> str:
         return f"RationalFunction({self.text()!r})"
@@ -410,15 +520,15 @@ class RationalFunction:
 
 def _s_power_degree(p: Polynomial):
     """k when p is c*s^k with c != 0, else None."""
-    k = p.degree
-    return k if p.trailing_zero_count() == k else None
+    nums = p.nums
+    return len(nums) - 1 if nums and not any(nums[:-1]) else None
 
 
 def _shift(p: Polynomial, k: int) -> Polynomial:
     """p * s**k for k >= 0, without a multiplication."""
     if not k:
         return p
-    return Polynomial((0,) * k + p.coeffs)
+    return _raw((0,) * k + p.nums, p.den)
 
 
 def _as_rf(x):

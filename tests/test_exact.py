@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,20 +25,141 @@ def rand_rf(rng, max_deg=3):
     return RationalFunction(num, den)
 
 
-def test_polynomial_ring_axioms():
-    rng = random.Random(101)
-    for _ in range(400):
-        a = rand_poly(rng)
-        b = rand_poly(rng)
-        c = rand_poly(rng)
-        assert (a + b) + c == a + (b + c)
-        assert a + b == b + a
-        assert a * b == b * a
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-        assert a + Polynomial() == a
-        assert a * Polynomial([Fraction(1)]) == a
-        assert a - a == Polynomial()
+# -- a plain reference: coefficient tuples of Fractions, lowest degree first ------
+
+
+def ref_trim(cs):
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_add(a, b):
+    n = max(len(a), len(b))
+    return ref_trim(
+        (a[k] if k < len(a) else 0) + (b[k] if k < len(b) else 0) for k in range(n)
+    )
+
+
+def ref_scale(a, c):
+    return ref_trim(x * c for x in a)
+
+
+def ref_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref_trim(out)
+
+
+def ref_divmod(a, b):
+    rem = list(a)
+    quot = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    for i in range(len(a) - 1, len(b) - 2, -1):
+        q = rem[i] / b[-1]
+        quot[i - len(b) + 1] = q
+        for j, y in enumerate(b):
+            rem[i - len(b) + 1 + j] -= q * y
+    return ref_trim(quot), ref_trim(rem)
+
+
+def ref_monic_gcd(a, b):
+    while b:
+        a, b = b, ref_divmod(a, b)[1]
+    return ref_scale(a, 1 / a[-1]) if a else ()
+
+
+def assert_canonical(p, want=None):
+    """p is in the reduced integer form, and its Fraction coefficients are
+    the reference tuple `want` when given."""
+    assert isinstance(p.den, int) and p.den > 0
+    assert all(isinstance(c, int) for c in p.nums)
+    assert gcd(p.den, *p.nums) == 1
+    if p.nums:
+        assert p.nums[-1] != 0
+    else:
+        assert p.den == 1
+    assert p.coeffs == tuple(Fraction(c, p.den) for c in p.nums)
+    twin = Polynomial(p.coeffs)
+    assert twin == p and hash(twin) == hash(p)
+    if want is not None:
+        assert p.coeffs == ref_trim(want)
+
+
+coeff = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+wide = st.builds(Fraction, st.integers(-(10**12), 10**12), st.integers(1, 10**6))
+polys = st.lists(st.one_of(coeff, coeff, wide), max_size=6).map(Polynomial)
+nonzero_polys = polys.filter(lambda p: not p.is_zero())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(a=polys, b=polys, c=polys, k=st.one_of(coeff, st.integers(-5, 5)))
+def test_polynomial_ring_axioms(a, b, c, k):
+    for p in (a, b, c):
+        assert_canonical(p)
+    A, B = a.coeffs, b.coeffs
+    assert_canonical(a + b, ref_add(A, B))
+    assert_canonical(a - b, ref_add(A, ref_scale(B, -1)))
+    assert_canonical(-a, ref_scale(A, -1))
+    assert_canonical(a * b, ref_mul(A, B))
+    assert_canonical(a * k, ref_scale(A, k))
+    assert_canonical(k * a, ref_scale(A, k))
+    assert_canonical(a.derivative(), [i * x for i, x in enumerate(A)][1:])
+    if A:
+        assert_canonical(a.monic(), ref_scale(A, 1 / A[-1]))
+        assert a.leading() == A[-1]
+    assert [a[k] for k in range(-1, len(A) + 1)] == [0, *A, 0]
+    assert (a + b) + c == a + (b + c)
+    assert a + b == b + a and hash(a + b) == hash(b + a)
+    assert a * b == b * a and hash(a * b) == hash(b * a)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + Polynomial() == a
+    assert a * Polynomial([Fraction(1)]) == a
+    assert a - a == Polynomial()
+
+
+@st.composite
+def division_case(draw):
+    """(a, b): b nonzero; a an exact multiple of b (zero remainder), b a
+    constant, or both arbitrary."""
+    b = draw(nonzero_polys)
+    kind = draw(st.sampled_from(["multiple", "constant", "any"]))
+    if kind == "constant":
+        b = Polynomial.constant(b.leading())
+    a = draw(polys)
+    if kind == "multiple":
+        a = a * b
+    return kind, a, b
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=division_case())
+def test_divmod_property(case):
+    kind, a, b = case
+    q, r = a.divmod(b)
+    assert_canonical(q)
+    assert_canonical(r)
+    assert q * b + r == a
+    assert r.degree < b.degree
+    assert (q.coeffs, r.coeffs) == ref_divmod(a.coeffs, b.coeffs)
+    if kind != "any":
+        assert r.is_zero()
+    assert a // b == q and a % b == r
+
+
+def test_divmod_zero_remainder_and_constant_divisor():
+    b = Polynomial([Fraction(-2, 3), Fraction(5, 7), Fraction(3, 4)])
+    m = Polynomial([Fraction(1, 5), Fraction(0), Fraction(-9, 2)])
+    q, r = (m * b).divmod(b)
+    assert q == m and r.is_zero()
+    q, r = m.divmod(Polynomial.constant(Fraction(-3, 8)))
+    assert r.is_zero() and q == m * Fraction(-8, 3)
+    assert_canonical(q, ref_scale(m.coeffs, Fraction(-8, 3)))
 
 
 def test_polynomial_divmod():
@@ -111,6 +233,13 @@ def test_rational_canonical_form():
         assert poly_gcd(x.num, x.den).degree <= 0 or x.num == Polynomial()
 
 
+def assert_canonical_rf(r):
+    assert_canonical(r.num)
+    assert_canonical(r.den)
+    assert r.den.leading() == 1
+    assert ref_monic_gcd(r.num.coeffs, r.den.coeffs) in ((), (1,))
+
+
 def test_rational_field_axioms():
     rng = random.Random(707)
     zero = RationalFunction.zero()
@@ -119,13 +248,17 @@ def test_rational_field_axioms():
         x = rand_rf(rng)
         y = rand_rf(rng)
         z = rand_rf(rng)
+        for r in (x + y, x - y, x * y, -x, x.derivative()):
+            assert_canonical_rf(r)
         assert (x + y) + z == x + (y + z)
         assert x * (y + z) == x * y + x * z
         assert (x * y) * z == x * (y * z)
+        assert hash(x * y) == hash(y * x)
         assert x + zero == x
         assert x * one == x
         assert x - x == zero
         if not y.is_zero():
+            assert_canonical_rf(x / y)
             assert (x / y) * y == x
             assert y * y.inverse() == one
 
@@ -174,7 +307,6 @@ def test_binomial_out_of_range():
 
 # -- Laurent fast paths against the Euclid oracle --------------------------------
 
-coeff = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 nonzero = coeff.filter(lambda c: c != 0)
 not_one = nonzero.filter(lambda c: c != 1)
 
@@ -210,26 +342,27 @@ def general_pair(draw):
 
 
 def euclid_form(num, den):
-    """Canonical (num, den) by hand: divide out the Euclid gcd, then make den monic."""
-    if num.is_zero():
-        return Polynomial(), Polynomial.one()
-    g = poly_gcd(num, den)
-    num, den = num // g, den // g
-    inv = 1 / den.leading()
-    return num * inv, den * inv
+    """Canonical (num, den) coefficient tuples by hand, on the plain reference:
+    divide out the Euclid gcd, then make den monic."""
+    if not num:
+        return (), (Fraction(1),)
+    g = ref_monic_gcd(num, den)
+    num, den = ref_divmod(num, g)[0], ref_divmod(den, g)[0]
+    inv = 1 / den[-1]
+    return ref_scale(num, inv), ref_scale(den, inv)
 
 
 def assert_canonical_as_euclid(r, num, den):
     want_num, want_den = euclid_form(num, den)
-    assert r.num.coeffs == want_num.coeffs
-    assert r.den.coeffs == want_den.coeffs
+    assert_canonical(r.num, want_num)
+    assert_canonical(r.den, want_den)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(pair=st.one_of(laurent_pair(), general_pair()))
 def test_canonical_form_matches_euclid(pair):
     num, den = pair
-    assert_canonical_as_euclid(RationalFunction(num, den), num, den)
+    assert_canonical_as_euclid(RationalFunction(num, den), num.coeffs, den.coeffs)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -239,6 +372,8 @@ def test_canonical_form_matches_euclid(pair):
 )
 def test_sum_matches_cross_multiplied_form(a, b):
     x, y = RationalFunction(*a), RationalFunction(*b)
-    cross = (x.num * y.den + y.num * x.den, x.den * y.den)
+    xn, xd, yn, yd = x.num.coeffs, x.den.coeffs, y.num.coeffs, y.den.coeffs
+    cross = (ref_add(ref_mul(xn, yd), ref_mul(yn, xd)), ref_mul(xd, yd))
     assert_canonical_as_euclid(x + y, *cross)
     assert_canonical_as_euclid(y + x, *cross)
+    assert hash(x + y) == hash(y + x)
