@@ -149,13 +149,31 @@ class Polynomial:
 
     # -- ring operations ---------------------------------------------------
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        return _combine(self, other, 1)
+        """Both sides scaled to the lcm of the two denominators, then added."""
+        if not other.nums:
+            return self
+        if not self.nums:
+            return other
+        da, db = self.den, other.den
+        x, y = self.nums, other.nums
+        if da != db:
+            g = gcd(da, db)
+            fa, fb = db // g, da // g
+            da *= fa
+            x = [c * fa for c in x]
+            y = [c * fb for c in y]
+        if len(x) < len(y):
+            x, y = y, x
+        out = list(x)
+        for i, c in enumerate(y):
+            out[i] += c
+        return _poly(out, da)
 
     def __neg__(self) -> "Polynomial":
         return _raw(tuple(-c for c in self.nums), self.den)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return _combine(self, other, -1)
+        return self + (-other)
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
@@ -301,28 +319,6 @@ class Polynomial:
 
 _ZERO = _raw((), 1)
 _ONE = _raw((1,), 1)
-
-
-def _combine(a: Polynomial, b: Polynomial, sign: int) -> Polynomial:
-    """a + sign * b over the lcm of the two denominators (sign is 1 or -1)."""
-    if not b.nums:
-        return a
-    if not a.nums:
-        return -b if sign < 0 else b
-    da, db = a.den, b.den
-    if da == db:
-        fa = fb = 1
-    else:
-        g = gcd(da, db)
-        fa, fb = db // g, da // g
-    fb *= sign
-    x = [c * fa for c in a.nums] if fa != 1 else list(a.nums)
-    y = [c * fb for c in b.nums]
-    if len(x) < len(y):
-        x, y = y, x
-    for i, c in enumerate(y):
-        x[i] += c
-    return _poly(x, da * fa)
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
