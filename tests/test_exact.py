@@ -95,7 +95,7 @@ polys = st.lists(st.one_of(coeff, coeff, wide), max_size=6).map(Polynomial)
 nonzero_polys = polys.filter(lambda p: not p.is_zero())
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(a=polys, b=polys, c=polys, k=st.one_of(coeff, st.integers(-5, 5)))
 def test_polynomial_ring_axioms(a, b, c, k):
     for p in (a, b, c):
