@@ -2,9 +2,10 @@
 
 Each model of the grid below is one case. Its digests cover the built
 operator's text, the verification report, the symbolic kernels and, at two
-windows, the float weight rows and the exact integer rows they come from. A
-change that moves any of them fails under the model's label and names the
-fields that moved.
+windows, the float weight rows and the exact integer rows they come from, plus
+the weight rows of the Simpson rule at W 385 and of the unprojected
+(``project=False``) trapezoid rule at W 64. A change that moves any of them
+fails under the model's label and names the fields that moved.
 
 Regenerate the file after a deliberate change with
 
@@ -64,6 +65,8 @@ def digests(model: ModelSpec) -> dict:
         dd = discretize(det, window=w)
         out[f"weights_W{w}"] = sha(dd.weights.tobytes())
         out[f"rows_W{w}"] = sha(repr(dd.exact_rows))
+    out["weights_simpson_W385"] = sha(discretize(det, window=385, rule="simpson").weights.tobytes())
+    out["weights_unprojected_W64"] = sha(discretize(det, window=64, project=False).weights.tobytes())
     return out
 
 
