@@ -12,7 +12,9 @@ and one gcd, a sum scales both sides to the lcm of the denominators, and
 division is pseudo-division on the integers; no ring operation makes a
 ``Fraction``. ``Fraction`` is the type at the boundary only: the constructor
 takes ``int``/``Fraction``/``str`` coefficients, and ``coeffs``,
-``__getitem__``, ``leading`` and ``binomial`` give ``Fraction``s.
+``__getitem__`` and ``leading`` give ``Fraction``s. ``render_terms`` is the
+one renderer of signed sums of monomials, for these polynomials and for the
+bivariate window kernels built from them.
 
 Operational images of polynomial pieces are Laurent polynomials in s
 (t^n/n! <-> s^-(n+1)), so almost every denominator the builder and the
@@ -26,9 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Tuple, Union
-
-Scalar = Union[int, Fraction]
+from typing import Iterable, Tuple
 
 
 def _frac(x) -> Fraction:
@@ -251,6 +251,15 @@ class Polynomial:
         return self.divmod(other)[1]
 
     # -- calculus / evaluation ----------------------------------------------
+    def dilate(self, x) -> "Polynomial":
+        """p(x * s) for an exact scalar x = p/q: numerator k times p^k * q^(d-k),
+        over den * q^d for degree d."""
+        if not self.nums:
+            return self
+        x = _frac(x)
+        p, q, d = x.numerator, x.denominator, len(self.nums) - 1
+        return _poly([c * p**k * q ** (d - k) for k, c in enumerate(self.nums)], self.den * q**d)
+
     def derivative(self) -> "Polynomial":
         return _poly([k * c for k, c in enumerate(self.nums)][1:], self.den)
 
@@ -291,27 +300,10 @@ class Polynomial:
 
     # -- rendering ------------------------------------------------------------
     def text(self, var: str = "s") -> str:
-        if not self.nums:
-            return "0"
-        parts = []
         den = self.den
-        for k in range(self.degree, -1, -1):
-            c = self.nums[k]
-            if not c:
-                continue
-            g = gcd(c, den)
-            mag = abs(c) // g
-            mag = str(mag) if den == g else f"{mag}/{den // g}"
-            if k == 0:
-                body = mag
-            else:
-                core = var if k == 1 else f"{var}^{k}"
-                body = core if mag == "1" else f"{mag}*{core}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f" + {body}" if c > 0 else f" - {body}")
-        return "".join(parts)
+        return render_terms(
+            (c, den, ((var, k),)) for k, c in reversed(tuple(enumerate(self.nums))) if c
+        )
 
     def term_count(self) -> int:
         return sum(1 for c in self.nums if c)
@@ -319,6 +311,29 @@ class Polynomial:
 
 _ZERO = _raw((), 1)
 _ONE = _raw((1,), 1)
+
+
+def render_terms(terms) -> str:
+    """The signed sum of terms (c, den, powers), in the order given.
+
+    Each term is the monomial c/den * prod var^k over powers ((var, k), ...),
+    with c != 0 and den > 0, rendered like ``3*u^2 - 1/2*T*u``: factors joined
+    by ``*``, a zero power left out, a magnitude of 1 left out unless the term
+    is a constant. No terms render as ``0``.
+    """
+    parts = []
+    for c, den, powers in terms:
+        g = gcd(c, den)
+        mag = str(abs(c) // g) if den == g else f"{abs(c) // g}/{den // g}"
+        atoms = [var if k == 1 else f"{var}^{k}" for var, k in powers if k]
+        if mag != "1" or not atoms:
+            atoms.insert(0, mag)
+        body = "*".join(atoms)
+        if parts:
+            parts.append(f" - {body}" if c < 0 else f" + {body}")
+        else:
+            parts.append(f"-{body}" if c < 0 else body)
+    return "".join(parts) or "0"
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -536,11 +551,3 @@ def _as_rf(x):
         return RationalFunction(Polynomial.constant(x))
     return NotImplemented
 
-
-def binomial(n: int, k: int) -> Fraction:
-    if k < 0 or k > n:
-        return Fraction(0)
-    num = 1
-    for i in range(k):
-        num = num * (n - i) // (i + 1)
-    return Fraction(num)

@@ -28,7 +28,7 @@ from ._csv import read_table, write_table
 from .builder import METHODS, ModelSpec, build_detector
 from .kernels import RULES, discretize, kernelize
 from .noise import NOISE_KINDS, apply_noise
-from .runtime import DetectConfig, Detection, detect_samples
+from .runtime import MODES, DetectConfig, Detection, detect_samples
 from .signals import SUITES, Carrier, Segment, SignalSpec, builtin_suite, render
 from .svgplot import HLine, Panel, Series, VLine, render_svg
 
@@ -341,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--dt", type=float, default=None, help="override inferred sample spacing")
     t.add_argument("--rule", choices=RULES, default="trapezoid")
     t.add_argument("--kappa", type=float, default=3.0, help="gate threshold multiplier")
-    t.add_argument("--mode", choices=["zero_crossing", "linear_estimate"], default="zero_crossing")
+    t.add_argument("--mode", choices=MODES, default="zero_crossing")
     t.add_argument("--scale", type=float, default=None,
                    help="fixed gate scale (default: batch MAD of the decision statistic)")
     t.add_argument("--min-separation", type=float, default=None,

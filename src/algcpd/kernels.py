@@ -7,15 +7,18 @@ A monomial c * s^-m * D^a acts on a window [0, T] of the signal as
 (m-fold integration collapsed by the Cauchy formula; D^a is multiplication
 by (-tau)^a in the original domain). Summing over the monomials of each delay
 coefficient gives one exact bivariate polynomial kernel K_v(T, tau) per delay
-power, and a quadrature rule turns each kernel into a weight row. All kernel
-algebra is Fraction-exact; floats appear only in the frozen weight arrays.
+power, and a quadrature rule turns each kernel into a weight row. A kernel is
+a tuple of exact ``Polynomial``s in tau, one per power of T, so all kernel
+algebra runs on the integer numerators of the exact field; floats appear only
+in the frozen weight arrays.
 
-A row is evaluated on the integer tap grid: with T fixed and tau = i * dt,
-K_v(T, i * dt) is a polynomial in the tap index i, so it is brought to one
-denominator D and summed by Horner over plain ints. Each weight is then the
-int quotient q_i.numerator * sum / (q_i.denominator * D), which rounds
-correctly, so the rows are still exact and every float is the correctly
-rounded image of its exact weight.
+A row is evaluated on the integer tap grid: T is substituted once, by Horner
+over the kernel's polynomials, and folding tau = i * dt into the result gives
+K_v(T, i * dt) as one canonical polynomial A(i) / D in the tap index i, summed
+by Horner over plain ints. Each weight is then the int quotient
+q_i.numerator * A(i) / (q_i.denominator * D), which rounds correctly, so the
+rows are still exact and every float is the correctly rounded image of its
+exact weight.
 """
 
 from __future__ import annotations
@@ -24,11 +27,11 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from ._exact import binomial
+from ._exact import Polynomial, render_terms
 from .builder import DetectorOperator
 from .operators import DiffOperator
 
@@ -36,71 +39,24 @@ from .operators import DiffOperator
 RULES = ("trapezoid", "simpson")
 
 
-class BivariatePoly:
-    """Exact polynomial in (T, tau): {(i, j): c} for c * T^i * tau^j."""
+class BivariatePoly(tuple):
+    """Exact polynomial in (T, tau), held as ``Polynomial``s in tau: item i is
+    the coefficient of T^i. The zero kernel is the empty tuple."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: Dict[Tuple[int, int], Fraction] | None = None):
-        clean = {}
-        if terms:
-            for key, c in terms.items():
-                if c != 0:
-                    clean[key] = c if isinstance(c, Fraction) else Fraction(c)
-        self.terms = clean
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "BivariatePoly") -> "BivariatePoly":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return BivariatePoly(out)
-
-    def tau_poly_at(self, T: Fraction) -> List[Fraction]:
-        """Coefficients in tau (ascending) with T substituted, exact."""
-        deg = max((j for (_, j) in self.terms), default=0)
-        out = [Fraction(0)] * (deg + 1)
-        for (i, j), c in self.terms.items():
-            out[j] += c * T**i
-        while out and out[-1] == 0:
-            out.pop()
-        return out
+    def at(self, T: Fraction) -> Polynomial:
+        """The polynomial in tau with T substituted, by Horner over the items."""
+        acc = Polynomial.zero()
+        for p in reversed(self):
+            acc = acc * T + p
+        return acc
 
     def text(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (i, j) in sorted(self.terms, key=lambda k: (-(k[0] + k[1]), -k[1])):
-            c = self.terms[(i, j)]
-            atoms = []
-            if i:
-                atoms.append("T" if i == 1 else f"T^{i}")
-            if j:
-                atoms.append("u" if j == 1 else f"u^{j}")
-            mag = abs(c)
-            if not atoms or mag != 1:
-                atoms.insert(0, str(mag))
-            body = "*".join(atoms)
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f" + {body}" if c > 0 else f" - {body}")
-        return "".join(parts)
-
-
-def _monomial_kernel(c: Fraction, m: int, a: int) -> BivariatePoly:
-    """Kernel of c * s^-m * D^a: c * (T-tau)^(m-1)/(m-1)! * (-tau)^a."""
-    fact = math.factorial(m - 1)
-    sign = Fraction(-1) ** a
-    terms: Dict[Tuple[int, int], Fraction] = {}
-    # (T - tau)^(m-1) = sum_k C(m-1,k) T^(m-1-k) (-tau)^k
-    for k in range(m):
-        coef = c * sign * binomial(m - 1, k) * Fraction(-1) ** k / fact
-        key = (m - 1 - k, k + a)
-        terms[key] = terms.get(key, Fraction(0)) + coef
-    return BivariatePoly(terms)
+        """Terms by falling total degree, then falling tau degree; tau renders as u."""
+        terms = [(i, j, c, p.den) for i, p in enumerate(self) for j, c in enumerate(p.nums) if c]
+        terms.sort(key=lambda t: (-t[0] - t[1], -t[1]))
+        return render_terms((c, den, (("T", i), ("u", j))) for i, j, c, den in terms)
 
 
 @dataclass(frozen=True)
@@ -129,14 +85,22 @@ def _integral_monomials(comp: DiffOperator) -> List[Tuple[Fraction, int, int]]:
     return out
 
 
+def _kernel(comp: DiffOperator) -> BivariatePoly:
+    """Sum over the monomials c * s^-m * D^a of comp of
+    c * (T - tau)^(m-1) / (m-1)! * (-tau)^a, whose T^i term is
+    c * C(m-1, i) / (m-1)! * (-tau)^(m-1-i+a)."""
+    cols: List[Polynomial] = []
+    for c, m, a in _integral_monomials(comp):
+        f = c / math.factorial(m - 1)
+        cols += [Polynomial.zero()] * (m - len(cols))
+        for i in range(m):
+            j = m - 1 - i + a
+            cols[i] = cols[i] + Polynomial.s_power(j, (-1) ** j * math.comb(m - 1, i) * f)
+    return BivariatePoly(cols)
+
+
 def kernelize(det: DetectorOperator) -> SymbolicKernel:
-    kernels = []
-    for comp in det.omega.coeffs:
-        k = BivariatePoly()
-        for c, m, a in _integral_monomials(comp):
-            k = k + _monomial_kernel(c, m, a)
-        kernels.append(k)
-    return SymbolicKernel(detector=det, kernels=tuple(kernels))
+    return SymbolicKernel(detector=det, kernels=tuple(_kernel(c) for c in det.omega.coeffs))
 
 
 def quadrature_weights(window: int, dt: Fraction, rule: str) -> List[Fraction]:
@@ -207,17 +171,6 @@ class DiscreteDetector:
         )
 
 
-def _integer_row(tau_coeffs: List[Fraction], h: Fraction) -> Tuple[int, Tuple[int, ...]]:
-    """(D, A) with sum_j tau_coeffs[j] * (i*h)^j == sum_j A[j] * i^j / D for all i.
-
-    Folding h^j into each coefficient turns the row into a polynomial in the
-    integer tap index; D > 0 is the common denominator of the folded terms.
-    """
-    folded = [c * h**j for j, c in enumerate(tau_coeffs)]
-    den = math.lcm(*(c.denominator for c in folded))
-    return den, tuple(c.numerator * (den // c.denominator) for c in folded)
-
-
 def _tap_numerators(coeffs: Tuple[int, ...], window: int) -> List[int]:
     """sum_j coeffs[j] * i^j at each tap i in range(window), Horner over ints."""
     rev = coeffs[::-1]
@@ -230,23 +183,25 @@ def _tap_numerators(coeffs: Tuple[int, ...], window: int) -> List[int]:
     return out
 
 
-def _annihilated_moments(kv: BivariatePoly, T: Fraction) -> List[int]:
-    """Moment degrees m with integral_0^T kv(T, tau) * tau^m dtau exactly zero.
+def _annihilated_moments(kv: BivariatePoly, row: Polynomial, T: Fraction) -> List[int]:
+    """Moment degrees m with integral_0^T row(tau) * tau^m dtau exactly zero,
+    where row = kv.at(T).
 
-    With row = kv.tau_poly_at(T), moment m is sum_j row[j] * T^(j+m+1) / (j+m+1);
-    T > 0, so it is zero exactly when sum_j row[j] * T^j / (j+m+1) is. The
-    range of m is bounded by kv's tau degree, not len(row): a trailing
-    coefficient of row can vanish at this T. These are identities of the exact
-    kernel (it annihilates the sampled model-family polynomials); the discrete
-    projection enforces the same identities on the quadrature weights.
+    Moment m is sum_j row[j] * T^(j+m+1) / (j+m+1); T > 0, so with N the
+    numerators of row(T * x) it is zero exactly when the integer
+    sum_j N[j] * L / (j+m+1) is, for L the lcm of the j+m+1. The range of m is
+    bounded by kv's tau degree, not row's: a trailing coefficient of row can
+    vanish at this T. These are identities of the exact kernel (it annihilates
+    the sampled model-family polynomials); the discrete projection enforces the
+    same identities on the quadrature weights.
     """
-    deg_tau = max((j for _, j in kv.terms), default=0)
-    scaled = [c * T**j for j, c in enumerate(kv.tau_poly_at(T))]
-    return [
-        m
-        for m in range(deg_tau + 2)
-        if sum(c / (j + m + 1) for j, c in enumerate(scaled)) == 0
-    ]
+    nums = row.dilate(T).nums
+    out = []
+    for m in range(max((p.degree for p in kv), default=0) + 2):
+        lcm = math.lcm(*range(m + 1, m + len(nums) + 1))
+        if not sum(c * (lcm // (j + m + 1)) for j, c in enumerate(nums)):
+            out.append(m)
+    return out
 
 
 def _project_out(row: np.ndarray, basis: List[np.ndarray]) -> np.ndarray:
@@ -292,7 +247,10 @@ def discretize(
     T = (window - 1) * h
     q = quadrature_weights(window, h, rule)
 
-    rows = [_integer_row(kv.tau_poly_at(T), h) for kv in kern.kernels]
+    # K_v(T, tau) at this T, then at tau = i * h: sum_j A[j] * i^j / D, read off
+    # the canonical Polynomial as (D, A)
+    tau_rows = [kv.at(T) for kv in kern.kernels]
+    rows = tuple((p.den, p.nums) for p in (r.dilate(h) for r in tau_rows))
     qn = [x.numerator for x in q]
     qd = [x.denominator for x in q]
     weights = np.array(
@@ -306,8 +264,8 @@ def discretize(
 
     if project:
         grid = np.arange(window, dtype=np.float64) / max(window - 1, 1)
-        for vi, kv in enumerate(kern.kernels):
-            basis = [grid ** m for m in _annihilated_moments(kv, T)]
+        for vi, (kv, row) in enumerate(zip(kern.kernels, tau_rows)):
+            basis = [grid ** m for m in _annihilated_moments(kv, row, T)]
             if basis:
                 weights[vi] = _project_out(weights[vi], basis)
         weights = np.ascontiguousarray(weights)
@@ -327,7 +285,7 @@ def discretize(
         dt=dt,
         rule=rule,
         weights=weights,
-        exact_rows=tuple(rows),
+        exact_rows=rows,
         t_mid=t_mid,
         w_mid=w_mid,
         wnorm=wnorm,

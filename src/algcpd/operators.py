@@ -19,12 +19,12 @@ form the kernelizer consumes.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ._exact import (
     Polynomial,
     RationalFunction,
-    binomial,
     poly_lcm,
 )
 
@@ -123,7 +123,7 @@ class DiffOperator:
                 # D^a o sigma = sum_j C(a,j) sigma^(j) D^(a-j)
                 sig_j = sigma
                 for j in range(a + 1):
-                    c = rho * sig_j * binomial(a, j)
+                    c = rho * sig_j * comb(a, j)
                     if not c.is_zero():
                         k = a - j + b
                         out[k] = out[k] + c if k in out else c
@@ -155,7 +155,7 @@ class DiffOperator:
         for a, rho in self.terms.items():
             cj = Fraction(1)
             for j in range(a + 1):
-                w = rho * (binomial(a, j) * cj)
+                w = rho * (comb(a, j) * cj)
                 if not w.is_zero():
                     k = a - j
                     out[k] = out[k] + w if k in out else w
@@ -307,7 +307,7 @@ def conjugate_by_delay(op: DiffOperator) -> OperatorPolynomial:
     coeffs: List[Dict[int, RF]] = [dict() for _ in range(op.order + 1)]
     for a, rho in op.terms.items():
         for j in range(a + 1):
-            w = rho * binomial(a, j)
+            w = rho * comb(a, j)
             slot = coeffs[j]
             k = a - j
             slot[k] = slot[k] + w if k in slot else w

@@ -40,6 +40,8 @@ import numpy as np
 from ._engine import eval_windows_raw
 from .kernels import DiscreteDetector
 
+# the decision modes DetectConfig knows
+MODES = ("zero_crossing", "linear_estimate")
 MAD_FACTOR = 1.4826  # normal-consistency factor for median absolute deviation
 _MIN_SCALE_HISTORY = 16
 # flank values gathered per step of the crossing gate (128 kB):
@@ -51,11 +53,11 @@ _SCREEN_ELEMENTS = 1 << 14
 class DetectConfig:
     kappa: float = 3.0
     min_separation: Optional[float] = None  # seconds; None -> window * dt
-    mode: str = "zero_crossing"  # or "linear_estimate"
+    mode: str = "zero_crossing"  # one of MODES
     scale: Optional[float] = None  # noise scale of d; None -> MAD estimate
 
     def __post_init__(self):
-        if self.mode not in ("zero_crossing", "linear_estimate"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not (math.isfinite(self.kappa) and self.kappa >= 0):
             raise ValueError("kappa must be finite and >= 0")

@@ -7,7 +7,7 @@ from math import gcd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algcpd._exact import Polynomial, RationalFunction, binomial, poly_gcd, poly_lcm
+from algcpd._exact import Polynomial, RationalFunction, poly_gcd, poly_lcm
 
 
 def rand_poly(rng, max_deg=4, zero_ok=True):
@@ -108,6 +108,7 @@ def test_polynomial_ring_axioms(a, b, c, k):
     assert_canonical(a * k, ref_scale(A, k))
     assert_canonical(k * a, ref_scale(A, k))
     assert_canonical(a.derivative(), [i * x for i, x in enumerate(A)][1:])
+    assert_canonical(a.dilate(k), [x * Fraction(k) ** i for i, x in enumerate(A)])
     if A:
         assert_canonical(a.monic(), ref_scale(A, 1 / A[-1]))
         assert a.leading() == A[-1]
@@ -207,6 +208,7 @@ def test_polynomial_text():
     assert p.text() == "s^2 - 2*s + 1"
     assert Polynomial().text() == "0"
     assert Polynomial([Fraction(3, 2)]).text() == "3/2"
+    assert Polynomial([-1, 1, 0, Fraction(-1, 2)]).text("u") == "-1/2*u^3 + u - 1"
 
 
 def test_rational_canonical_form():
@@ -278,20 +280,6 @@ def test_rational_text():
     )
     assert one_over_sm1.text() == "1/(s - 1)"
     assert RationalFunction.s_power(-2).text() == "1/s^2"
-
-
-def test_binomial():
-    assert binomial(5, 2) == Fraction(10)
-    assert binomial(4, 0) == 1
-    for n in range(1, 10):
-        for k in range(1, n + 1):
-            assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
-
-
-def test_binomial_out_of_range():
-    assert binomial(3, 5) == 0
-    assert binomial(-1, 0) == 0
-    assert binomial(4, -1) == 0
 
 
 # -- Laurent fast paths against the Euclid oracle --------------------------------

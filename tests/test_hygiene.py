@@ -1,4 +1,5 @@
-"""Source hygiene: no module in the package imports a name it never uses.
+"""Source hygiene: no module in the package imports a name it never uses,
+and no private module-level helper goes unused.
 
 A name listed in the module's `__all__` counts as used: that is how
 `__init__.py` re-exports.
@@ -42,3 +43,62 @@ def test_check_sees_an_unused_import(tmp_path):
                    "from json import dumps, loads\n__all__ = ['dumps']\n"
                    "def f(x: List[int]):\n    return sys.argv\n")
     assert unused_imports(mod) == [(2, "os"), (4, "loads")]
+
+
+def private_definitions(tree):
+    """{name: (line, node)} for the module-level functions, classes and
+    assignments whose name starts with one underscore."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                out[name] = (node.lineno, node)
+    return out
+
+
+def unreferenced_privates(paths):
+    """(file, line, name) for each private module-level name of paths that no
+    AST node of paths reads, leaving out the nodes of its own definition: a
+    load of the name, an attribute of that name, or an import of it."""
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in paths}
+    refs = []  # (name, node)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                refs.append((node.id, node))
+            elif isinstance(node, ast.Attribute):
+                refs.append((node.attr, node))
+            elif isinstance(node, ast.ImportFrom):
+                refs.extend((a.name, node) for a in node.names)
+    dead = []
+    for path, tree in trees.items():
+        for name, (line, definition) in private_definitions(tree).items():
+            own = {id(n) for n in ast.walk(definition)}
+            if not any(n == name and id(node) not in own for n, node in refs):
+                dead.append((path.name, line, name))
+    return sorted(dead)
+
+
+def test_no_unreferenced_private_helpers():
+    assert unreferenced_privates(SRC) == []
+
+
+def test_check_sees_an_unreferenced_private(tmp_path):
+    a = tmp_path / "a.py"
+    a.write_text("_LIMIT = 3\n_dead = 0\n_dead = 1\n"
+                 "def _used(x):\n    return x < _LIMIT\n"
+                 "def _recursive(n):\n    return _recursive(n - 1) if n else 0\n"
+                 "class _Shape:\n    pass\n"
+                 "def public():\n    return _used(1)\n")
+    b = tmp_path / "b.py"
+    b.write_text("from a import _Shape\nimport a\n_ALIAS = a._LIMIT\nprint(_ALIAS)\n")
+    assert unreferenced_privates([a, b]) == [("a.py", 3, "_dead"), ("a.py", 6, "_recursive")]
+    assert unreferenced_privates([a]) == [("a.py", 3, "_dead"), ("a.py", 6, "_recursive"),
+                                          ("a.py", 8, "_Shape")]

@@ -41,36 +41,77 @@ def test_step_kernel_golden():
     assert kern.text() == "K_0(T,u): 3*u^2 - 2*T*u\nK_1(T,u): -2*u + T"
 
 
-def exact_moment(kv, T, m):
-    """integral_0^T kv(T, tau) * tau^m dtau, straight from the kernel's terms."""
-    return sum(c * T ** (i + j + m + 1) / (j + m + 1) for (i, j), c in kv.terms.items())
+# -- an independent kernel reference, in plain Fractions ---------------------
+
+
+def reference_kernel(comp):
+    """{(i, j): c} for the terms c * T^i * u^j of comp's kernel, by the Cauchy
+    formula c * (T - u)^(m-1) / (m-1)! * (-u)^a summed over the monomials
+    c * s^-m * D^a of comp.laurent_terms(); (T - u)^(m-1) is multiplied out
+    factor by factor."""
+    out = {}
+    for c, e, a in comp.laurent_terms():
+        m = -e
+        assert m >= 1
+        power = {(0, 0): Fraction(1)}
+        for _ in range(m - 1):
+            nxt = {}
+            for (i, j), x in power.items():
+                nxt[(i + 1, j)] = nxt.get((i + 1, j), 0) + x
+                nxt[(i, j + 1)] = nxt.get((i, j + 1), 0) - x
+            power = nxt
+        scale = c * (-1) ** a / math.factorial(m - 1)
+        for (i, j), x in power.items():
+            out[(i, j + a)] = out.get((i, j + a), 0) + scale * x
+    return {k: x for k, x in out.items() if x}
+
+
+def reference_kernels(det):
+    return [reference_kernel(comp) for comp in det.omega.coeffs]
+
+
+def tau_coeffs_at(ref, T):
+    """Coefficients in u (ascending) of a reference kernel with T substituted."""
+    out = [Fraction(0)] * (max((j for _, j in ref), default=-1) + 1)
+    for (i, j), c in ref.items():
+        out[j] += c * T**i
+    return out
+
+
+def exact_moment(ref, T, m):
+    """integral_0^T K(T, tau) * tau^m dtau, from the reference kernel's terms."""
+    return sum(c * T ** (i + j + m + 1) / (j + m + 1) for (i, j), c in ref.items())
+
+
+def reference_moments(ref, T):
+    """Every vanishing moment degree up to the kernel's u degree + 1."""
+    top = max((j for _, j in ref), default=0) + 1
+    return [m for m in range(top + 1) if exact_moment(ref, T, m) == 0]
 
 
 def test_kernel_exact_moments():
     # step kernels integrate constants to zero on [0, T], exactly
     det = build_detector(ModelSpec.monomial(0, 0))
-    kern = kernelize(det)
     T = Fraction(63, 100)
-    for kv in kern.kernels:
-        assert exact_moment(kv, T, 0) == 0
+    for ref in reference_kernels(det):
+        assert exact_moment(ref, T, 0) == 0
 
 
 def test_kernel_moments_grow_with_model():
     det = build_detector(ModelSpec.monomial(2, 0))
-    kern = kernelize(det)
     T = Fraction(63, 100)
-    for kv in kern.kernels:
+    for ref in reference_kernels(det):
         for m in range(3):  # smooth degree bound 2: kills 1, t, t^2
-            assert exact_moment(kv, T, m) == 0
+            assert exact_moment(ref, T, m) == 0
     # the projection basis is every vanishing moment up to tau degree + 1;
     # the twice-differentiated step reaches that top one (tau degree 1, kills t^2)
     tops = []
     for model in (ModelSpec.monomial(2, 0), ModelSpec.monomial(0, 0, order=2)):
-        for kv in kernelize(build_detector(model)).kernels:
-            top = max(j for _, j in kv.terms) + 1
-            want = [m for m in range(top + 1) if exact_moment(kv, T, m) == 0]
-            assert kernels._annihilated_moments(kv, T) == want
-            tops.append(top in want)
+        det = build_detector(model)
+        for kv, ref in zip(kernelize(det).kernels, reference_kernels(det)):
+            want = reference_moments(ref, T)
+            assert kernels._annihilated_moments(kv, kv.at(T), T) == want
+            tops.append(max(j for _, j in ref) + 1 in want)
     assert any(tops)
 
 
@@ -198,9 +239,11 @@ def test_midpoint_collapse():
 
 
 def test_bivariate_poly_text():
-    p = BivariatePoly({(1, 0): Fraction(1), (0, 2): Fraction(-3)})
-    # T-degree renders as T, tau as u
-    assert "T" in p.text() and "u^2" in p.text()
+    # item i is the coefficient of T^i, a polynomial in tau (rendered u);
+    # terms run by falling total degree, then falling u degree
+    p = BivariatePoly((Polynomial(["1/2", 0, -3]), Polynomial([0, 1]), Polynomial(["-1/6"])))
+    assert p.text() == "-3*u^2 + T*u - 1/6*T^2 + 1/2"
+    assert BivariatePoly((Polynomial(), Polynomial([2]))).text() == "2*T"
     assert BivariatePoly().text() == "0"
 
 
@@ -208,15 +251,14 @@ def test_bivariate_poly_text():
 
 
 def fraction_horner_rows(det, window, dt, rule):
-    """Exact weight rows by one Fraction Horner evaluation per tap: the
-    reference that discretize's integer-grid rows must equal."""
-    kern = kernelize(det)
+    """Exact weight rows by one Fraction Horner evaluation per tap of the
+    reference kernels: what discretize's integer-grid rows must equal."""
     h = Fraction(dt)
     T = (window - 1) * h
     q = quadrature_weights(window, h, rule)
     rows = []
-    for kv in kern.kernels:
-        tau_coeffs = kv.tau_poly_at(T)
+    for ref in reference_kernels(det):
+        tau_coeffs = tau_coeffs_at(ref, T)
         row = []
         for i in range(window):
             tau = i * h
@@ -235,8 +277,8 @@ def reference_weights(det, exact_rows, dt, project):
         window = weights.shape[1]
         T = (window - 1) * Fraction(dt)
         grid = np.arange(window, dtype=np.float64) / (window - 1)
-        for vi, kv in enumerate(kernelize(det).kernels):
-            basis = [grid**m for m in kernels._annihilated_moments(kv, T)]
+        for vi, ref in enumerate(reference_kernels(det)):
+            basis = [grid**m for m in reference_moments(ref, T)]
             if basis:
                 weights[vi] = kernels._project_out(weights[vi], basis)
     return weights
@@ -262,6 +304,16 @@ ORACLE_DTS = (0.01, 0.001, 0.1, 1 / 3, 2**-7, 1e-6)
 def oracle_detector(name):
     spec, method = ORACLE_MODELS[name]
     return build_detector(spec, method=method)
+
+
+@pytest.mark.parametrize("model", list(ORACLE_MODELS))
+def test_kernelize_matches_cauchy_reference(model):
+    det = oracle_detector(model)
+    T = Fraction(63, 100)
+    for kv, ref in zip(kernelize(det).kernels, reference_kernels(det), strict=True):
+        got = {(i, j): c for i, p in enumerate(kv) for j, c in enumerate(p.coeffs) if c}
+        assert got == ref
+        assert kv.at(T).coeffs == tuple(tau_coeffs_at(ref, T))
 
 
 def check_against_reference(det, window, dt, rule):
