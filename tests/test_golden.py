@@ -7,6 +7,13 @@ the weight rows of the Simpson rule at W 385 and of the unprojected
 (``project=False``) trapezoid rule at W 64. A change that moves any of them
 fails under the model's label and names the fields that moved.
 
+The stream cases pin what a StreamDetector emits on pc5 at 10 dB normal noise
+(W 96, step detector, kappa 3), noise seeds 0-3: the event list of every call
+(call index, position, kind, repr of score and time; finalize is the call after
+the last push), fed one sample per push() and seven per push_chunk(), under a
+fixed scale and under the trailing MAD. The noisy samples are a case of their
+own, so a mismatch there reads as signal drift, not detector drift.
+
 Regenerate the file after a deliberate change with
 
     python tests/test_golden.py --write
@@ -18,6 +25,7 @@ import hashlib
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -31,8 +39,13 @@ import pytest  # noqa: E402
 from algcpd._exact import Polynomial, RationalFunction as RF  # noqa: E402
 from algcpd.builder import ModelSpec, build_detector, verify_detector  # noqa: E402
 from algcpd.kernels import discretize, kernelize  # noqa: E402
+from algcpd.noise import apply_noise  # noqa: E402
+from algcpd.runtime import DetectConfig, StreamDetector  # noqa: E402
+from algcpd.signals import builtin_suite, render  # noqa: E402
 
 WINDOWS = (64, 385)
+STREAM_SEEDS = range(4)
+STREAM_WINDOW = 96
 
 
 def model_grid():
@@ -70,18 +83,65 @@ def digests(model: ModelSpec) -> dict:
     return out
 
 
+def noisy_pc5(seed: int):
+    spec = builtin_suite("pc5")
+    _, clean = render(spec)
+    return spec.dt, apply_noise(clean, "normal", 10.0, seed)
+
+
+def signal_digests(seed: int) -> dict:
+    return {"samples": sha(noisy_pc5(seed)[1].tobytes())}
+
+
+def stream_events(dd, y, cfg: DetectConfig, chunk: int) -> list:
+    sd = StreamDetector(dd, cfg)
+    if chunk == 1:
+        calls = [sd.push(x) for x in y.tolist()]
+    else:
+        calls = [sd.push_chunk(y[i : i + chunk]) for i in range(0, y.size, chunk)]
+    calls.append(sd.finalize())
+    return [
+        (i, d.position, d.kind, repr(d.score), repr(d.time))
+        for i, got in enumerate(calls)
+        for d in got
+    ]
+
+
+def stream_digests(seed: int) -> dict:
+    dt, y = noisy_pc5(seed)
+    dd = discretize(build_detector(ModelSpec.monomial(0, 0)), window=STREAM_WINDOW, dt=dt)
+    out = {}
+    for name, scale in (("fixed", STREAM_WINDOW ** -0.5), ("mad", None)):
+        cfg = DetectConfig(kappa=3.0, scale=scale)
+        for chunk in (1, 7):
+            out[f"events_{name}_chunk{chunk}"] = sha(repr(stream_events(dd, y, cfg, chunk)))
+    return out
+
+
+def cases() -> dict:
+    """Every golden case: label -> the function making its digests."""
+    table = {label: partial(digests, m) for label, m in MODELS.items()}
+    for seed in STREAM_SEEDS:
+        table[f"signal(pc5,normal,snr_db=10,seed={seed})"] = partial(signal_digests, seed)
+        table[f"stream(pc5,normal,snr_db=10,seed={seed},W={STREAM_WINDOW})"] = partial(stream_digests, seed)
+    return table
+
+
+CASES = cases()
+
+
 def load_golden() -> dict:
     return json.loads(GOLDEN.read_text())
 
 
 def test_golden_covers_the_grid():
-    assert sorted(load_golden()) == sorted(MODELS)
+    assert sorted(load_golden()) == sorted(CASES)
 
 
-@pytest.mark.parametrize("label", list(MODELS))
+@pytest.mark.parametrize("label", list(CASES))
 def test_golden(label):
     want = load_golden()[label]
-    got = digests(MODELS[label])
+    got = CASES[label]()
     moved = sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
     assert not moved, f"{label}: digests moved: {moved}"
 
@@ -89,6 +149,6 @@ def test_golden(label):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_golden.py --write")
-    table = {label: digests(m) for label, m in MODELS.items()}
+    table = {label: make() for label, make in CASES.items()}
     GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(table)} cases to {GOLDEN}")

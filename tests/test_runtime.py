@@ -324,32 +324,53 @@ def test_trailing_mad_needs_16_positions(k, kept):
     assert len(got) == int(kept)
 
 
-@pytest.mark.parametrize("scale", [None, 96 ** -0.5], ids=["trailing_mad", "fixed"])
-@pytest.mark.parametrize("min_separation", [None, 0.5], ids=["sep_window", "sep_0.5s"])
-def test_stream_emission_lag_bound(scale, min_separation):
-    """Fed one sample per push(), each detection is emitted no later than the
-    push that completes position p + min_sep_pos + W//2 + 1, p being its own
-    position, even while later crossings are still queued (in noise they
-    almost always are)."""
+def assert_exact_emission_lag(scale, min_separation, chunk):
+    """Each detection at position p is returned by the call that completes
+    position p + min_sep_pos + W//2 + 1: one push() per sample for chunk 1,
+    push_chunk() of chunk samples otherwise. In noise later crossings are
+    almost always still queued when it comes out."""
     window = 96
     spec = builtin_suite("pc5")
     _, clean = render(spec)
     y = apply_noise(clean, "normal", 10.0, 0)
     dd = step_detector(window=window, dt=spec.dt)
     cfg = DetectConfig(kappa=3.0, scale=scale, min_separation=min_separation)
-    min_sep_pos = window if min_separation is None else round(min_separation / spec.dt)
-    bound = min_sep_pos + window // 2 + 1
+    min_sep_pos = window if min_separation is None else max(1, round(min_separation / spec.dt))
+    lag = min_sep_pos + window // 2 + 1
     sd = StreamDetector(dd, cfg)
-    lags = []
-    for i, x in enumerate(y.tolist()):
-        # position i + 1 - W is the last one this push completes
-        lags += [i + 1 - window - d.position for d in sd.push(x)]
+    emitted = 0
+    for i in range(0, y.size, chunk):
+        got = sd.push(float(y[i])) if chunk == 1 else sd.push_chunk(y[i : i + chunk])
+        # the call completes positions i + 1 - W .. min(i + chunk, n) - W
+        for d in got:
+            assert i - window < d.position + lag <= min(i + chunk, y.size) - window
+        emitted += len(got)
     sd.finalize()
-    assert len(lags) >= 3
-    assert max(lags) <= bound
+    assert emitted >= 3
     if scale is not None:
         _, batch = detect_samples(dd, y, cfg)
         assert as_tuples(sd.detections) == as_tuples(batch)
+
+
+SEPARATIONS = [None, 0.0, 0.5, 3.0]
+SEPARATION_IDS = ["sep_window", "sep_0s", "sep_0.5s", "sep_3s"]
+
+
+@pytest.mark.parametrize("scale", [None, 96 ** -0.5], ids=["trailing_mad", "fixed"])
+@pytest.mark.parametrize("min_separation", SEPARATIONS, ids=SEPARATION_IDS)
+def test_stream_emission_lag_bound(scale, min_separation):
+    """Fed one sample per push(), a detection at p comes out exactly
+    min_sep_pos + W//2 + 1 positions past p, min_sep_pos 1 and 300 being
+    below and above W=96."""
+    assert_exact_emission_lag(scale, min_separation, 1)
+
+
+@pytest.mark.parametrize("scale", [None, 96 ** -0.5], ids=["trailing_mad", "fixed"])
+@pytest.mark.parametrize("min_separation", SEPARATIONS, ids=SEPARATION_IDS)
+def test_stream_chunk_emission_lag(scale, min_separation):
+    """Fed seven samples per push_chunk(), a detection at p comes out of the
+    call that completes position p + min_sep_pos + W//2 + 1."""
+    assert_exact_emission_lag(scale, min_separation, 7)
 
 
 def test_stream_mad_scale_chunk_invariant():
@@ -416,20 +437,26 @@ def test_gate_matches_oracle_under_any_partition(
 
 
 def test_stream_push_storage_bounded():
-    """20 * max(8W, 512) single-sample pushes under the trailing MAD leave the
-    sample buffer and the ring's storage within a constant times the
-    max(8W, 512) + W positions they must keep."""
+    """20 * max(8W, 512) single-sample pushes leave the sample buffer and the
+    ring's storage within a constant times the max(8W, 512) + W positions
+    the trailing MAD must keep: under the trailing MAD, under a fixed scale,
+    and with min_separation 3 s (300 positions, above W)."""
     window = 96
     keep = max(8 * window, 512)
-    sd = StreamDetector(step_detector(window=window), DetectConfig())
     y = 0.1 * np.random.default_rng(2).standard_normal(20 * keep)
-    most_buf = most_ring = 0
-    for x in y.tolist():
-        sd.push(x)
-        most_buf = max(most_buf, sd._buf.shape[0])
-        most_ring = max(most_ring, sd._engine.ring._store[0].shape[0])
-    assert most_buf <= 4 * (keep + window)
-    assert most_ring <= 4 * (keep + window)
+    for cfg in (
+        DetectConfig(),
+        DetectConfig(scale=window ** -0.5),
+        DetectConfig(min_separation=3.0),
+    ):
+        sd = StreamDetector(step_detector(window=window), cfg)
+        most_buf = most_ring = 0
+        for x in y.tolist():
+            sd.push(x)
+            most_buf = max(most_buf, sd._buf.shape[0])
+            most_ring = max(most_ring, sd._engine.ring._store[0].shape[0])
+        assert most_buf <= 4 * (keep + window), cfg
+        assert most_ring <= 4 * (keep + window), cfg
 
 
 def test_median_matches_np_median_bit_for_bit():
@@ -471,12 +498,16 @@ def test_stream_bookkeeping():
     with pytest.raises(RuntimeError):
         sd.push(1.0)
     with pytest.raises(RuntimeError):
+        sd.push(math.nan)
+    with pytest.raises(RuntimeError):
         sd.push_chunk([1.0, 2.0])
+    assert sd.samples_seen == 100
 
 
 def test_stream_rejects_bad_chunks():
-    """A rejected chunk leaves the stream as it was: samples_seen and the
-    detections after a good continuation are those of a clean stream."""
+    """A rejected chunk or sample leaves the stream as it was: samples_seen
+    and the detections after a good continuation are those of a clean
+    stream. The bad samples come while good ones are still buffered."""
     dd = step_detector()
     rng = np.random.default_rng(3)
     y = step_signal(600, 0.01, [(2.0, 1.0), (4.5, -1.0)]) + 0.05 * rng.standard_normal(600)
@@ -489,7 +520,13 @@ def test_stream_rejects_bad_chunks():
     with pytest.raises(ValueError):
         sd.push_chunk(np.zeros((2, 2)))
     assert sd.samples_seen == 250
-    got += sd.push_chunk(y[250:]) + sd.finalize()
+    for x in y[250:260].tolist():
+        got += sd.push(x)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            sd.push(bad)
+        assert sd.samples_seen == 260
+    got += sd.push_chunk(y[260:]) + sd.finalize()
     clean = StreamDetector(dd, cfg)
     want = clean.push_chunk(y[:250]) + clean.push_chunk(y[250:]) + clean.finalize()
     assert len(want) == 2
