@@ -26,6 +26,12 @@ With an explicit cfg.scale batch and stream are bit-identical and chunk-size
 invariant; with cfg.scale=None batch uses the whole-trace MAD of d while the
 stream uses a trailing MAD at each crossing (a documented approximation, still
 chunk-size invariant).
+
+The engine is fed (feed) and drained (drain, finish) separately. Batch feeds
+the whole trace and finishes. The stream buffers samples until the engine's
+due() frontier says a detection could be emitted, then feeds every buffered
+position at once and drains; draining at any frontier gives the same
+emissions, so this only decides how often the stream pays for the engine.
 """
 
 from __future__ import annotations
@@ -291,35 +297,44 @@ class _GateEngine:
         self.finished = False
 
     # -- feeding -------------------------------------------------------------
-    def feed(self, vnu, v, d, rms, first_pos: int) -> List[Detection]:
+    def feed(self, vnu, v, d, rms, first_pos: int) -> None:
+        """Append the statistics of positions first_pos.. and queue their
+        crossings; drain() or finish() gates them."""
         if first_pos != self.ring.end:
             raise AssertionError("engine fed out of order")
         ring = self.ring
         ring.append(d, v, rms, vnu)
-        if d.shape[0] == 1 and first_pos:  # one pushed position, on Python floats
-            a, b = ring.d[-2:].tolist()
-            if a > 0.0 > b or a < 0.0 < b:
-                self.crossings.append(first_pos)
-        else:
-            lo = max(1, first_pos)  # crossings need a left neighbor
-            hi = ring.end - 1
-            if hi >= lo:
-                sign = np.sign(ring.d[lo - 1 - ring.base :])
-                found = np.flatnonzero(sign[:-1] * sign[1:] < 0)
-                if found.size:
-                    self.crossings.extend((found + lo).tolist())
-        return self._drain()
+        lo = max(1, first_pos)  # crossings need a left neighbor
+        if ring.end - 1 >= lo:
+            sign = np.sign(ring.d[lo - 1 - ring.base :])
+            found = np.flatnonzero(sign[:-1] * sign[1:] < 0)
+            if found.size:
+                self.crossings.extend((found + lo).tolist())
 
-    def finish(self) -> List[Detection]:
-        self.finished = True
-        out = self._drain()
+    def due(self) -> int:
+        """The least frontier (last fed position) at which drain() may emit,
+        or W//2 + W + 1 past the last fed position if that is less.
+
+        drain() emits a pending candidate once a new candidate lies more than
+        min_sep_pos past it, or once the frontier minus W//2 does; a new
+        candidate needs its crossing's right flank fed, and sits at the
+        crossing or one before. So nothing is emitted until the frontier minus
+        W//2 is more than min_sep_pos past the horizon: the least of the last
+        fed position (crossings not yet found lie past it), the position
+        before the first queued crossing, and the pending candidate. The cap
+        only drains earlier, and a caller that holds positions back until
+        this frontier holds O(W) of them whatever min_sep_pos is."""
+        last = self.ring.end - 1
+        horizon = last
+        if self.crossings:
+            horizon = min(horizon, self.crossings[0] - 1)
         if self.pending is not None:
-            out.append(self._emit(self.pending))
-            self.pending = None
-        return out
+            horizon = min(horizon, self.pending.position)
+        return min(horizon + self.min_sep_pos, last + self.window) + self.flank + 1
 
-    # -- internals -----------------------------------------------------------
-    def _drain(self) -> List[Detection]:
+    def drain(self) -> List[Detection]:
+        """Gate every crossing whose right flank is fed, emit what they and
+        the frontier resolve, and trim the ring."""
         out: List[Detection] = []
         frontier = self.ring.end - 1
         if self.finished:
@@ -341,6 +356,15 @@ class _GateEngine:
         self._trim()
         return out
 
+    def finish(self) -> List[Detection]:
+        self.finished = True
+        out = self.drain()
+        if self.pending is not None:
+            out.append(self._emit(self.pending))
+            self.pending = None
+        return out
+
+    # -- internals -----------------------------------------------------------
     def _trim(self) -> None:
         # a queued crossing lies past frontier - flank, so this keeps its
         # left flank, d[k-1] and the trailing MAD's history too
@@ -438,9 +462,8 @@ def detect(trace: DecisionTrace, cfg: DetectConfig = DetectConfig()) -> List[Det
     """Batch detection over a precomputed trace; the gate reads trace.d."""
     scale = cfg.scale if cfg.scale is not None else batch_mad_scale(trace.d)
     engine = _GateEngine(trace.window, trace.dt, trace.t_mid, trace.wnorm, cfg, trace.t0, scale)
-    out = engine.feed(trace.vnu, trace.v, trace.d, trace.rms, 0)
-    out.extend(engine.finish())
-    return out
+    engine.feed(trace.vnu, trace.v, trace.d, trace.rms, 0)
+    return engine.finish()
 
 
 def detect_samples(
@@ -459,18 +482,19 @@ class StreamDetector:
     With an explicit cfg.scale the emitted detections are bit-identical to the
     batch path on the same samples regardless of chunking; with cfg.scale=None
     the gate scale is a trailing MAD (chunk-invariant but not equal to the
-    batch whole-trace MAD). Fed one sample per push(), a detection is emitted
-    at most min_sep_pos + window//2 + 1 positions past its own position,
-    min_sep_pos being min_separation in samples (default: the window); a chunk
-    of n samples can add up to n - 1 more.
+    batch whole-trace MAD). A detection at position p is returned by the
+    push() or push_chunk() call that completes position
+    p + min_sep_pos + window//2 + 1, min_sep_pos being min_separation in
+    samples (default: the window), or by finalize() if the stream ends
+    first; fed one sample per push(), that is exactly
+    min_sep_pos + window//2 + 1 positions past p.
 
-    A push() costs a fixed number of NumPy calls: the engine's prefix-sum
-    short path over one window position, the decision statistic, and the
-    gate's bookkeeping. The sample buffer and the gate's ring append in
-    place, in amortized O(1), and however long the stream runs they hold
-    O(W) samples and O(W) positions, or O(max(8W, 512)) under the trailing
-    MAD. At W=96 (pc5 at 10 dB) a push
-    takes about 60 us on a 2-CPU VM under either scale.
+    push() and push_chunk() only buffer samples until a detection could be
+    emitted (_GateEngine.due). Then one engine call evaluates every buffered
+    position and one gate pass resolves every ready crossing, so the work of
+    a stream is that of a few large calls, not one per sample. The buffer
+    holds O(W) samples, and the gate's ring O(W) positions, or
+    O(max(8W, 512)) under the trailing MAD, however long the stream runs.
     """
 
     def __init__(
@@ -483,12 +507,13 @@ class StreamDetector:
         self.cfg = cfg
         self.t0 = t0
         self._engine = _GateEngine(dd.window, dd.dt, dd.t_mid, dd.wnorm, cfg, t0, cfg.scale)
-        # the sample buffer: the last min(samples_seen, W-1) samples are
-        # _buf[_lo:_hi], and a chunk is copied in right after them
+        # the sample buffer: _buf[_lo:_hi] holds the samples from the first
+        # position not yet evaluated on, and a chunk is copied in after them
         self._buf = np.empty(0, dtype=np.float64)
         self._lo = self._hi = 0
         self._seen = 0
-        self._positions = 0
+        self._positions = 0  # positions evaluated
+        self._due = self._engine.due() + dd.window  # samples_seen to evaluate at
         self.detections: List[Detection] = []
 
     @property
@@ -496,7 +521,13 @@ class StreamDetector:
         return self._seen
 
     def push(self, sample: float) -> List[Detection]:
-        return self.push_chunk(np.array([float(sample)], dtype=np.float64))
+        if self._engine.finished:
+            raise RuntimeError("stream already finalized")
+        x = float(sample)
+        if not math.isfinite(x):
+            raise ValueError("samples must be finite")
+        self._append(x, 1)
+        return self._advance()
 
     def push_chunk(self, chunk: Sequence[float]) -> List[Detection]:
         if self._engine.finished:
@@ -508,40 +539,49 @@ class StreamDetector:
             return []
         if not np.isfinite(chunk).all():
             raise ValueError("samples must be finite")
-        work = self._take(chunk)
-        self._seen += chunk.size
-        if work.size < self.dd.window:
+        self._append(chunk, chunk.size)
+        return self._advance()
+
+    def _append(self, samples, n: int) -> None:
+        """Copy n samples (a float when n is 1) in after the buffered ones,
+        and count them seen. When they do not fit, the buffered samples move
+        to the front of the buffer, in place, or, if the two do not fit at
+        all, to a new buffer twice their size. Single pushes so cost
+        amortized O(1), and the buffer is never more than twice the largest
+        buffered run plus chunk."""
+        held = self._hi - self._lo
+        if self._hi + n > self._buf.shape[0]:
+            buf = self._buf if held + n <= self._buf.shape[0] else np.empty(2 * (held + n))
+            buf[:held] = self._buf[self._lo : self._hi]  # NumPy copies an overlap safely
+            self._buf, self._lo, self._hi = buf, 0, held
+        self._buf[self._hi : self._hi + n] = samples
+        self._hi += n
+        self._seen += n
+
+    def _advance(self) -> List[Detection]:
+        if self._seen < self._due:
             return []
-        vnu, v, d, _, rms = _statistics(self.dd, work)
-        first = self._positions
-        self._positions += vnu.shape[1]
-        out = self._engine.feed(vnu, v, d, rms, first)
+        self._evaluate()
+        out = self._engine.drain()
+        self._due = self._engine.due() + self.dd.window
         self.detections.extend(out)
         return out
 
-    def _take(self, chunk: np.ndarray) -> np.ndarray:
-        """The tail and chunk, contiguous in the sample buffer, as a view;
-        the tail becomes the last W-1 samples of that view. When the chunk
-        does not fit after the tail, the tail moves to the front of the
-        buffer, in place, or, if the two do not fit at all, to a new buffer
-        twice their size. Single pushes so cost amortized O(1), and the
-        buffer is never more than twice the largest tail plus chunk."""
-        n = chunk.shape[0]
-        tail = self._hi - self._lo
-        if self._hi + n > self._buf.shape[0]:
-            buf = self._buf if tail + n <= self._buf.shape[0] else np.empty(2 * (tail + n))
-            buf[:tail] = self._buf[self._lo : self._hi]  # NumPy copies an overlap safely
-            self._buf, self._lo, self._hi = buf, 0, tail
-        hi = self._hi + n
-        self._buf[self._hi : hi] = chunk
-        work = self._buf[self._lo : hi]
-        self._lo = hi - min(work.shape[0], self.dd.window - 1)
-        self._hi = hi
-        return work
+    def _evaluate(self) -> None:
+        """Feed every complete position not yet evaluated to the gate; the
+        last W-1 samples stay buffered."""
+        work = self._buf[self._lo : self._hi]
+        if work.shape[0] < self.dd.window:
+            return
+        vnu, v, d, _, rms = _statistics(self.dd, work)
+        self._engine.feed(vnu, v, d, rms, self._positions)
+        self._positions += vnu.shape[1]
+        self._lo += vnu.shape[1]
 
     def finalize(self) -> List[Detection]:
         if self._engine.finished:
             return []
+        self._evaluate()
         out = self._engine.finish()
         self.detections.extend(out)
         return out

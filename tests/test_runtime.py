@@ -288,7 +288,8 @@ def gate_detect(trace, cfg):
     engine = runtime._GateEngine(
         trace.window, trace.dt, trace.t_mid, trace.wnorm, cfg, trace.t0, cfg.scale
     )
-    return engine.feed(trace.vnu, trace.v, trace.d, trace.rms, 0) + engine.finish()
+    engine.feed(trace.vnu, trace.v, trace.d, trace.rms, 0)
+    return engine.finish()
 
 
 @pytest.mark.parametrize("scale", [1.0, None], ids=["fixed", "trailing_mad"])
@@ -436,11 +437,75 @@ def test_gate_matches_oracle_under_any_partition(
     assert as_tuples(got) == as_tuples(gate_oracle(trace, cfg, scale))
 
 
+def eager_calls(trace, cfg, sizes, n):
+    """Per-call detections of a stream that feeds the gate every position a
+    call completes and drains it at every call, read from a batch trace; the
+    last list is finalize()'s."""
+    engine = runtime._GateEngine(
+        trace.window, trace.dt, trace.t_mid, trace.wnorm, cfg, trace.t0, cfg.scale
+    )
+    calls, fed, seen = [], 0, 0
+    for size in itertools.cycle(sizes):
+        if seen >= n:
+            break
+        seen = min(seen + size, n)
+        done = max(0, seen - trace.window + 1)
+        if done > fed:
+            cols = slice(fed, done)
+            engine.feed(trace.vnu[:, cols], trace.v[cols], trace.d[cols], trace.rms[cols], fed)
+            fed = done
+            calls.append(engine.drain())
+        else:
+            calls.append([])
+    calls.append(engine.finish())
+    return calls
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    window=st.sampled_from([16, 33, 64]),
+    n=st.integers(300, 1400),
+    steps=st.lists(
+        st.tuples(st.floats(0.0, 1.0), st.floats(-3.0, 3.0)), min_size=0, max_size=4
+    ),
+    noise=st.sampled_from([0.0, 0.05, 0.3]),
+    seed=st.integers(0, 2**16),
+    kappa=st.sampled_from([0.0, 2.0, 3.0]),
+    fixed=st.booleans(),
+    min_separation=st.sampled_from([None, 0.0, 0.05, 0.3, 1.5]),
+    sizes=st.lists(st.integers(1, 300), min_size=1, max_size=5),
+)
+def test_stream_emits_where_an_eager_drain_does(
+    window, n, steps, noise, seed, kappa, fixed, min_separation, sizes
+):
+    """However the samples are cut, and with min_separation below and above
+    W, every push_chunk() call returns exactly what a stream that drains the
+    gate at every call returns at that call."""
+    dt = 0.01
+    y = step_signal(n, dt, [(at * n * dt, amp) for at, amp in steps])
+    y = y + noise * np.random.default_rng(seed).standard_normal(n)
+    dd = step_detector(window=window, dt=dt)
+    scale = window ** -0.5 if fixed else None
+    cfg = DetectConfig(kappa=kappa, scale=scale, min_separation=min_separation)
+    sd = StreamDetector(dd, cfg)
+    got, i = [], 0
+    for size in itertools.cycle(sizes):
+        if i >= n:
+            break
+        got.append(as_tuples(sd.push_chunk(y[i : i + size])))
+        i += size
+    got.append(as_tuples(sd.finalize()))
+    want = [as_tuples(c) for c in eager_calls(eval_windows(dd, y), cfg, sizes, n)]
+    assert got == want
+
+
 def test_stream_push_storage_bounded():
     """20 * max(8W, 512) single-sample pushes leave the sample buffer and the
     ring's storage within a constant times the max(8W, 512) + W positions
     the trailing MAD must keep: under the trailing MAD, under a fixed scale,
-    and with min_separation 3 s (300 positions, above W)."""
+    and with min_separation 3 s (300 positions, above W). The samples held
+    never exceed 2W + W//2: W-1 for the next window, and at most W//2 + W + 1
+    positions' worth waiting to be evaluated, whatever min_separation is."""
     window = 96
     keep = max(8 * window, 512)
     y = 0.1 * np.random.default_rng(2).standard_normal(20 * keep)
@@ -450,13 +515,15 @@ def test_stream_push_storage_bounded():
         DetectConfig(min_separation=3.0),
     ):
         sd = StreamDetector(step_detector(window=window), cfg)
-        most_buf = most_ring = 0
+        most_buf = most_ring = most_held = 0
         for x in y.tolist():
             sd.push(x)
             most_buf = max(most_buf, sd._buf.shape[0])
             most_ring = max(most_ring, sd._engine.ring._store[0].shape[0])
+            most_held = max(most_held, sd._hi - sd._lo)
         assert most_buf <= 4 * (keep + window), cfg
         assert most_ring <= 4 * (keep + window), cfg
+        assert most_held <= 2 * window + window // 2, cfg
 
 
 def test_median_matches_np_median_bit_for_bit():
