@@ -55,6 +55,24 @@ def test_derive_seed_substreams():
     assert derive_seed(42, 1) == derive_seed(42, 1)
 
 
+@pytest.mark.parametrize("seed, tag, want", [
+    (0, 0, 0),
+    (1, 1, 10451216379200822465),
+    (24245, 3, 1963349937482147691),
+    (-1, 2, 16834447057089888969),
+    (-123456789, 4, 17032626291543687442),
+    (2 ** 63, 5, 903114586442990803),
+    (2 ** 64, 1, 16294208416658607535),
+    (2 ** 64 + 5, 0, 13168350753275463132),
+    (3 * 2 ** 70 + 17, 7, 578614372503024644),
+])
+def test_derive_seed_pinned(seed, tag, want):
+    """Substream seeds are splitmix64 of (seed + tag * GOLDEN) mod 2**64, a
+    Python int; seeds below 0 or at and above 2**64 wrap."""
+    got = derive_seed(seed, tag)
+    assert type(got) is int and got == want
+
+
 def test_perlin_lattice_zeros():
     params = PerlinParams(lattice_period=8, octaves=1)
     z = perlin(5, 64, params)

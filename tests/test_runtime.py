@@ -644,6 +644,20 @@ def test_detect_gates_trace_d_as_given(monkeypatch):
     assert as_tuples(detect(trace, cfg)) == as_tuples(want)
 
 
+def test_detect_gates_the_trace_in_place():
+    """The gate holds a batch trace's arrays as given: feeding a whole trace
+    copies none of d, v, rms or vnu."""
+    dd, y = gate_case()
+    trace = eval_windows(dd, y)
+    engine = runtime._GateEngine(
+        trace.window, trace.dt, trace.t_mid, trace.wnorm, DetectConfig(), trace.t0, 0.15
+    )
+    engine.feed(trace.vnu, trace.v, trace.d, trace.rms, 0)
+    held = engine.ring
+    for name in ("d", "v", "rms", "vnu"):
+        assert np.shares_memory(getattr(held, name), getattr(trace, name)), name
+
+
 def test_decision_statistic_formula():
     """eval_windows' d is the documented expression, bit for bit:
     v / (wnorm * sqrt(W) * (sigma + SIGMA_FLOOR * rms) + EPSILON).
