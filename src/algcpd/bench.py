@@ -21,7 +21,7 @@ import numpy as np
 from ._csv import read_table, write_table
 from .builder import METHODS, ModelSpec, build_detector
 from .kernels import RULES, DiscreteDetector, discretize
-from .noise import NOISE_KINDS, apply_noise
+from .noise import NOISE_KINDS, apply_noise, noise_power_ratio
 from .runtime import DetectConfig, detect_samples
 from .signals import builtin_suite, render
 
@@ -100,6 +100,7 @@ class Campaign:
     def __post_init__(self) -> None:
         if self.noise_kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.noise_kind!r}; pick from {NOISE_KINDS}")
+        noise_power_ratio(self.snr_db)
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
 

@@ -212,6 +212,8 @@ def cmd_simulate(args) -> int:
 
 
 def _infer_dt(times: np.ndarray, override: Optional[float]) -> float:
+    if not np.isfinite(times).all():
+        raise ValueError("time column must be finite")
     if override is not None:
         return override
     if times.size < 2:
@@ -220,7 +222,7 @@ def _infer_dt(times: np.ndarray, override: Optional[float]) -> float:
     if dt <= 0:
         raise ValueError("time column must be strictly increasing")
     gaps = np.diff(times)
-    if np.max(np.abs(gaps - dt)) > 1e-6 * dt:
+    if not np.all(np.abs(gaps - dt) <= 1e-6 * dt):
         raise ValueError("time column is not a uniform grid; pass --dt to override")
     return dt
 

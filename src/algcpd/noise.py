@@ -34,16 +34,11 @@ def _mix_u64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _mix_scalar(z: int) -> int:
-    z &= _MASK
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-    return z ^ (z >> 31)
-
-
 def derive_seed(seed: int, tag: int) -> int:
-    """Independent substream seed for a purpose tag."""
-    return _mix_scalar((seed + tag * GOLDEN) & _MASK)
+    """Independent substream seed for a purpose tag. The finalizer runs on a
+    1-element array: uint64 arrays wrap silently, NumPy scalars warn."""
+    z = np.array([(seed + tag * GOLDEN) & _MASK], dtype=np.uint64)
+    return int(_mix_u64(z)[0])
 
 
 def uniforms(seed: int, n: int, offset: int = 0) -> np.ndarray:
@@ -132,6 +127,19 @@ def measured_snr_db(clean: np.ndarray, noisy: np.ndarray) -> float:
     return 10.0 * math.log10(p_sig / p_noise)
 
 
+def noise_power_ratio(snr_db: float) -> float:
+    """The noise power per unit signal power at snr_db, 10 ** (-snr_db / 10):
+    0.0 at +inf dB. A NaN SNR, or one so low that the ratio is no finite
+    float (-inf, or below about -3083 dB), is a ValueError."""
+    try:
+        ratio = 10.0 ** (-snr_db / 10.0)
+    except OverflowError:
+        ratio = math.inf
+    if not math.isfinite(ratio):
+        raise ValueError(f"snr_db {snr_db!r} gives no finite noise power")
+    return ratio
+
+
 def apply_noise(
     clean: np.ndarray,
     kind: str,
@@ -141,6 +149,7 @@ def apply_noise(
 ) -> np.ndarray:
     """Corrupt `clean` at exactly `snr_db` (realized power, per seed)."""
     clean = np.asarray(clean, dtype=np.float64)
+    ratio = noise_power_ratio(snr_db)
     if kind == "none":
         return clean.copy()
     if kind not in NOISE_KINDS:
@@ -149,7 +158,7 @@ def apply_noise(
     p_sig = float(np.mean(np.square(clean)))
     if p_sig == 0.0:
         raise ValueError("cannot set an SNR against an all-zero signal")
-    target = p_sig * 10.0 ** (-snr_db / 10.0)
+    target = p_sig * ratio
 
     if kind == "mult_uniform":
         factor = uniforms(derive_seed(seed, 3), n) * 2.0 - 1.0

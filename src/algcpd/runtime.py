@@ -194,59 +194,6 @@ def batch_mad_scale(d: np.ndarray) -> float:
     return MAD_FACTOR * _median(np.abs(d - med))
 
 
-class _Ring:
-    """Trailing window statistics with absolute-position indexing.
-
-    d, v, rms and vnu are views of the live positions, base to end, in
-    storage with room to append. An append that fits is written in place;
-    one that does not moves the live positions into new storage of twice
-    their count plus the append, so one-position appends cost amortized
-    O(1) and a large append copies what np.concatenate would. The first
-    append is held as given, without a copy (a whole batch trace, say), and
-    is never written to: the next append always moves."""
-
-    def __init__(self):
-        self.base = 0
-        self._lo = self._hi = 0  # the live columns of storage
-        empty = np.empty(0, dtype=np.float64)
-        self._store = (empty, empty, empty, np.empty((0, 0), dtype=np.float64))
-        self._view()
-
-    @property
-    def end(self) -> int:
-        return self.base + self._hi - self._lo
-
-    def append(self, d, v, rms, vnu) -> None:
-        new = (d, v, rms, vnu)
-        if self._hi == 0:  # the first append: hold it
-            self._store, self._hi = new, d.shape[0]
-        else:
-            hi = self._hi + d.shape[0]
-            if hi > self._store[0].shape[0]:
-                live = self._hi - self._lo
-                cap = 2 * live + d.shape[0]
-                store = tuple(np.empty(a.shape[:-1] + (cap,), dtype=np.float64) for a in new)
-                for dst, src in zip(store, (self.d, self.v, self.rms, self.vnu)):
-                    dst[..., :live] = src
-                self._store, self._lo, self._hi, hi = store, 0, live, live + d.shape[0]
-            for dst, src in zip(self._store, new):
-                dst[..., self._hi : hi] = src
-            self._hi = hi
-        self._view()
-
-    def trim(self, keep_from: int) -> None:
-        cut = keep_from - self.base
-        if cut > 0:
-            self._lo += cut
-            self.base = keep_from
-            self._view()
-
-    def _view(self) -> None:
-        lo, hi = self._lo, self._hi
-        d, v, rms, vnu = self._store
-        self.d, self.v, self.rms, self.vnu = d[lo:hi], v[lo:hi], rms[lo:hi], vnu[:, lo:hi]
-
-
 @dataclass
 class _Pending:
     position: int
@@ -263,6 +210,11 @@ class _GateEngine:
     the caller already holds: the delay-row values vnu, their collapse v, the
     normalized d and the rms. One gate, _gate, resolves every ready crossing
     under either scale; see it for the order in which its tests prune.
+
+    The history the gate reads is d, v, rms and vnu of positions base to
+    end, as plain arrays. A feed to an empty history holds the arrays as
+    given, so a batch trace is gated where it lies; a later feed
+    concatenates, and _trim slices off the positions no crossing reads again.
     """
 
     def __init__(
@@ -288,25 +240,36 @@ class _GateEngine:
         sep = cfg.min_separation
         if sep is None:
             self.min_sep_pos = window
-        else:
+        elif math.isfinite(sep / dt):
             self.min_sep_pos = max(1, int(round(sep / dt)))
-        self.ring = _Ring()
+        else:
+            raise ValueError(f"min_separation {sep!r} s is not a finite number of {dt!r} s steps")
+        self.base = 0  # the position of the history's first column
+        self.d = self.v = self.rms = np.empty(0)
+        self.vnu = np.empty((0, 0))
         self.crossings: List[int] = []  # queued, ascending
         self.pending: Optional[_Pending] = None
         self.wnorm_sqrtw = wnorm * math.sqrt(window)
         self.finished = False
 
+    @property
+    def end(self) -> int:
+        """One past the last fed position."""
+        return self.base + self.d.shape[0]
+
     # -- feeding -------------------------------------------------------------
     def feed(self, vnu, v, d, rms, first_pos: int) -> None:
         """Append the statistics of positions first_pos.. and queue their
         crossings; drain() or finish() gates them."""
-        if first_pos != self.ring.end:
+        if first_pos != self.end:
             raise AssertionError("engine fed out of order")
-        ring = self.ring
-        ring.append(d, v, rms, vnu)
+        if self.d.shape[0]:
+            d, v, rms = (np.concatenate(p) for p in ((self.d, d), (self.v, v), (self.rms, rms)))
+            vnu = np.concatenate((self.vnu, vnu), axis=1)
+        self.d, self.v, self.rms, self.vnu = d, v, rms, vnu
         lo = max(1, first_pos)  # crossings need a left neighbor
-        if ring.end - 1 >= lo:
-            sign = np.sign(ring.d[lo - 1 - ring.base :])
+        if self.end - 1 >= lo:
+            sign = np.sign(self.d[lo - 1 - self.base :])
             found = np.flatnonzero(sign[:-1] * sign[1:] < 0)
             if found.size:
                 self.crossings.extend((found + lo).tolist())
@@ -324,7 +287,7 @@ class _GateEngine:
         before the first queued crossing, and the pending candidate. The cap
         only drains earlier, and a caller that holds positions back until
         this frontier holds O(W) of them whatever min_sep_pos is."""
-        last = self.ring.end - 1
+        last = self.end - 1
         horizon = last
         if self.crossings:
             horizon = min(horizon, self.crossings[0] - 1)
@@ -334,9 +297,9 @@ class _GateEngine:
 
     def drain(self) -> List[Detection]:
         """Gate every crossing whose right flank is fed, emit what they and
-        the frontier resolve, and trim the ring."""
+        the frontier resolve, and trim the history."""
         out: List[Detection] = []
-        frontier = self.ring.end - 1
+        frontier = self.end - 1
         if self.finished:
             taken = len(self.crossings)
         else:
@@ -368,37 +331,40 @@ class _GateEngine:
     def _trim(self) -> None:
         # a queued crossing lies past frontier - flank, so this keeps its
         # left flank, d[k-1] and the trailing MAD's history too
-        anchor = self.ring.end - (2 * self.flank + 2) - self.trailing
-        self.ring.trim(max(self.ring.base, anchor))
+        cut = self.end - (2 * self.flank + 2) - self.trailing - self.base
+        if cut > 0:
+            self.base += cut
+            self.d, self.v, self.rms = self.d[cut:], self.v[cut:], self.rms[cut:]
+            self.vnu = self.vnu[:, cut:]
 
     def _gate(self, ks: List[int]) -> List[_Pending]:
         """Candidates of the ready crossings ks (ascending), in position order.
 
         The left flank of crossing k is d[k - W/2 .. k-1] and the right one
-        d[k .. k + W/2], clipped to the ring at the stream start and at
+        d[k .. k + W/2], clipped to the history at the stream start and at
         finish(). A clipped flank is gathered with its index clamped into it:
         a repeated value changes no max, min or NaN. The cheap tests prune
         first. Under a fixed scale: the left flank of every crossing, the
         right flank where the left passed, then |v| for the dust floor on
         flank survivors. Under the trailing MAD: both flanks and |v| for every
         crossing, then the median only where the dust floor passed."""
-        ring, f = self.ring, self.flank
+        f = self.flank
         out: List[_Pending] = []
         step = max(1, _SCREEN_ELEMENTS // (f + 1))
         for lo in range(0, len(ks), step):
-            col = np.array(ks[lo : lo + step], dtype=np.int64) - ring.base
+            col = np.array(ks[lo : lo + step], dtype=np.int64) - self.base
             # +1 where d falls through zero at k, -1 where it rises
-            sign = np.where(ring.d[col - 1] > 0, 1.0, -1.0)
+            sign = np.where(self.d[col - 1] > 0, 1.0, -1.0)
             score = np.inf  # becomes the smaller flank excursion
             for offsets, side in ((self._flanks[:f], 1.0), (self._flanks[f:], -1.0)):
-                flank = np.take(ring.d, col[:, None] + offsets, mode="clip")
+                flank = np.take(self.d, col[:, None] + offsets, mode="clip")
                 score = np.minimum(score, (flank * (side * sign)[:, None]).max(axis=1))
                 if self.scale is not None:
                     keep = self._reaching(col, score)
                     col, sign, score = col[keep], sign[keep], score[keep]
             # float dust floor (DUST): BOTH flanks must carry a macroscopic v
-            v = np.abs(np.take(ring.v, col[:, None] + self._flanks, mode="clip"))
-            floor = DUST * self.wnorm_sqrtw * ring.rms[col]
+            v = np.abs(np.take(self.v, col[:, None] + self._flanks, mode="clip"))
+            floor = DUST * self.wnorm_sqrtw * self.rms[col]
             keep = ~(np.minimum(v[:, :f].max(axis=1), v[:, f:].max(axis=1)) <= floor)
             col, score = col[keep], score[keep]
             if self.scale is None:
@@ -408,14 +374,14 @@ class _GateEngine:
         return out
 
     def _reaching(self, col: np.ndarray, score: np.ndarray) -> np.ndarray:
-        """Mask of the crossings at ring columns col whose flank excursions
+        """Mask of the crossings at history columns col whose flank excursions
         all reach kappa times the scale (a NaN excursion never does). The
         trailing MAD is that of d over the trailing positions ending at the
         crossing's right flank end; under 16 of them it is inf."""
         if self.scale is not None:
             threshold = self.cfg.kappa * self.scale
         else:
-            d = self.ring.d
+            d = self.d
             threshold = np.empty(col.size)
             for i, hi in enumerate(np.minimum(col + self.flank, d.size - 1).tolist()):
                 window = d[max(0, hi + 1 - self.trailing) : hi + 1]
@@ -424,15 +390,14 @@ class _GateEngine:
         return score >= threshold
 
     def _candidate(self, k: int, score: float) -> _Pending:
-        """The candidate of the passing crossing at ring column k."""
-        ring = self.ring
-        col = k - 1 if abs(ring.d[k - 1]) <= abs(ring.d[k]) else k
-        k_star = ring.base + col
+        """The candidate of the passing crossing at history column k."""
+        col = k - 1 if abs(self.d[k - 1]) <= abs(self.d[k]) else k
+        k_star = self.base + col
         if self.cfg.mode == "zero_crossing":
             time = self.t0 + k_star * self.dt + self.t_mid
         else:
-            v0 = float(ring.vnu[0, col])
-            v1 = float(ring.vnu[1, col]) if ring.vnu.shape[0] > 1 else 0.0
+            v0 = float(self.vnu[0, col])
+            v1 = float(self.vnu[1, col]) if self.vnu.shape[0] > 1 else 0.0
             if v1 != 0.0:
                 local = -v0 / v1
                 span = (self.window - 1) * self.dt
@@ -492,9 +457,10 @@ class StreamDetector:
     push() and push_chunk() only buffer samples until a detection could be
     emitted (_GateEngine.due). Then one engine call evaluates every buffered
     position and one gate pass resolves every ready crossing, so the work of
-    a stream is that of a few large calls, not one per sample. The buffer
-    holds O(W) samples, and the gate's ring O(W) positions, or
-    O(max(8W, 512)) under the trailing MAD, however long the stream runs.
+    a stream is that of a few large calls, not one per sample. The sample
+    buffer grows to twice what it must hold, and never shrinks: it holds
+    O(W) samples, and the gate's history O(W) positions, or O(max(8W, 512))
+    under the trailing MAD, however long the stream runs.
     """
 
     def __init__(
@@ -507,18 +473,16 @@ class StreamDetector:
         self.cfg = cfg
         self.t0 = t0
         self._engine = _GateEngine(dd.window, dd.dt, dd.t_mid, dd.wnorm, cfg, t0, cfg.scale)
-        # the sample buffer: _buf[_lo:_hi] holds the samples from the first
+        # the sample buffer: _buf[:_held] holds the samples from the first
         # position not yet evaluated on, and a chunk is copied in after them
         self._buf = np.empty(0, dtype=np.float64)
-        self._lo = self._hi = 0
-        self._seen = 0
-        self._positions = 0  # positions evaluated
-        self._due = self._engine.due() + dd.window  # samples_seen to evaluate at
+        self._held = 0
+        self._due = self._engine.due() + dd.window  # _held to evaluate at
         self.detections: List[Detection] = []
 
     @property
     def samples_seen(self) -> int:
-        return self._seen
+        return self._engine.end + self._held
 
     def push(self, sample: float) -> List[Detection]:
         if self._engine.finished:
@@ -543,40 +507,38 @@ class StreamDetector:
         return self._advance()
 
     def _append(self, samples, n: int) -> None:
-        """Copy n samples (a float when n is 1) in after the buffered ones,
-        and count them seen. When they do not fit, the buffered samples move
-        to the front of the buffer, in place, or, if the two do not fit at
-        all, to a new buffer twice their size. Single pushes so cost
-        amortized O(1), and the buffer is never more than twice the largest
-        buffered run plus chunk."""
-        held = self._hi - self._lo
-        if self._hi + n > self._buf.shape[0]:
-            buf = self._buf if held + n <= self._buf.shape[0] else np.empty(2 * (held + n))
-            buf[:held] = self._buf[self._lo : self._hi]  # NumPy copies an overlap safely
-            self._buf, self._lo, self._hi = buf, 0, held
-        self._buf[self._hi : self._hi + n] = samples
-        self._hi += n
-        self._seen += n
+        """Copy n samples (a float when n is 1) in after the held ones. When
+        they do not fit, the held samples move to a new buffer of twice the
+        two counts together, so single pushes cost amortized O(1) and the
+        buffer is never more than twice the largest held run plus chunk."""
+        held = self._held + n
+        if held > self._buf.shape[0]:
+            buf = np.empty(2 * held)
+            buf[: self._held] = self._buf[: self._held]
+            self._buf = buf
+        self._buf[self._held : held] = samples
+        self._held = held
 
     def _advance(self) -> List[Detection]:
-        if self._seen < self._due:
+        if self._held < self._due:
             return []
         self._evaluate()
         out = self._engine.drain()
-        self._due = self._engine.due() + self.dd.window
+        self._due = self._engine.due() + self.dd.window - self._engine.end
         self.detections.extend(out)
         return out
 
     def _evaluate(self) -> None:
-        """Feed every complete position not yet evaluated to the gate; the
-        last W-1 samples stay buffered."""
-        work = self._buf[self._lo : self._hi]
+        """Feed every complete position not yet evaluated to the gate, and
+        move the last W-1 samples, the next window's, to the front."""
+        work = self._buf[: self._held]
         if work.shape[0] < self.dd.window:
             return
         vnu, v, d, _, rms = _statistics(self.dd, work)
-        self._engine.feed(vnu, v, d, rms, self._positions)
-        self._positions += vnu.shape[1]
-        self._lo += vnu.shape[1]
+        self._engine.feed(vnu, v, d, rms, self._engine.end)
+        keep = self.dd.window - 1
+        self._buf[:keep] = work[work.shape[0] - keep :]  # NumPy copies an overlap safely
+        self._held = keep
 
     def finalize(self) -> List[Detection]:
         if self._engine.finished:

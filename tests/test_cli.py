@@ -119,6 +119,20 @@ def test_simulate_rejects_non_finite_duration(tmp_path, capsys, duration):
     assert not sig.exists()
 
 
+@pytest.mark.parametrize("snr", ["nan", "-inf", "-4000"])
+def test_simulate_rejects_snr_without_finite_noise_power(tmp_path, capsys, snr):
+    """An SNR that is NaN, or so low that the noise power overflows, is a
+    one-line error, not a NaN signal or a traceback."""
+    sig = tmp_path / "sig.csv"
+    code, out, err = run(capsys, "simulate", "--suite", "pc5", "--noise", "normal",
+                         f"--snr={snr}", "--seed", "1", "--out", str(sig))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert len(err.strip().splitlines()) == 1
+    assert not sig.exists()
+
+
 def test_detect_stdout_and_trace(tmp_path, capsys):
     cfg = tmp_path / "step.json"
     write_step_config(cfg)
@@ -143,12 +157,36 @@ def test_detect_rejects_ragged_grid(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("rows, flags", [
+    ([5], []),
+    ([150, 151], []),
+    ([0], ["--dt", "0.01"]),
+], ids=["one", "two", "first-dt"])
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_detect_rejects_non_finite_times(tmp_path, capsys, bad, rows, flags):
+    """A nan or inf in the time column is a one-line error, not a grid that
+    passes as uniform, nor, under --dt, a t0 that makes every time nan."""
+    cfg = tmp_path / "step.json"
+    write_step_config(cfg)
+    sig = tmp_path / "sig.csv"
+    run(capsys, "simulate", "--config", str(cfg), "--out", str(sig))
+    times, values = read_signal_csv(str(sig))
+    times[rows] = float(bad)
+    write_signal_csv(str(sig), times, values)
+    code, out, err = run(capsys, "detect", "--in", str(sig), *flags)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--kappa", "nan"),
     ("--kappa", "inf"),
     ("--scale", "nan"),
     ("--dt", "inf"),
     ("--min-separation", "inf"),
+    ("--min-separation", "1e308"),
 ])
 def test_detect_rejects_non_finite_parameters(tmp_path, capsys, flag, value):
     """A non-finite gate or grid parameter is a one-line error, not an empty list."""
@@ -305,7 +343,8 @@ def test_bench_emit_trials_needs_out(capsys):
     {"setup": {"kappa": -1.0}},
     {"setup": {"kappa": float("nan")}},
     {"setup": {"scale": -0.5}},
-], ids=["noise", "method", "rule", "mode", "kappa", "kappa_nan", "scale"])
+    {"snr_db": float("nan")},
+], ids=["noise", "method", "rule", "mode", "kappa", "kappa_nan", "scale", "snr_nan"])
 def test_bench_config_checked_before_any_trial(tmp_path, capsys, monkeypatch, bad):
     """A bad value in the second campaign is a one-line error raised before
     the first campaign runs a trial; no report is written."""

@@ -501,7 +501,7 @@ def test_stream_emits_where_an_eager_drain_does(
 
 def test_stream_push_storage_bounded():
     """20 * max(8W, 512) single-sample pushes leave the sample buffer and the
-    ring's storage within a constant times the max(8W, 512) + W positions
+    storage of the gate's history within a constant times the max(8W, 512) + W positions
     the trailing MAD must keep: under the trailing MAD, under a fixed scale,
     and with min_separation 3 s (300 positions, above W). The samples held
     never exceed 2W + W//2: W-1 for the next window, and at most W//2 + W + 1
@@ -515,14 +515,15 @@ def test_stream_push_storage_bounded():
         DetectConfig(min_separation=3.0),
     ):
         sd = StreamDetector(step_detector(window=window), cfg)
-        most_buf = most_ring = most_held = 0
+        most_buf = most_history = most_held = 0
         for x in y.tolist():
             sd.push(x)
             most_buf = max(most_buf, sd._buf.shape[0])
-            most_ring = max(most_ring, sd._engine.ring._store[0].shape[0])
-            most_held = max(most_held, sd._hi - sd._lo)
+            d = sd._engine.d
+            most_history = max(most_history, (d if d.base is None else d.base).shape[0])
+            most_held = max(most_held, sd._held)
         assert most_buf <= 4 * (keep + window), cfg
-        assert most_ring <= 4 * (keep + window), cfg
+        assert most_history <= 4 * (keep + window), cfg
         assert most_held <= 2 * window + window // 2, cfg
 
 
@@ -653,9 +654,8 @@ def test_detect_gates_the_trace_in_place():
         trace.window, trace.dt, trace.t_mid, trace.wnorm, DetectConfig(), trace.t0, 0.15
     )
     engine.feed(trace.vnu, trace.v, trace.d, trace.rms, 0)
-    held = engine.ring
     for name in ("d", "v", "rms", "vnu"):
-        assert np.shares_memory(getattr(held, name), getattr(trace, name)), name
+        assert np.shares_memory(getattr(engine, name), getattr(trace, name)), name
 
 
 def test_decision_statistic_formula():
