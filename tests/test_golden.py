@@ -14,6 +14,13 @@ the last push), fed one sample per push() and seven per push_chunk(), under a
 fixed scale and under the trailing MAD. The noisy samples are a case of their
 own, so a mismatch there reads as signal drift, not detector drift.
 
+The campaign cases pin run_campaign on three reference campaigns (pc5 normal
+at 0 dB, poly6 perlin at 20 dB, sine3 normal at 25 dB), with enough trials
+that each crosses a boundary between groups of trials evaluated together:
+each trial's detections (position, kind, repr of score and time) and the
+summary (histogram, exact, within-one, repr of the mean absolute error). The
+noisy signal of every trial is again a case of its own.
+
 Regenerate the file after a deliberate change with
 
     python tests/test_golden.py --write
@@ -37,6 +44,7 @@ if __name__ == "__main__":
 import pytest  # noqa: E402
 
 from algcpd._exact import Polynomial, RationalFunction as RF  # noqa: E402
+from algcpd.bench import reference_campaign, run_campaign  # noqa: E402
 from algcpd.builder import ModelSpec, build_detector, verify_detector  # noqa: E402
 from algcpd.kernels import discretize, kernelize  # noqa: E402
 from algcpd.noise import apply_noise  # noqa: E402
@@ -46,6 +54,8 @@ from algcpd.signals import builtin_suite, render  # noqa: E402
 WINDOWS = (64, 385)
 STREAM_SEEDS = range(4)
 STREAM_WINDOW = 96
+# (suite, noise kind, SNR dB, trials): one group of trials and a part of the next
+CAMPAIGNS = (("pc5", "normal", 0.0, 7), ("poly6", "perlin", 20.0, 8), ("sine3", "normal", 25.0, 16))
 
 
 def model_grid():
@@ -118,12 +128,37 @@ def stream_digests(seed: int) -> dict:
     return out
 
 
+def campaign_signal_digests(suite, noise_kind, snr_db, trials) -> dict:
+    c = reference_campaign(suite, noise_kind, snr_db, trials=trials)
+    _, clean = render(builtin_suite(suite))
+    return {
+        f"trial{i}": sha(apply_noise(clean, noise_kind, snr_db, c.base_seed + i).tobytes())
+        for i in range(trials)
+    }
+
+
+def campaign_digests(suite, noise_kind, snr_db, trials) -> dict:
+    per_trial = []
+    r = run_campaign(
+        reference_campaign(suite, noise_kind, snr_db, trials=trials),
+        on_trial=lambda i, dets: per_trial.append(
+            [(d.position, d.kind, repr(d.score), repr(d.time)) for d in dets]
+        ),
+    )
+    summary = [sorted(r.histogram.items()), r.exact, r.within_one, repr(r.mean_abs_err)]
+    return {"trials": sha(repr(per_trial)), "summary": sha(repr(summary))}
+
+
 def cases() -> dict:
     """Every golden case: label -> the function making its digests."""
     table = {label: partial(digests, m) for label, m in MODELS.items()}
     for seed in STREAM_SEEDS:
         table[f"signal(pc5,normal,snr_db=10,seed={seed})"] = partial(signal_digests, seed)
         table[f"stream(pc5,normal,snr_db=10,seed={seed},W={STREAM_WINDOW})"] = partial(stream_digests, seed)
+    for suite, kind, db, trials in CAMPAIGNS:
+        label = f"{suite},{kind},snr_db={db:g},trials={trials}"
+        table[f"campaign_signal({label})"] = partial(campaign_signal_digests, suite, kind, db, trials)
+        table[f"campaign({label})"] = partial(campaign_digests, suite, kind, db, trials)
     return table
 
 
