@@ -151,7 +151,7 @@ def load_bench_config(path: str, base_seed: int, trials: Optional[int]) -> List[
                 noise_kind=it.get("noise", "normal"),
                 snr_db=float(it.get("snr_db", 25.0)),
                 setup=setup,
-                trials=int(trials if trials is not None else it.get("trials", 100)),
+                trials=trials if trials is not None else it.get("trials", 100),
                 base_seed=base_seed,
             ))
     except (KeyError, TypeError, ValueError) as e:

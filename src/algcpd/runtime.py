@@ -149,25 +149,27 @@ def eval_windows(
     samples = np.ascontiguousarray(samples, dtype=np.float64)
     if samples.ndim != 1:
         raise ValueError("samples must be one-dimensional")
+    _check_samples(dd, samples)
+    return DecisionTrace(t0, dd.dt, dd.window, dd.t_mid, dd.wnorm, *_statistics(dd, samples))
+
+
+def _eval_rows(dd: DiscreteDetector, block: np.ndarray) -> List[DecisionTrace]:
+    """eval_windows of each row of a (rows, n) block of equal-length
+    signals, all from one engine call; the traces start at t0 = 0."""
+    _check_samples(dd, block)
+    stats = _statistics(dd, block)
+    return [
+        DecisionTrace(0.0, dd.dt, dd.window, dd.t_mid, dd.wnorm, *(a[..., r, :] for a in stats))
+        for r in range(block.shape[0])
+    ]
+
+
+def _check_samples(dd: DiscreteDetector, samples: np.ndarray) -> None:
     if samples.size and not np.isfinite(samples).all():
         raise ValueError("samples must be finite")
-    if samples.size < dd.window:
-        raise ValueError(
-            f"need at least window={dd.window} samples, got {samples.size}"
-        )
-    vnu, v, d, sigma, rms = _statistics(dd, samples)
-    return DecisionTrace(
-        t0=t0,
-        dt=dd.dt,
-        window=dd.window,
-        t_mid=dd.t_mid,
-        wnorm=dd.wnorm,
-        vnu=vnu,
-        v=v,
-        d=d,
-        sigma=sigma,
-        rms=rms,
-    )
+    n = samples.shape[-1]
+    if n < dd.window:
+        raise ValueError(f"need at least window={dd.window} samples, got {n}")
 
 
 def _median(a: np.ndarray) -> float:
@@ -334,8 +336,11 @@ class _GateEngine:
         cut = self.end - (2 * self.flank + 2) - self.trailing - self.base
         if cut > 0:
             self.base += cut
-            self.d, self.v, self.rms = self.d[cut:], self.v[cut:], self.rms[cut:]
-            self.vnu = self.vnu[:, cut:]
+            kept = (self.d[cut:], self.v[cut:], self.rms[cut:], self.vnu[:, cut:])
+            # a view would keep a large feed's arrays alive behind a short history
+            if cut > 3 * kept[0].shape[0]:
+                kept = tuple(a.copy() for a in kept)
+            self.d, self.v, self.rms, self.vnu = kept
 
     def _gate(self, ks: List[int]) -> List[_Pending]:
         """Candidates of the ready crossings ks (ascending), in position order.
@@ -458,9 +463,10 @@ class StreamDetector:
     emitted (_GateEngine.due). Then one engine call evaluates every buffered
     position and one gate pass resolves every ready crossing, so the work of
     a stream is that of a few large calls, not one per sample. The sample
-    buffer grows to twice what it must hold, and never shrinks: it holds
-    O(W) samples, and the gate's history O(W) positions, or O(max(8W, 512))
-    under the trailing MAD, however long the stream runs.
+    buffer grows to twice what it must hold, and shrinks back once a call far
+    smaller than the one it grew for evaluates: it holds O(W) samples, and
+    the gate's history O(W) positions, or O(max(8W, 512)) under the trailing
+    MAD, however long the stream runs and however large a chunk was.
     """
 
     def __init__(
@@ -478,6 +484,8 @@ class StreamDetector:
         self._buf = np.empty(0, dtype=np.float64)
         self._held = 0
         self._due = self._engine.due() + dd.window  # _held to evaluate at
+        # the most samples held between calls: _due never exceeds it
+        self._most_held = 2 * dd.window + dd.window // 2
         self.detections: List[Detection] = []
 
     @property
@@ -491,7 +499,7 @@ class StreamDetector:
         if not math.isfinite(x):
             raise ValueError("samples must be finite")
         self._append(x, 1)
-        return self._advance()
+        return self._advance(1)
 
     def push_chunk(self, chunk: Sequence[float]) -> List[Detection]:
         if self._engine.finished:
@@ -504,7 +512,7 @@ class StreamDetector:
         if not np.isfinite(chunk).all():
             raise ValueError("samples must be finite")
         self._append(chunk, chunk.size)
-        return self._advance()
+        return self._advance(chunk.size)
 
     def _append(self, samples, n: int) -> None:
         """Copy n samples (a float when n is 1) in after the held ones. When
@@ -519,13 +527,19 @@ class StreamDetector:
         self._buf[self._held : held] = samples
         self._held = held
 
-    def _advance(self) -> List[Detection]:
+    def _advance(self, n: int) -> List[Detection]:
+        """Evaluate and drain once _due samples are held; n is the count
+        this call appended. A buffer over twice what a steady feed of n
+        samples per call needs (it grew for a larger call) shrinks to that."""
         if self._held < self._due:
             return []
         self._evaluate()
         out = self._engine.drain()
         self._due = self._engine.due() + self.dd.window - self._engine.end
         self.detections.extend(out)
+        fit = 2 * (self._most_held + n)
+        if self._buf.shape[0] > 2 * fit:
+            self._buf = self._buf[:fit].copy()
         return out
 
     def _evaluate(self) -> None:

@@ -7,7 +7,7 @@ import math
 import pytest
 
 import algcpd
-from algcpd import bench
+from algcpd import bench, runtime
 from algcpd.bench import (
     HIST_MAX,
     Campaign,
@@ -148,9 +148,40 @@ def test_report_csv_round_trip():
 
 
 def test_campaign_rejects_too_few_trials():
-    for trials in (0, -1):
+    """trials is an int of at least 1: a float or a bool is not truncated."""
+    for trials in (0, -1, 2.5, 1.9, True, "3"):
         with pytest.raises(ValueError, match="trials"):
             small_campaign(trials=trials)
+
+
+@pytest.mark.parametrize("group", [1, 3, 7, 20])
+def test_campaign_trials_in_groups_match_one_at_a_time(monkeypatch, group):
+    """run_campaign runs BLOCK // positions trials per engine call (never
+    more than are left); each trial's detections are run_trial's on its
+    seed, and each engine call gets one row per trial of its group."""
+    c = small_campaign(noise_kind="normal", snr_db=10.0, trials=7)
+    spec = bench.builtin_suite("sine3")
+    dd = bench._cached_detector(0, 0, 0, "linear", 96, "trapezoid", spec.dt)
+    _, clean = bench.render(spec)
+    one_at_a_time = [
+        run_trial(dd, clean, c.noise_kind, c.snr_db, c.base_seed + i, c.setup.config())
+        for i in range(c.trials)
+    ]
+    npos = clean.shape[0] - 96 + 1
+    monkeypatch.setattr(bench._engine, "BLOCK", group * npos + npos - 1)
+    rows = []
+    real = runtime.eval_windows_raw
+
+    def spy(weights, signal):
+        rows.append(signal.shape[0])
+        return real(weights, signal)
+
+    monkeypatch.setattr(runtime, "eval_windows_raw", spy)
+    got = []
+    run_campaign(c, on_trial=lambda i, dets: got.append((i, dets)))
+    assert [i for i, _ in got] == list(range(c.trials))
+    assert [dets for _, dets in got] == one_at_a_time
+    assert rows == [min(group, c.trials - lo) for lo in range(0, c.trials, group)]
 
 
 def test_histogram_csv():

@@ -344,12 +344,18 @@ def test_bench_emit_trials_needs_out(capsys):
     {"setup": {"kappa": float("nan")}},
     {"setup": {"scale": -0.5}},
     {"snr_db": float("nan")},
-], ids=["noise", "method", "rule", "mode", "kappa", "kappa_nan", "scale", "snr_nan"])
+    {"trials": 1.9},
+    {"trials": True},
+], ids=["noise", "method", "rule", "mode", "kappa", "kappa_nan", "scale", "snr_nan",
+        "trials_float", "trials_bool"])
 def test_bench_config_checked_before_any_trial(tmp_path, capsys, monkeypatch, bad):
     """A bad value in the second campaign is a one-line error raised before
-    the first campaign runs a trial; no report is written."""
+    the first campaign runs a trial; no report is written. Every trial
+    draws its noisy signal through bench.apply_noise, so a trial run shows
+    there."""
     trials = []
-    monkeypatch.setattr(bench, "run_trial", lambda *args: trials.append(args))
+    real = bench.apply_noise
+    monkeypatch.setattr(bench, "apply_noise", lambda *args: trials.append(args) or real(*args))
     cfg = tmp_path / "camp.json"
     cfg.write_text(json.dumps({"campaigns": [
         {"suite": "sine3", "trials": 2},

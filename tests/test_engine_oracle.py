@@ -140,6 +140,42 @@ def test_engine_matches_scalar_loop_across_block_edge(nv, window):
         assert_bit_identical([got[0][:, lo:hi], got[1][lo:hi], got[2][lo:hi]], want)
 
 
+@pytest.mark.parametrize("nv", [2, 5])
+@pytest.mark.parametrize("rows", [1, 2, 5])
+def test_engine_rows_match_scalar_loop(rows, nv, monkeypatch, calls):
+    """Each row of a (rows, n) block is the scalar loop over that row alone,
+    bit for bit: on the short path (fewer than SHORT positions over all
+    rows), on the block path in one block, and with a small BLOCK, so that
+    a block holds BLOCK // rows positions of every row and each row's
+    positions split across blocks. The spies check the path taken."""
+    window = 64
+    w = weights_for(nv, window)
+    few = max(1, (_engine.SHORT - 1) // rows)
+    cases = [  # (positions per row, BLOCK, calls of each path)
+        (few, _engine.BLOCK, {"_eval_short": 1}),
+        (300, _engine.BLOCK, {"_eval_block": 1}),
+        (300, 100, {"_eval_block": -(-300 // (100 // rows))}),
+    ]
+    for npos, block, want_calls in cases:
+        monkeypatch.setattr(_engine, "BLOCK", block)
+        calls.clear()
+        y = np.stack([hard_signal(npos + window - 1, window, seed=7 * r + npos) for r in range(rows)])
+        vnu, sigma, rms = eval_windows_raw(w, y)
+        assert vnu.shape == (nv, rows, npos)
+        assert sigma.shape == rms.shape == (rows, npos)
+        for r in range(rows):
+            assert_bit_identical((vnu[:, r], sigma[r], rms[r]), scalar_eval_windows_raw(w, y[r]))
+        assert calls == want_calls
+
+
+def test_engine_rows_without_positions():
+    w = weights_for(2, 64)
+    for rows, n in ((1, 63), (3, 10), (2, 0)):
+        vnu, sigma, rms = eval_windows_raw(w, np.zeros((rows, n)))
+        assert vnu.shape == (2, rows, 0)
+        assert sigma.shape == rms.shape == (rows, 0)
+
+
 def test_engine_writes_nothing_without_positions():
     w = weights_for(2, 64)
     for n in (0, 10, 63):

@@ -527,6 +527,29 @@ def test_stream_push_storage_bounded():
         assert most_held <= 2 * window + window // 2, cfg
 
 
+def test_stream_storage_shrinks_after_a_large_chunk():
+    """One large push_chunk leaves no chunk-sized storage behind: the gate's
+    history is copied out of the chunk's arrays, and the sample buffer
+    shrinks back at the first evaluation of single pushes, then holds its
+    size while they go on."""
+    window = 128
+    keep = max(8 * window, 512)
+    y = 0.1 * np.random.default_rng(5).standard_normal(100_000 + 2000)
+    for cfg in (DetectConfig(), DetectConfig(scale=window ** -0.5)):
+        sd = StreamDetector(step_detector(window=window), cfg)
+        sd.push_chunk(y[:100_000])
+        for name in ("d", "v", "rms", "vnu"):
+            a = getattr(sd._engine, name)
+            assert (a if a.base is None else a.base).shape[-1] <= keep + 2 * window, (cfg, name)
+        reallocs = 0
+        for x in y[100_000:].tolist():
+            buf = sd._buf
+            sd.push(x)
+            reallocs += sd._buf is not buf
+        assert sd._buf.shape[0] <= 2 * (2 * window + window // 2 + 1), cfg
+        assert reallocs == 1, cfg
+
+
 def test_median_matches_np_median_bit_for_bit():
     """runtime._median and the MAD it makes against np.median over odd and
     even counts, ties, signed zeros, NaN, and middle pairs whose sum
