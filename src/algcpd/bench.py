@@ -108,9 +108,14 @@ class Campaign:
         if self.noise_kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.noise_kind!r}; pick from {NOISE_KINDS}")
         noise_power_ratio(self.snr_db)
-        if isinstance(self.trials, bool) or not isinstance(self.trials, numbers.Integral) \
-                or self.trials < 1:
+        if not _is_int(self.trials) or self.trials < 1:
             raise ValueError(f"trials must be an integer of at least 1, got {self.trials!r}")
+        if not _is_int(self.base_seed):
+            raise ValueError(f"base_seed must be an integer, got {self.base_seed!r}")
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 @dataclass

@@ -484,8 +484,6 @@ class StreamDetector:
         self._buf = np.empty(0, dtype=np.float64)
         self._held = 0
         self._due = self._engine.due() + dd.window  # _held to evaluate at
-        # the most samples held between calls: _due never exceeds it
-        self._most_held = 2 * dd.window + dd.window // 2
         self.detections: List[Detection] = []
 
     @property
@@ -537,7 +535,8 @@ class StreamDetector:
         out = self._engine.drain()
         self._due = self._engine.due() + self.dd.window - self._engine.end
         self.detections.extend(out)
-        fit = 2 * (self._most_held + n)
+        # _append grows to 2 * (held + n), and _due never passes 2W + W//2
+        fit = 2 * (2 * self.dd.window + self.dd.window // 2 + n)
         if self._buf.shape[0] > 2 * fit:
             self._buf = self._buf[:fit].copy()
         return out

@@ -148,10 +148,14 @@ def test_report_csv_round_trip():
 
 
 def test_campaign_rejects_too_few_trials():
-    """trials is an int of at least 1: a float or a bool is not truncated."""
+    """trials is an int of at least 1, and base_seed an int: a float or a
+    bool is not truncated."""
     for trials in (0, -1, 2.5, 1.9, True, "3"):
         with pytest.raises(ValueError, match="trials"):
             small_campaign(trials=trials)
+    for seed in (1.5, True, None):
+        with pytest.raises(ValueError, match="base_seed"):
+            dataclasses.replace(small_campaign(), base_seed=seed)
 
 
 @pytest.mark.parametrize("group", [1, 3, 7, 20])
