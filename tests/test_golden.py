@@ -11,8 +11,10 @@ The stream cases pin what a StreamDetector emits on pc5 at 10 dB normal noise
 (W 96, step detector, kappa 3), noise seeds 0-3: the event list of every call
 (call index, position, kind, repr of score and time; finalize is the call after
 the last push), fed one sample per push() and seven per push_chunk(), under a
-fixed scale and under the trailing MAD. The noisy samples are a case of their
-own, so a mismatch there reads as signal drift, not detector drift.
+fixed scale and under the trailing MAD. The sine3 stream cases pin the same
+event lists on sine3 at 25 dB normal noise under the trailing MAD, the scale
+its reference setup gates with. The noisy samples are a case of their own, so
+a mismatch there reads as signal drift, not detector drift.
 
 The campaign cases pin run_campaign on three reference campaigns (pc5 normal
 at 0 dB, poly6 perlin at 20 dB, sine3 normal at 25 dB), with enough trials
@@ -54,6 +56,11 @@ from algcpd.signals import builtin_suite, render  # noqa: E402
 WINDOWS = (64, 385)
 STREAM_SEEDS = range(4)
 STREAM_WINDOW = 96
+# (suite, SNR dB, gate scales): each stream case's signal and the scales it runs
+STREAMS = (
+    ("pc5", 10.0, (("fixed", STREAM_WINDOW ** -0.5), ("mad", None))),
+    ("sine3", 25.0, (("mad", None),)),
+)
 # (suite, noise kind, SNR dB, trials): one group of trials and a part of the next
 CAMPAIGNS = (("pc5", "normal", 0.0, 7), ("poly6", "perlin", 20.0, 8), ("sine3", "normal", 25.0, 16))
 
@@ -93,14 +100,14 @@ def digests(model: ModelSpec) -> dict:
     return out
 
 
-def noisy_pc5(seed: int):
-    spec = builtin_suite("pc5")
+def noisy(suite: str, snr_db: float, seed: int):
+    spec = builtin_suite(suite)
     _, clean = render(spec)
-    return spec.dt, apply_noise(clean, "normal", 10.0, seed)
+    return spec.dt, apply_noise(clean, "normal", snr_db, seed)
 
 
-def signal_digests(seed: int) -> dict:
-    return {"samples": sha(noisy_pc5(seed)[1].tobytes())}
+def signal_digests(suite: str, snr_db: float, seed: int) -> dict:
+    return {"samples": sha(noisy(suite, snr_db, seed)[1].tobytes())}
 
 
 def stream_events(dd, y, cfg: DetectConfig, chunk: int) -> list:
@@ -117,11 +124,11 @@ def stream_events(dd, y, cfg: DetectConfig, chunk: int) -> list:
     ]
 
 
-def stream_digests(seed: int) -> dict:
-    dt, y = noisy_pc5(seed)
+def stream_digests(suite: str, snr_db: float, scales, seed: int) -> dict:
+    dt, y = noisy(suite, snr_db, seed)
     dd = discretize(build_detector(ModelSpec.monomial(0, 0)), window=STREAM_WINDOW, dt=dt)
     out = {}
-    for name, scale in (("fixed", STREAM_WINDOW ** -0.5), ("mad", None)):
+    for name, scale in scales:
         cfg = DetectConfig(kappa=3.0, scale=scale)
         for chunk in (1, 7):
             out[f"events_{name}_chunk{chunk}"] = sha(repr(stream_events(dd, y, cfg, chunk)))
@@ -152,9 +159,11 @@ def campaign_digests(suite, noise_kind, snr_db, trials) -> dict:
 def cases() -> dict:
     """Every golden case: label -> the function making its digests."""
     table = {label: partial(digests, m) for label, m in MODELS.items()}
-    for seed in STREAM_SEEDS:
-        table[f"signal(pc5,normal,snr_db=10,seed={seed})"] = partial(signal_digests, seed)
-        table[f"stream(pc5,normal,snr_db=10,seed={seed},W={STREAM_WINDOW})"] = partial(stream_digests, seed)
+    for suite, db, scales in STREAMS:
+        for seed in STREAM_SEEDS:
+            label = f"{suite},normal,snr_db={db:g},seed={seed}"
+            table[f"signal({label})"] = partial(signal_digests, suite, db, seed)
+            table[f"stream({label},W={STREAM_WINDOW})"] = partial(stream_digests, suite, db, scales, seed)
     for suite, kind, db, trials in CAMPAIGNS:
         label = f"{suite},{kind},snr_db={db:g},trials={trials}"
         table[f"campaign_signal({label})"] = partial(campaign_signal_digests, suite, kind, db, trials)
