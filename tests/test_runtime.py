@@ -197,13 +197,19 @@ def gate_oracle(trace, cfg, scale):
 
 
 def streamed(dd, y, cfg, *sizes):
-    """Stream y in chunks of the given sizes, repeated until y runs out."""
+    """Stream y in chunks of the given sizes, repeated until y runs out.
+    Every chunk is handed over in one array that is refilled for the next,
+    so a stream that kept the caller's array, not its samples, reads
+    samples that are no longer the ones it was given."""
     sd = StreamDetector(dd, cfg)
+    reused = np.empty(min(max(sizes), y.size))
     got, i = [], 0
     for size in itertools.cycle(sizes):
         if i >= y.size:
             break
-        got += sd.push_chunk(y[i : i + size])
+        chunk = reused[: min(size, y.size - i)]
+        chunk[:] = y[i : i + size]
+        got += sd.push_chunk(chunk)
         i += size
     return got + sd.finalize()
 
@@ -473,14 +479,16 @@ def eager_calls(trace, cfg, sizes, n):
     kappa=st.sampled_from([0.0, 2.0, 3.0]),
     fixed=st.booleans(),
     min_separation=st.sampled_from([None, 0.0, 0.05, 0.3, 1.5]),
-    sizes=st.lists(st.integers(1, 300), min_size=1, max_size=5),
+    sizes=st.lists(st.just(1) | st.integers(1, 300), min_size=1, max_size=5),
+    push_ones=st.booleans(),
 )
 def test_stream_emits_where_an_eager_drain_does(
-    window, n, steps, noise, seed, kappa, fixed, min_separation, sizes
+    window, n, steps, noise, seed, kappa, fixed, min_separation, sizes, push_ones
 ):
     """However the samples are cut, and with min_separation below and above
     W, every push_chunk() call returns exactly what a stream that drains the
-    gate at every call returns at that call."""
+    gate at every call returns at that call. With push_ones, every
+    one-sample piece goes through push(float) instead, between the chunks."""
     dt = 0.01
     y = step_signal(n, dt, [(at * n * dt, amp) for at, amp in steps])
     y = y + noise * np.random.default_rng(seed).standard_normal(n)
@@ -492,7 +500,10 @@ def test_stream_emits_where_an_eager_drain_does(
     for size in itertools.cycle(sizes):
         if i >= n:
             break
-        got.append(as_tuples(sd.push_chunk(y[i : i + size])))
+        if push_ones and size == 1:
+            got.append(as_tuples(sd.push(float(y[i]))))
+        else:
+            got.append(as_tuples(sd.push_chunk(y[i : i + size])))
         i += size
     got.append(as_tuples(sd.finalize()))
     want = [as_tuples(c) for c in eager_calls(eval_windows(dd, y), cfg, sizes, n)]
