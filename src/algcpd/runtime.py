@@ -28,8 +28,8 @@ stream uses a trailing MAD at each crossing (a documented approximation, still
 chunk-size invariant).
 
 The engine is fed (feed) and drained (drain, finish) separately. Batch feeds
-the whole trace and finishes. The stream buffers samples until the engine's
-due() frontier says a detection could be emitted, then feeds every buffered
+the whole trace and finishes. The stream holds samples until the engine's
+due() frontier says a detection could be emitted, then feeds every held
 position at once and drains; draining at any frontier gives the same
 emissions, so this only decides how often the stream pays for the engine.
 """
@@ -196,13 +196,6 @@ def batch_mad_scale(d: np.ndarray) -> float:
     return MAD_FACTOR * _median(np.abs(d - med))
 
 
-@dataclass
-class _Pending:
-    position: int
-    time: float
-    score: float
-
-
 class _GateEngine:
     """Order-driven crossing gate + suppression, shared by batch and stream.
 
@@ -250,7 +243,7 @@ class _GateEngine:
         self.d = self.v = self.rms = np.empty(0)
         self.vnu = np.empty((0, 0))
         self.crossings: List[int] = []  # queued, ascending
-        self.pending: Optional[_Pending] = None
+        self.pending: Optional[Detection] = None
         self.wnorm_sqrtw = wnorm * math.sqrt(window)
         self.finished = False
 
@@ -316,7 +309,7 @@ class _GateEngine:
         if self.pending is not None:
             resolvable = frontier if self.finished else frontier - self.flank
             if resolvable > self.pending.position + self.min_sep_pos:
-                out.append(self._emit(self.pending))
+                out.append(self.pending)
                 self.pending = None
         self._trim()
         return out
@@ -325,7 +318,7 @@ class _GateEngine:
         self.finished = True
         out = self.drain()
         if self.pending is not None:
-            out.append(self._emit(self.pending))
+            out.append(self.pending)
             self.pending = None
         return out
 
@@ -342,7 +335,7 @@ class _GateEngine:
                 kept = tuple(a.copy() for a in kept)
             self.d, self.v, self.rms, self.vnu = kept
 
-    def _gate(self, ks: List[int]) -> List[_Pending]:
+    def _gate(self, ks: List[int]) -> List[Detection]:
         """Candidates of the ready crossings ks (ascending), in position order.
 
         The left flank of crossing k is d[k - W/2 .. k-1] and the right one
@@ -354,7 +347,7 @@ class _GateEngine:
         flank survivors. Under the trailing MAD: both flanks and |v| for every
         crossing, then the median only where the dust floor passed."""
         f = self.flank
-        out: List[_Pending] = []
+        out: List[Detection] = []
         step = max(1, _SCREEN_ELEMENTS // (f + 1))
         for lo in range(0, len(ks), step):
             col = np.array(ks[lo : lo + step], dtype=np.int64) - self.base
@@ -394,7 +387,7 @@ class _GateEngine:
                 threshold[i] = self.cfg.kappa * (math.inf if small else batch_mad_scale(window))
         return score >= threshold
 
-    def _candidate(self, k: int, score: float) -> _Pending:
+    def _candidate(self, k: int, score: float) -> Detection:
         """The candidate of the passing crossing at history column k."""
         col = k - 1 if abs(self.d[k - 1]) <= abs(self.d[k]) else k
         k_star = self.base + col
@@ -410,9 +403,9 @@ class _GateEngine:
             else:
                 local = self.t_mid
             time = self.t0 + k_star * self.dt + local
-        return _Pending(position=k_star, time=time, score=score)
+        return Detection(time=time, score=score, kind=self.cfg.mode, position=k_star)
 
-    def _push_candidate(self, cand: _Pending) -> List[Detection]:
+    def _push_candidate(self, cand: Detection) -> List[Detection]:
         if self.pending is None:
             self.pending = cand
             return []
@@ -420,12 +413,9 @@ class _GateEngine:
             if cand.score > self.pending.score:
                 self.pending = cand
             return []
-        out = [self._emit(self.pending)]
+        out = [self.pending]
         self.pending = cand
         return out
-
-    def _emit(self, p: _Pending) -> Detection:
-        return Detection(time=p.time, score=p.score, kind=self.cfg.mode, position=p.position)
 
 
 def detect(trace: DecisionTrace, cfg: DetectConfig = DetectConfig()) -> List[Detection]:
@@ -459,14 +449,14 @@ class StreamDetector:
     first; fed one sample per push(), that is exactly
     min_sep_pos + window//2 + 1 positions past p.
 
-    push() and push_chunk() only buffer samples until a detection could be
-    emitted (_GateEngine.due). Then one engine call evaluates every buffered
+    push() and push_chunk() only hold samples until a detection could be
+    emitted (_GateEngine.due). Then one engine call evaluates every held
     position and one gate pass resolves every ready crossing, so the work of
-    a stream is that of a few large calls, not one per sample. The sample
-    buffer grows to twice what it must hold, and shrinks back once a call far
-    smaller than the one it grew for evaluates: it holds O(W) samples, and
-    the gate's history O(W) positions, or O(max(8W, 512)) under the trailing
-    MAD, however long the stream runs and however large a chunk was.
+    a stream is that of a few large calls, not one per sample. push_chunk()
+    copies its chunk, so the caller may refill its array. Between calls the
+    stream holds fewer than 2W + W//2 samples, and the gate's history O(W)
+    positions, or O(max(8W, 512)) under the trailing MAD, however long the
+    stream runs and however large a chunk was.
     """
 
     def __init__(
@@ -479,9 +469,13 @@ class StreamDetector:
         self.cfg = cfg
         self.t0 = t0
         self._engine = _GateEngine(dd.window, dd.dt, dd.t_mid, dd.wnorm, cfg, t0, cfg.scale)
-        # the sample buffer: _buf[:_held] holds the samples from the first
-        # position not yet evaluated on, and a chunk is copied in after them
-        self._buf = np.empty(0, dtype=np.float64)
+        # the samples from the first position not yet evaluated on, in order:
+        # _tail, a copy of the last W-1 samples evaluated on (none at the
+        # start), the chunks pushed since, then the single samples pushed
+        # since; _held counts them all
+        self._tail = np.empty(0)
+        self._chunks: List[np.ndarray] = []
+        self._singles: List[float] = []
         self._held = 0
         self._due = self._engine.due() + dd.window  # _held to evaluate at
         self.detections: List[Detection] = []
@@ -496,62 +490,48 @@ class StreamDetector:
         x = float(sample)
         if not math.isfinite(x):
             raise ValueError("samples must be finite")
-        self._append(x, 1)
-        return self._advance(1)
+        self._singles.append(x)
+        self._held += 1
+        return self._advance()
 
     def push_chunk(self, chunk: Sequence[float]) -> List[Detection]:
         if self._engine.finished:
             raise RuntimeError("stream already finalized")
-        chunk = np.ascontiguousarray(chunk, dtype=np.float64)
+        chunk = np.array(chunk, dtype=np.float64)  # a copy, never a view
         if chunk.ndim != 1:
             raise ValueError("chunk must be one-dimensional")
         if chunk.size == 0:
             return []
         if not np.isfinite(chunk).all():
             raise ValueError("samples must be finite")
-        self._append(chunk, chunk.size)
-        return self._advance(chunk.size)
+        if self._singles:  # they came before this chunk
+            self._chunks.append(np.array(self._singles))
+            self._singles = []
+        self._chunks.append(chunk)
+        self._held += chunk.size
+        return self._advance()
 
-    def _append(self, samples, n: int) -> None:
-        """Copy n samples (a float when n is 1) in after the held ones. When
-        they do not fit, the held samples move to a new buffer of twice the
-        two counts together, so single pushes cost amortized O(1) and the
-        buffer is never more than twice the largest held run plus chunk."""
-        held = self._held + n
-        if held > self._buf.shape[0]:
-            buf = np.empty(2 * held)
-            buf[: self._held] = self._buf[: self._held]
-            self._buf = buf
-        self._buf[self._held : held] = samples
-        self._held = held
-
-    def _advance(self, n: int) -> List[Detection]:
-        """Evaluate and drain once _due samples are held; n is the count
-        this call appended. A buffer over twice what a steady feed of n
-        samples per call needs (it grew for a larger call) shrinks to that."""
+    def _advance(self) -> List[Detection]:
+        """Evaluate and drain once _due samples are held."""
         if self._held < self._due:
             return []
         self._evaluate()
         out = self._engine.drain()
         self._due = self._engine.due() + self.dd.window - self._engine.end
         self.detections.extend(out)
-        # _append grows to 2 * (held + n), and _due never passes 2W + W//2
-        fit = 2 * (2 * self.dd.window + self.dd.window // 2 + n)
-        if self._buf.shape[0] > 2 * fit:
-            self._buf = self._buf[:fit].copy()
         return out
 
     def _evaluate(self) -> None:
         """Feed every complete position not yet evaluated to the gate, and
-        move the last W-1 samples, the next window's, to the front."""
-        work = self._buf[: self._held]
-        if work.shape[0] < self.dd.window:
+        keep a copy of the last W-1 samples, the next window's."""
+        if self._held < self.dd.window:
             return
+        work = np.concatenate((self._tail, *self._chunks, self._singles))
         vnu, v, d, _, rms = _statistics(self.dd, work)
         self._engine.feed(vnu, v, d, rms, self._engine.end)
-        keep = self.dd.window - 1
-        self._buf[:keep] = work[work.shape[0] - keep :]  # NumPy copies an overlap safely
-        self._held = keep
+        self._tail = work[1 - self.dd.window :].copy()
+        self._chunks, self._singles = [], []
+        self._held = self._tail.shape[0]
 
     def finalize(self) -> List[Detection]:
         if self._engine.finished:

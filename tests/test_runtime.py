@@ -510,8 +510,16 @@ def test_stream_emits_where_an_eager_drain_does(
     assert got == want
 
 
+def stored_samples(sd):
+    """The samples a stream holds: its tail, then the chunks and single
+    samples pushed since; each one is counted in _held."""
+    stored = sd._tail.shape[0] + sum(c.shape[0] for c in sd._chunks) + len(sd._singles)
+    assert stored == sd._held
+    return stored
+
+
 def test_stream_push_storage_bounded():
-    """20 * max(8W, 512) single-sample pushes leave the sample buffer and the
+    """20 * max(8W, 512) single-sample pushes leave the samples held and the
     storage of the gate's history within a constant times the max(8W, 512) + W positions
     the trailing MAD must keep: under the trailing MAD, under a fixed scale,
     and with min_separation 3 s (300 positions, above W). The samples held
@@ -526,23 +534,23 @@ def test_stream_push_storage_bounded():
         DetectConfig(min_separation=3.0),
     ):
         sd = StreamDetector(step_detector(window=window), cfg)
-        most_buf = most_history = most_held = 0
+        most_stored = most_history = most_held = 0
         for x in y.tolist():
             sd.push(x)
-            most_buf = max(most_buf, sd._buf.shape[0])
+            most_stored = max(most_stored, stored_samples(sd))
             d = sd._engine.d
             most_history = max(most_history, (d if d.base is None else d.base).shape[0])
             most_held = max(most_held, sd._held)
-        assert most_buf <= 4 * (keep + window), cfg
+        assert most_stored <= 4 * (keep + window), cfg
         assert most_history <= 4 * (keep + window), cfg
         assert most_held <= 2 * window + window // 2, cfg
 
 
 def test_stream_storage_shrinks_after_a_large_chunk():
     """One large push_chunk leaves no chunk-sized storage behind: the gate's
-    history is copied out of the chunk's arrays, and the sample buffer
-    shrinks back at the first evaluation of single pushes, then holds its
-    size while they go on."""
+    history is copied out of the chunk's arrays, the stream keeps a copy of
+    the chunk's last W-1 samples and not the chunk, and single pushes after
+    it hold no more samples than the next evaluation needs."""
     window = 128
     keep = max(8 * window, 512)
     y = 0.1 * np.random.default_rng(5).standard_normal(100_000 + 2000)
@@ -552,13 +560,11 @@ def test_stream_storage_shrinks_after_a_large_chunk():
         for name in ("d", "v", "rms", "vnu"):
             a = getattr(sd._engine, name)
             assert (a if a.base is None else a.base).shape[-1] <= keep + 2 * window, (cfg, name)
-        reallocs = 0
+        assert sd._tail.base is None and sd._tail.shape[0] == window - 1, cfg
+        assert stored_samples(sd) == window - 1, cfg
         for x in y[100_000:].tolist():
-            buf = sd._buf
             sd.push(x)
-            reallocs += sd._buf is not buf
-        assert sd._buf.shape[0] <= 2 * (2 * window + window // 2 + 1), cfg
-        assert reallocs == 1, cfg
+            assert stored_samples(sd) <= 2 * (2 * window + window // 2 + 1), cfg
 
 
 def test_median_matches_np_median_bit_for_bit():
