@@ -27,7 +27,7 @@ import numpy as np
 from . import _engine, runtime
 from ._csv import read_table, write_table
 from .builder import METHODS, ModelSpec, build_detector
-from .kernels import RULES, DiscreteDetector, discretize
+from .kernels import DiscreteDetector, _check_rule, discretize
 from .noise import NOISE_KINDS, apply_noise, noise_power_ratio
 from .runtime import DetectConfig
 from .signals import builtin_suite, render
@@ -73,8 +73,11 @@ class DetectorSetup:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; pick from {METHODS}")
-        if self.rule not in RULES:
-            raise ValueError(f"unknown quadrature rule {self.rule!r}; pick from {RULES}")
+        for name in ("n1", "n2", "order", "window"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        self.model()  # ModelSpec checks n1, n2 and order
+        _check_rule(self.window, self.rule)
         self.config()  # DetectConfig checks mode, kappa and scale
 
     def model(self) -> ModelSpec:
@@ -88,9 +91,16 @@ class DetectorSetup:
         return f"n1={self.n1} n2={self.n2} W={self.window} k={self.kappa:g} {kind}"
 
 
+def _int(v) -> int:
+    """An int from JSON (not a bool) or from an integer report.csv cell."""
+    if not (isinstance(v, str) or _is_int(v)):
+        raise ValueError(f"expected an integer, got {v!r}")
+    return int(v)
+
+
 # The one setup schema: each DetectorSetup field, in field order, with the
 # coercion (by declared type) that reads it from JSON or a report.csv cell.
-_COERCE = {"int": int, "float": float, "str": str,
+_COERCE = {"int": _int, "float": float, "str": str,
            "Optional[float]": lambda v: None if v is None or v == "" else float(v)}
 SETUP_FIELDS: Dict[str, Callable] = {f.name: _COERCE[f.type] for f in fields(DetectorSetup)}
 

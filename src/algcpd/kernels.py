@@ -103,23 +103,30 @@ def kernelize(det: DetectorOperator) -> SymbolicKernel:
     return SymbolicKernel(detector=det, kernels=tuple(_kernel(c) for c in det.omega.coeffs))
 
 
-def quadrature_weights(window: int, dt: Fraction, rule: str) -> List[Fraction]:
+def _check_rule(window: int, rule: str) -> None:
+    """Raise ValueError unless rule is one of RULES and spans window samples."""
     if rule == "trapezoid":
         if window < 2:
             raise ValueError("trapezoid rule needs window >= 2")
+    elif rule == "simpson":
+        if window < 3 or window % 2 == 0:
+            raise ValueError("simpson rule needs an odd window >= 3")
+    else:
+        raise ValueError(f"unknown quadrature rule {rule!r}; pick from {RULES}")
+
+
+def quadrature_weights(window: int, dt: Fraction, rule: str) -> List[Fraction]:
+    _check_rule(window, rule)
+    if rule == "trapezoid":
         q = [dt] * window
         q[0] = dt / 2
         q[-1] = dt / 2
         return q
-    if rule == "simpson":
-        if window < 3 or window % 2 == 0:
-            raise ValueError("simpson rule needs an odd window >= 3")
-        q = [dt / 3]
-        for i in range(1, window - 1):
-            q.append(dt * (4 if i % 2 else 2) / 3)
-        q.append(dt / 3)
-        return q
-    raise ValueError(f"unknown quadrature rule {rule!r}")
+    q = [dt / 3]
+    for i in range(1, window - 1):
+        q.append(dt * (4 if i % 2 else 2) / 3)
+    q.append(dt / 3)
+    return q
 
 
 @dataclass(frozen=True)

@@ -205,6 +205,23 @@ def test_setup_label_and_config():
     assert "mad" in DetectorSetup(n1=0).label()
 
 
+def test_setup_integers_are_read_not_truncated():
+    """An integer setup field reads an int or an integer string (a report.csv
+    cell) and rejects a bool, a float or any other string; a setup is
+    rejected where its model or quadrature rule would be."""
+    read = bench.SETUP_FIELDS["window"]
+    assert read(96) == 96 and read("96") == 96
+    for bad in (96.9, 96.0, True, "96.5", None):
+        with pytest.raises(ValueError):
+            read(bad)
+    sine3 = bench.REFERENCE_SETUPS["sine3"]
+    for bad in ({"window": 96.9}, {"n1": True}, {"n1": 9}, {"order": -1},
+                {"rule": "simpson"}, {"window": 1}):
+        with pytest.raises(ValueError):
+            dataclasses.replace(sine3, **bad)
+    assert dataclasses.replace(sine3, rule="simpson", window=97).window == 97
+
+
 def test_reference_campaign_validation():
     c = reference_campaign("pc5", "normal", 0.0, trials=7, base_seed=1)
     assert c.trials == 7

@@ -346,8 +346,12 @@ def test_bench_emit_trials_needs_out(capsys):
     {"snr_db": float("nan")},
     {"trials": 1.9},
     {"trials": True},
+    {"setup": {"window": 96.9}},
+    {"setup": {"n1": True}},
+    {"setup": {"n1": 9}},
+    {"setup": {"rule": "simpson"}},
 ], ids=["noise", "method", "rule", "mode", "kappa", "kappa_nan", "scale", "snr_nan",
-        "trials_float", "trials_bool"])
+        "trials_float", "trials_bool", "window_float", "n1_bool", "n1_range", "simpson_even"])
 def test_bench_config_checked_before_any_trial(tmp_path, capsys, monkeypatch, bad):
     """A bad value in the second campaign is a one-line error raised before
     the first campaign runs a trial; no report is written. Every trial
