@@ -284,40 +284,43 @@ def test_criterion_6_performance():
     )
 
 
-def test_criterion_7_cli_determinism(tmp_path, capsys):
-    def run_pipeline(root):
-        root.mkdir()
-        sig = root / "sig.csv"
-        tru = root / "truth.csv"
-        det = root / "det.csv"
-        trc = root / "trace.csv"
-        wts = root / "weights.csv"
-        svg = root / "plot.svg"
-        bdir = root / "bench"
-        bcfg = root / "bench.json"
-        bcfg.write_text(
-            '{"campaigns": [{"suite": "sine3", "noise": "normal", "snr_db": 20.0, "trials": 3},'
-            ' {"suite": "pc5", "noise": "mult_uniform", "snr_db": 10.0, "trials": 2}]}'
-        )
-        steps = [
-            ["simulate", "--suite", "sine3", "--noise", "normal", "--snr", "10",
-             "--seed", "77", "--out", str(sig), "--truth-out", str(tru)],
-            ["detect", "--in", str(sig), "--window", "96", "--out", str(det),
-             "--trace-out", str(trc)],
-            ["derive", "--n1", "1", "--emit-weights", str(wts), "--window", "32"],
-            ["bench", "--config", str(bcfg), "--seed", "24245", "--out", str(bdir),
-             "--emit-trials"],
-            ["plot", "--signal", str(sig), "--detections", str(det), "--truth", str(tru),
-             "--trace", str(trc), "--title", "pipeline", "--out", str(svg)],
-        ]
-        for argv in steps:
-            assert main(argv) == 0, argv
-        artifacts = {}
-        for p in sorted(root.rglob("*")):
-            if p.is_file() and p != bcfg:
-                artifacts[str(p.relative_to(root))] = p.read_bytes()
-        return artifacts
+def run_pipeline(root):
+    """Run the seeded CLI pipeline of criterion 7 in the new directory root;
+    returns every artifact it wrote, by path relative to root."""
+    root.mkdir()
+    sig = root / "sig.csv"
+    tru = root / "truth.csv"
+    det = root / "det.csv"
+    trc = root / "trace.csv"
+    wts = root / "weights.csv"
+    svg = root / "plot.svg"
+    bdir = root / "bench"
+    bcfg = root / "bench.json"
+    bcfg.write_text(
+        '{"campaigns": [{"suite": "sine3", "noise": "normal", "snr_db": 20.0, "trials": 3},'
+        ' {"suite": "pc5", "noise": "mult_uniform", "snr_db": 10.0, "trials": 2}]}'
+    )
+    steps = [
+        ["simulate", "--suite", "sine3", "--noise", "normal", "--snr", "10",
+         "--seed", "77", "--out", str(sig), "--truth-out", str(tru)],
+        ["detect", "--in", str(sig), "--window", "96", "--out", str(det),
+         "--trace-out", str(trc)],
+        ["derive", "--n1", "1", "--emit-weights", str(wts), "--window", "32"],
+        ["bench", "--config", str(bcfg), "--seed", "24245", "--out", str(bdir),
+         "--emit-trials"],
+        ["plot", "--signal", str(sig), "--detections", str(det), "--truth", str(tru),
+         "--trace", str(trc), "--title", "pipeline", "--out", str(svg)],
+    ]
+    for argv in steps:
+        assert main(argv) == 0, argv
+    artifacts = {}
+    for p in sorted(root.rglob("*")):
+        if p.is_file() and p != bcfg:
+            artifacts[str(p.relative_to(root))] = p.read_bytes()
+    return artifacts
 
+
+def test_criterion_7_cli_determinism(tmp_path, capsys):
     a = run_pipeline(tmp_path / "run_a")
     b = run_pipeline(tmp_path / "run_b")
     capsys.readouterr()  # swallow the pipelines' stdout

@@ -23,6 +23,18 @@ each trial's detections (position, kind, repr of score and time) and the
 summary (histogram, exact, within-one, repr of the mean absolute error). The
 noisy signal of every trial is again a case of its own.
 
+The clean cases pin the gate on noise-free inputs, where the dust floor does
+reject crossings: each reference suite rendered without noise through its
+reference setup's detector, and hard_signal(5000, 64, 3) of
+tests/test_engine_oracle.py through the W-64 step detector at kappa 3. Each
+pins the bytes of trace.d and, under a fixed scale W**-0.5 and under the MAD,
+the batch detections (position, kind, repr of score and time) and the stream
+event lists at chunks 1 and 7. The clean samples are a case of their own.
+
+The pipeline cases pin each artifact of acceptance criterion 7's seeded CLI
+pipeline (run_pipeline in tests/test_acceptance.py) by its sha256, one case
+per artifact; sig.csv, the simulated signal, is one of them.
+
 Regenerate the file after a deliberate change with
 
     python tests/test_golden.py --write
@@ -30,11 +42,15 @@ Regenerate the file after a deliberate change with
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import hashlib
+import io
 import json
 import sys
+import tempfile
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -46,12 +62,14 @@ if __name__ == "__main__":
 import pytest  # noqa: E402
 
 from algcpd._exact import Polynomial, RationalFunction as RF  # noqa: E402
-from algcpd.bench import reference_campaign, run_campaign  # noqa: E402
+from algcpd.bench import REFERENCE_SETUPS, DetectorSetup, reference_campaign, run_campaign  # noqa: E402
 from algcpd.builder import ModelSpec, build_detector, verify_detector  # noqa: E402
 from algcpd.kernels import discretize, kernelize  # noqa: E402
 from algcpd.noise import apply_noise  # noqa: E402
-from algcpd.runtime import DetectConfig, StreamDetector  # noqa: E402
+from algcpd.runtime import DetectConfig, StreamDetector, detect, eval_windows  # noqa: E402
 from algcpd.signals import builtin_suite, render  # noqa: E402
+from test_acceptance import run_pipeline  # noqa: E402
+from test_engine_oracle import hard_signal  # noqa: E402
 
 WINDOWS = (64, 385)
 STREAM_SEEDS = range(4)
@@ -63,6 +81,18 @@ STREAMS = (
 )
 # (suite, noise kind, SNR dB, trials): one group of trials and a part of the next
 CAMPAIGNS = (("pc5", "normal", 0.0, 7), ("poly6", "perlin", 20.0, 8), ("sine3", "normal", 25.0, 16))
+# noise-free inputs and their detector setups: the reference suites, and
+# hard_signal(*HARD) at dt 0.01 through the W-64 step detector at kappa 3
+HARD = (5000, 64, 3)
+CLEAN = {**REFERENCE_SETUPS, "hard_signal": DetectorSetup(n1=0, window=64, kappa=3.0)}
+# every file criterion 7's pipeline writes
+PIPELINE = (
+    "sig.csv", "truth.csv", "det.csv", "trace.csv", "weights.csv", "plot.svg",
+    "bench/report.txt", "bench/report.csv",
+    "bench/hist_c00_sine3_normal_20dB.csv", "bench/hist_c01_pc5_mult_uniform_10dB.csv",
+    *(f"bench/trials/c00_t{i:03d}.csv" for i in range(3)),
+    *(f"bench/trials/c01_t{i:03d}.csv" for i in range(2)),
+)
 
 
 def model_grid():
@@ -156,6 +186,49 @@ def campaign_digests(suite, noise_kind, snr_db, trials) -> dict:
     return {"trials": sha(repr(per_trial)), "summary": sha(repr(summary))}
 
 
+def clean_input(name: str):
+    """(detector, samples) of a noise-free case."""
+    setup = CLEAN[name]
+    if name == "hard_signal":
+        dt, y = 0.01, hard_signal(*HARD)
+    else:
+        spec = builtin_suite(name)
+        dt, y = spec.dt, render(spec)[1]
+    det = build_detector(setup.model(), method=setup.method)
+    return discretize(det, window=setup.window, dt=dt, rule=setup.rule), y
+
+
+def clean_signal_digests(name: str) -> dict:
+    return {"samples": sha(clean_input(name)[1].tobytes())}
+
+
+def clean_digests(name: str) -> dict:
+    dd, y = clean_input(name)
+    trace = eval_windows(dd, y)
+    out = {"d": sha(trace.d.tobytes())}
+    setup = CLEAN[name]
+    for label, scale in (("fixed", setup.window ** -0.5), ("mad", None)):
+        cfg = dataclasses.replace(setup.config(), scale=scale)
+        batch = [(d.position, d.kind, repr(d.score), repr(d.time)) for d in detect(trace, cfg)]
+        out[f"batch_{label}"] = sha(repr(batch))
+        for chunk in (1, 7):
+            out[f"events_{label}_chunk{chunk}"] = sha(repr(stream_events(dd, y, cfg, chunk)))
+    return out
+
+
+@lru_cache(maxsize=1)
+def pipeline_digests() -> dict:
+    """sha256 of each artifact of one run of criterion 7's pipeline."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        artifacts = run_pipeline(Path(tmp) / "run")
+    assert sorted(artifacts) == sorted(PIPELINE), sorted(artifacts)
+    return {name: sha(data) for name, data in artifacts.items()}
+
+
+def artifact_digests(name: str) -> dict:
+    return {"sha256": pipeline_digests()[name]}
+
+
 def cases() -> dict:
     """Every golden case: label -> the function making its digests."""
     table = {label: partial(digests, m) for label, m in MODELS.items()}
@@ -168,6 +241,13 @@ def cases() -> dict:
         label = f"{suite},{kind},snr_db={db:g},trials={trials}"
         table[f"campaign_signal({label})"] = partial(campaign_signal_digests, suite, kind, db, trials)
         table[f"campaign({label})"] = partial(campaign_digests, suite, kind, db, trials)
+    for name, setup in CLEAN.items():
+        table[f"clean_signal({name})"] = partial(clean_signal_digests, name)
+        table[f"clean({name},n1={setup.n1},W={setup.window},kappa={setup.kappa:g})"] = partial(
+            clean_digests, name
+        )
+    for name in PIPELINE:
+        table[f"pipeline({name})"] = partial(artifact_digests, name)
     return table
 
 
