@@ -19,9 +19,10 @@ dust floor so noise-free flat segments never fire.
 
 Batch and stream share one engine. The engine consumes window statistics in
 position order and, whenever crossings have their right flank available,
-resolves all of them in one vectorized gate under either scale: the flank
-threshold and the dust floor are masks, applied cheapest first, and only
-survivors become candidates for a time-ordered pending-candidate suppressor.
+resolves all of them in one vectorized gate. It prunes in one order under
+either scale: it takes each crossing's threshold first, then the left flank,
+the right flank and the dust floor drop crossings as masks. Only survivors
+become candidates for a time-ordered pending-candidate suppressor.
 With an explicit cfg.scale batch and stream are bit-identical and chunk-size
 invariant; with cfg.scale=None batch uses the whole-trace MAD of d while the
 stream uses a trailing MAD at each crossing (a documented approximation, still
@@ -341,51 +342,44 @@ class _GateEngine:
         The left flank of crossing k is d[k - W/2 .. k-1] and the right one
         d[k .. k + W/2], clipped to the history at the stream start and at
         finish(). A clipped flank is gathered with its index clamped into it:
-        a repeated value changes no max, min or NaN. The cheap tests prune
-        first. Under a fixed scale: the left flank of every crossing, the
-        right flank where the left passed, then |v| for the dust floor on
-        flank survivors. Under the trailing MAD: both flanks and |v| for every
-        crossing, then the median only where the dust floor passed."""
+        a repeated value changes no max, min or NaN. The tests prune in one
+        order under either scale: each crossing's threshold is taken first,
+        the left flank prunes against it, the right flank prunes the
+        survivors, and |v| for the dust floor is gathered last."""
         f = self.flank
         out: List[Detection] = []
         step = max(1, _SCREEN_ELEMENTS // (f + 1))
         for lo in range(0, len(ks), step):
             col = np.array(ks[lo : lo + step], dtype=np.int64) - self.base
+            threshold = self._thresholds(col)
             # +1 where d falls through zero at k, -1 where it rises
             sign = np.where(self.d[col - 1] > 0, 1.0, -1.0)
             score = np.inf  # becomes the smaller flank excursion
             for offsets, side in ((self._flanks[:f], 1.0), (self._flanks[f:], -1.0)):
                 flank = np.take(self.d, col[:, None] + offsets, mode="clip")
                 score = np.minimum(score, (flank * (side * sign)[:, None]).max(axis=1))
-                if self.scale is not None:
-                    keep = self._reaching(col, score)
-                    col, sign, score = col[keep], sign[keep], score[keep]
+                keep = score >= threshold  # a NaN excursion never reaches it
+                col, sign, score, threshold = col[keep], sign[keep], score[keep], threshold[keep]
             # float dust floor (DUST): BOTH flanks must carry a macroscopic v
             v = np.abs(np.take(self.v, col[:, None] + self._flanks, mode="clip"))
             floor = DUST * self.wnorm_sqrtw * self.rms[col]
             keep = ~(np.minimum(v[:, :f].max(axis=1), v[:, f:].max(axis=1)) <= floor)
-            col, score = col[keep], score[keep]
-            if self.scale is None:
-                keep = self._reaching(col, score)
-                col, score = col[keep], score[keep]
-            out.extend(map(self._candidate, col.tolist(), score.tolist()))
+            out.extend(map(self._candidate, col[keep].tolist(), score[keep].tolist()))
         return out
 
-    def _reaching(self, col: np.ndarray, score: np.ndarray) -> np.ndarray:
-        """Mask of the crossings at history columns col whose flank excursions
-        all reach kappa times the scale (a NaN excursion never does). The
+    def _thresholds(self, col: np.ndarray) -> np.ndarray:
+        """kappa times the scale of each crossing at history columns col. The
         trailing MAD is that of d over the trailing positions ending at the
         crossing's right flank end; under 16 of them it is inf."""
         if self.scale is not None:
-            threshold = self.cfg.kappa * self.scale
-        else:
-            d = self.d
-            threshold = np.empty(col.size)
-            for i, hi in enumerate(np.minimum(col + self.flank, d.size - 1).tolist()):
-                window = d[max(0, hi + 1 - self.trailing) : hi + 1]
-                small = window.size < _MIN_SCALE_HISTORY
-                threshold[i] = self.cfg.kappa * (math.inf if small else batch_mad_scale(window))
-        return score >= threshold
+            return np.full(col.size, self.cfg.kappa * self.scale)
+        d = self.d
+        threshold = np.empty(col.size)
+        for i, hi in enumerate(np.minimum(col + self.flank, d.size - 1).tolist()):
+            window = d[max(0, hi + 1 - self.trailing) : hi + 1]
+            small = window.size < _MIN_SCALE_HISTORY
+            threshold[i] = self.cfg.kappa * (math.inf if small else batch_mad_scale(window))
+        return threshold
 
     def _candidate(self, k: int, score: float) -> Detection:
         """The candidate of the passing crossing at history column k."""
