@@ -98,10 +98,17 @@ def _int(v) -> int:
     return int(v)
 
 
+def _float(v) -> float:
+    """A float from JSON (not a bool) or from a report.csv cell."""
+    if isinstance(v, bool):
+        raise ValueError(f"expected a number, got {v!r}")
+    return float(v)
+
+
 # The one setup schema: each DetectorSetup field, in field order, with the
 # coercion (by declared type) that reads it from JSON or a report.csv cell.
-_COERCE = {"int": _int, "float": float, "str": str,
-           "Optional[float]": lambda v: None if v is None or v == "" else float(v)}
+_COERCE = {"int": _int, "float": _float, "str": str,
+           "Optional[float]": lambda v: None if v is None or v == "" else _float(v)}
 SETUP_FIELDS: Dict[str, Callable] = {f.name: _COERCE[f.type] for f in fields(DetectorSetup)}
 
 

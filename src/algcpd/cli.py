@@ -122,12 +122,16 @@ def load_signal_config(path: str) -> SignalSpec:
         raise ValueError(f"{path}: bad signal config: {e}")
 
 
+_CAMPAIGN_KEYS = ("suite", "noise", "snr_db", "trials", "setup")
+
+
 def load_bench_config(path: str, base_seed: int, trials: Optional[int]) -> List[bench_mod.Campaign]:
     """JSON schema: one campaign object or {"campaigns": [...]}. Campaign keys:
     suite, noise, snr_db, trials, setup {any DetectorSetup field}; setup keys
-    fall back to the suite's reference setup. An unknown suite or setup key,
-    or a value Campaign or DetectorSetup rejects, in any campaign is an error
-    raised before the first campaign runs."""
+    fall back to the suite's reference setup. An unknown suite, campaign key
+    or setup key, a bool where a number belongs, or a value Campaign or
+    DetectorSetup rejects, in any campaign is an error raised before the
+    first campaign runs."""
     with open(path, "r") as fh:
         obj = json.load(fh)
     items = obj["campaigns"] if isinstance(obj, dict) and "campaigns" in obj else obj
@@ -138,6 +142,11 @@ def load_bench_config(path: str, base_seed: int, trials: Optional[int]) -> List[
     try:
         for i, it in enumerate(items):
             where = f" (campaign {i})"
+            unknown = sorted(set(it) - set(_CAMPAIGN_KEYS))
+            if unknown:
+                raise ValueError(
+                    f"unknown campaign key {unknown[0]!r}; keys: {', '.join(_CAMPAIGN_KEYS)}"
+                )
             suite = it["suite"]
             if suite not in bench_mod.REFERENCE_SETUPS:
                 raise ValueError(
@@ -149,7 +158,7 @@ def load_bench_config(path: str, base_seed: int, trials: Optional[int]) -> List[
             out.append(bench_mod.Campaign(
                 suite=suite,
                 noise_kind=it.get("noise", "normal"),
-                snr_db=float(it.get("snr_db", 25.0)),
+                snr_db=bench_mod._COERCE["float"](it.get("snr_db", 25.0)),
                 setup=setup,
                 trials=trials if trials is not None else it.get("trials", 100),
                 base_seed=base_seed,

@@ -350,8 +350,15 @@ def test_bench_emit_trials_needs_out(capsys):
     {"setup": {"n1": True}},
     {"setup": {"n1": 9}},
     {"setup": {"rule": "simpson"}},
+    {"snr_db": True},
+    {"setup": {"kappa": True}},
+    {"setup": {"scale": False}},
+    {"snr": 10.0},
+    {"noize": "uniform"},
+    {"base_seed": 7},
 ], ids=["noise", "method", "rule", "mode", "kappa", "kappa_nan", "scale", "snr_nan",
-        "trials_float", "trials_bool", "window_float", "n1_bool", "n1_range", "simpson_even"])
+        "trials_float", "trials_bool", "window_float", "n1_bool", "n1_range", "simpson_even",
+        "snr_bool", "kappa_bool", "scale_bool", "key_snr", "key_noize", "key_base_seed"])
 def test_bench_config_checked_before_any_trial(tmp_path, capsys, monkeypatch, bad):
     """A bad value in the second campaign is a one-line error raised before
     the first campaign runs a trial; no report is written. Every trial
