@@ -23,9 +23,9 @@ each trial's detections (position, kind, repr of score and time) and the
 summary (histogram, exact, within-one, repr of the mean absolute error). The
 noisy signal of every trial is again a case of its own.
 
-The clean cases pin the gate on noise-free inputs, where the dust floor does
-reject crossings: each reference suite rendered without noise through its
-reference setup's detector, and hard_signal(5000, 64, 3) of
+The clean cases pin the gate on noise-free inputs, the ones where the dust
+floor rejects crossings that noise would carry past it: each reference suite
+rendered without noise through its reference setup's detector, and hard_signal(5000, 64, 3) of
 tests/test_engine_oracle.py through the W-64 step detector at kappa 3. Each
 pins the bytes of trace.d and, under a fixed scale W**-0.5 and under the MAD,
 the batch detections (position, kind, repr of score and time) and the stream
