@@ -34,7 +34,6 @@ from .kernels import (
     SymbolicKernel,
     discretize,
     kernelize,
-    oracle_window_values,
 )
 from .runtime import (
     DecisionTrace,
@@ -79,7 +78,6 @@ __all__ = [
     "SymbolicKernel",
     "discretize",
     "kernelize",
-    "oracle_window_values",
     "DecisionTrace",
     "DetectConfig",
     "Detection",

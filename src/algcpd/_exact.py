@@ -197,18 +197,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "Polynomial":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        result = _ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def divmod(self, other: "Polynomial") -> tuple:
         """(q, r) with self == q * other + r and deg r < deg other.
 
@@ -263,21 +251,16 @@ class Polynomial:
     def derivative(self) -> "Polynomial":
         return _poly([k * c for k, c in enumerate(self.nums)][1:], self.den)
 
-    def eval(self, x):
-        """Horner evaluation; exact (a Fraction) when x is Fraction/int."""
-        if isinstance(x, (int, Fraction)):
-            # with x = p/q and degree d: sum_k c_k p^k q^(d-k) / (den * q^d)
-            p, q = x.numerator, x.denominator
-            acc, qk = 0, 1
-            for c in reversed(self.nums):
-                acc = acc * p + c * qk
-                qk *= q
-            return Fraction(acc * q, self.den * qk)
-        acc = 0.0
-        den = self.den
+    def eval(self, x) -> Fraction:
+        """Exact Horner evaluation at an int or Fraction x."""
+        # with x = p/q and degree d: sum_k c_k p^k q^(d-k) / (den * q^d)
+        x = _frac(x)
+        p, q = x.numerator, x.denominator
+        acc, qk = 0, 1
         for c in reversed(self.nums):
-            acc = acc * x + c / den
-        return acc
+            acc = acc * p + c * qk
+            qk *= q
+        return Fraction(acc * q, self.den * qk)
 
     def monic(self) -> "Polynomial":
         if not self.nums:
@@ -458,9 +441,6 @@ class RationalFunction:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other) -> "RationalFunction":
-        return _as_rf(other) - self
-
     def __mul__(self, other) -> "RationalFunction":
         other = _as_rf(other)
         if other is NotImplemented:
@@ -476,9 +456,6 @@ class RationalFunction:
         if other.is_zero():
             raise ZeroDivisionError("rational function division by zero")
         return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other) -> "RationalFunction":
-        return _as_rf(other) / self
 
     def inverse(self) -> "RationalFunction":
         if self.is_zero():

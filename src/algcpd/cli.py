@@ -94,32 +94,52 @@ def write_weights_csv(path: str, dd) -> None:
 
 # ---- config files -----------------------------------------------------------
 
+def _object(obj, keys: Sequence[str], what: str) -> dict:
+    """obj if it is a JSON object with no key outside keys; ValueError otherwise."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be an object, got {obj!r}")
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown {what} key {unknown[0]!r}; keys: {', '.join(keys)}")
+    return obj
+
+
+_SIGNAL_KEYS = ("duration", "dt", "segments", "carrier")
+_SEGMENT_KEYS = ("start", "coeffs")
+_CARRIER_KEYS = ("amplitude", "frequency", "phase")
+
+
 def load_signal_config(path: str) -> SignalSpec:
     """JSON schema: duration, dt, segments [{start, coeffs}], optional carrier
-    {amplitude, frequency, phase}."""
+    {amplitude, frequency, phase}. An unknown key at any level, or a bool
+    where a number belongs, is an error."""
     with open(path, "r") as fh:
         obj = json.load(fh)
+    num = bench_mod._COERCE["float"]
     try:
-        segments = tuple(
-            Segment(float(s["start"]), tuple(float(c) for c in s["coeffs"]))
-            for s in obj["segments"]
-        )
+        obj = _object(obj, _SIGNAL_KEYS, "signal config")
+        segments = []
+        for s in obj["segments"]:
+            s = _object(s, _SEGMENT_KEYS, "segment")
+            if not isinstance(s["coeffs"], list):
+                raise ValueError(f"coeffs must be a list, got {s['coeffs']!r}")
+            segments.append(Segment(num(s["start"]), tuple(num(c) for c in s["coeffs"])))
         carrier = None
         if obj.get("carrier") is not None:
-            c = obj["carrier"]
+            c = _object(obj["carrier"], _CARRIER_KEYS, "carrier")
             carrier = Carrier(
-                amplitude=float(c["amplitude"]),
-                frequency=float(c["frequency"]),
-                phase=float(c.get("phase", 0.0)),
+                amplitude=num(c["amplitude"]),
+                frequency=num(c["frequency"]),
+                phase=num(c.get("phase", 0.0)),
             )
         return SignalSpec(
-            segments=segments,
-            duration=float(obj["duration"]),
-            dt=float(obj["dt"]),
+            segments=tuple(segments),
+            duration=num(obj["duration"]),
+            dt=num(obj["dt"]),
             carrier=carrier,
         )
-    except (KeyError, TypeError) as e:
-        raise ValueError(f"{path}: bad signal config: {e}")
+    except (KeyError, TypeError, ValueError) as e:
+        raise ValueError(f"{path}: bad signal config: {e}") from None
 
 
 _CAMPAIGN_KEYS = ("suite", "noise", "snr_db", "trials", "setup")
@@ -142,18 +162,15 @@ def load_bench_config(path: str, base_seed: int, trials: Optional[int]) -> List[
     try:
         for i, it in enumerate(items):
             where = f" (campaign {i})"
-            unknown = sorted(set(it) - set(_CAMPAIGN_KEYS))
-            if unknown:
-                raise ValueError(
-                    f"unknown campaign key {unknown[0]!r}; keys: {', '.join(_CAMPAIGN_KEYS)}"
-                )
+            it = _object(it, _CAMPAIGN_KEYS, "campaign")
             suite = it["suite"]
             if suite not in bench_mod.REFERENCE_SETUPS:
                 raise ValueError(
                     f"unknown suite {suite!r}; "
                     f"available: {', '.join(sorted(bench_mod.REFERENCE_SETUPS))}"
                 )
-            overrides = {k: bench_mod.SETUP_FIELDS[k](v) for k, v in it.get("setup", {}).items()}
+            given = _object(it.get("setup", {}), tuple(bench_mod.SETUP_FIELDS), "setup")
+            overrides = {k: bench_mod.SETUP_FIELDS[k](v) for k, v in given.items()}
             setup = dataclasses.replace(bench_mod.REFERENCE_SETUPS[suite], **overrides)
             out.append(bench_mod.Campaign(
                 suite=suite,

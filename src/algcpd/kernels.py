@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -162,21 +161,6 @@ class DiscreteDetector:
         """Window time span T = (window - 1) * dt."""
         return (self.window - 1) * self.dt
 
-    @cached_property
-    def exact_weights(self) -> Tuple[Tuple[Fraction, ...], ...]:
-        """The exact quadrature weights, built from exact_rows on first access.
-
-        The unprojected float weights are their float images.
-        """
-        q = quadrature_weights(self.window, Fraction(self.dt), self.rule)
-        return tuple(
-            tuple(
-                Fraction(qi.numerator * s, qi.denominator * den)
-                for qi, s in zip(q, _tap_numerators(coeffs, self.window))
-            )
-            for den, coeffs in self.exact_rows
-        )
-
 
 def _tap_numerators(coeffs: Tuple[int, ...], window: int) -> List[int]:
     """sum_j coeffs[j] * i^j at each tap i in range(window), Horner over ints."""
@@ -242,8 +226,8 @@ def discretize(
     With project=True (the default) each float weight row is deflated against
     the sampled monomials its exact kernel annihilates, so windows holding a
     pure model-family signal produce values at rounding level instead of
-    quadrature-bias level. project=False keeps the raw quadrature weights
-    (exactly the float image of exact_weights).
+    quadrature-bias level. project=False keeps the raw quadrature weights,
+    each the correctly rounded float of its exact weight q_i * K_v(T, i * dt).
     """
     if window < 2:
         raise ValueError("window must be >= 2")
@@ -275,7 +259,6 @@ def discretize(
             basis = [grid ** m for m in _annihilated_moments(kv, row, T)]
             if basis:
                 weights[vi] = _project_out(weights[vi], basis)
-        weights = np.ascontiguousarray(weights)
 
     t_mid = float(T) / 2.0
     w_mid = np.zeros(window, dtype=np.float64)
@@ -299,55 +282,3 @@ def discretize(
         projected=project,
     )
 
-
-def oracle_window_values(
-    det: DetectorOperator, samples: Sequence[float], dt: float, rule: str = "trapezoid"
-) -> np.ndarray:
-    """Independent single-window evaluation used to check the kernel path.
-
-    Avoids the collapsed bivariate kernels entirely: for each monomial
-    c * s^-m * D^a the m-fold integration factor S_m is rebuilt numerically by
-    repeated antidifferentiation (S_1 = 1, S_{j+1}(tau) = integral_tau^T S_j),
-    evaluated per sample in float, and accumulated with math.fsum. Same
-    quadrature rule, different code path and different summation order.
-    """
-    y = [float(v) for v in samples]
-    window = len(y)
-    h = Fraction(dt)
-    q = [float(w) for w in quadrature_weights(window, h, rule)]
-    T = (window - 1) * dt
-    taus = [i * dt for i in range(window)]
-
-    # s_polys[m] = float coefficients (ascending) of S_m on [0, T]
-    max_m = 0
-    plan = []
-    for comp in det.omega.coeffs:
-        terms = _integral_monomials(comp)
-        plan.append(terms)
-        for _, m, _ in terms:
-            max_m = max(max_m, m)
-    s_polys: List[List[float]] = [[], [1.0]]
-    for _ in range(2, max_m + 1):
-        prev = s_polys[-1]
-        anti = [0.0] + [c / (k + 1) for k, c in enumerate(prev)]
-        at_T = 0.0
-        for c in reversed(anti):
-            at_T = at_T * T + c
-        nxt = [-c for c in anti]
-        nxt[0] += at_T
-        s_polys.append(nxt)
-
-    out = np.empty(len(plan), dtype=np.float64)
-    for vi, terms in enumerate(plan):
-        contributions = []
-        for c, m, a in terms:
-            cf = float(c)
-            sp = s_polys[m]
-            for i in range(window):
-                tau = taus[i]
-                sm = 0.0
-                for pc in reversed(sp):
-                    sm = sm * tau + pc
-                contributions.append(cf * sm * (-tau) ** a * y[i] * q[i])
-        out[vi] = math.fsum(contributions)
-    return out

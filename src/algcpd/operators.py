@@ -89,9 +89,6 @@ class DiffOperator:
         """Highest derivative order; -1 for the zero operator."""
         return max(self.terms) if self.terms else -1
 
-    def coeff(self, a: int) -> RF:
-        return self.terms.get(a, RF.zero())
-
     def items(self):
         return sorted(self.terms.items())
 
@@ -101,12 +98,6 @@ class DiffOperator:
         for a, c in other.terms.items():
             out[a] = out[a] + c if a in out else c
         return DiffOperator(out)
-
-    def __neg__(self) -> "DiffOperator":
-        return DiffOperator({a: -c for a, c in self.terms.items()})
-
-    def __sub__(self, other: "DiffOperator") -> "DiffOperator":
-        return self + (-other)
 
     def scale(self, factor) -> "DiffOperator":
         """Left-multiply every coefficient by a rational function."""
@@ -239,12 +230,6 @@ class OperatorPolynomial:
         n = max(len(self.coeffs), len(other.coeffs))
         return OperatorPolynomial(
             tuple(self.coeff(j) + other.coeff(j) for j in range(n))
-        )
-
-    def __sub__(self, other: "OperatorPolynomial") -> "OperatorPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return OperatorPolynomial(
-            tuple(self.coeff(j) - other.coeff(j) for j in range(n))
         )
 
     def compose_left(self, op: DiffOperator) -> "OperatorPolynomial":

@@ -292,36 +292,28 @@ class _GateEngine:
         return min(horizon + self.min_sep_pos, last + self.window) + self.flank + 1
 
     def drain(self) -> List[Detection]:
-        """Gate every crossing whose right flank is fed, emit what they and
-        the frontier resolve, and trim the history."""
+        """Gate every crossing whose right flank is fed (all of them once
+        finished), emit what they and the frontier resolve, and trim the
+        history."""
         out: List[Detection] = []
-        frontier = self.end - 1
-        if self.finished:
-            taken = len(self.crossings)
-        else:
-            taken = bisect.bisect_right(self.crossings, frontier - self.flank)
+        limit = math.inf if self.finished else self.end - 1 - self.flank
+        taken = bisect.bisect_right(self.crossings, limit)
         if taken:
             for cand in self._gate(self.crossings[:taken]):
                 out.extend(self._push_candidate(cand))
             del self.crossings[:taken]
-        # every crossing still queued lies past frontier - flank, so its
-        # candidate would land more than min_sep_pos past this pending one
-        # and emit it anyway: waiting for it only delays the emission
-        if self.pending is not None:
-            resolvable = frontier if self.finished else frontier - self.flank
-            if resolvable > self.pending.position + self.min_sep_pos:
-                out.append(self.pending)
-                self.pending = None
+        # every crossing still queued lies past limit, so its candidate would
+        # land more than min_sep_pos past this pending one and emit it anyway:
+        # waiting for it only delays the emission (once finished, none is left)
+        if self.pending is not None and limit > self.pending.position + self.min_sep_pos:
+            out.append(self.pending)
+            self.pending = None
         self._trim()
         return out
 
     def finish(self) -> List[Detection]:
         self.finished = True
-        out = self.drain()
-        if self.pending is not None:
-            out.append(self.pending)
-            self.pending = None
-        return out
+        return self.drain()
 
     # -- internals -----------------------------------------------------------
     def _trim(self) -> None:

@@ -17,9 +17,10 @@ from algcpd._exact import Polynomial, RationalFunction as RF
 from algcpd.bench import reference_campaign, run_campaign
 from algcpd.builder import ModelSpec, build_detector, verify_detector
 from algcpd.cli import main
-from algcpd.kernels import discretize, oracle_window_values
+from algcpd.kernels import discretize
 from algcpd.operators import DiffOperator
 from algcpd.runtime import DetectConfig, StreamDetector, detect_samples
+from test_kernels import oracle_window_values
 
 
 def _report(num: int, name: str, ok: bool, detail: str = ""):

@@ -10,6 +10,7 @@ import pytest
 
 from algcpd import bench
 from algcpd.cli import (
+    load_signal_config,
     main,
     read_detections_csv,
     read_signal_csv,
@@ -21,6 +22,7 @@ from algcpd.cli import (
     write_truth_csv,
 )
 from algcpd.runtime import DecisionTrace, Detection
+from algcpd.signals import Carrier, Segment, SignalSpec
 
 
 def run(capsys, *argv):
@@ -133,6 +135,68 @@ def test_simulate_rejects_snr_without_finite_noise_power(tmp_path, capsys, snr):
     assert not sig.exists()
 
 
+# The example signal config of docs/config.md: a level, then a ramp from
+# t = 1.115, under a carrier.
+DOC_SIGNAL = {
+    "duration": 2.0,
+    "dt": 0.01,
+    "segments": [
+        {"start": 0.0, "coeffs": [0.0]},
+        {"start": 1.115, "coeffs": [1.0, 0.5]},
+    ],
+    "carrier": {"amplitude": 0.4, "frequency": 0.04, "phase": 0.4},
+}
+
+
+def test_simulate_config_with_carrier(tmp_path, capsys):
+    cfg = tmp_path / "sig.json"
+    cfg.write_text(json.dumps(DOC_SIGNAL))
+    assert load_signal_config(str(cfg)) == SignalSpec(
+        segments=(Segment(0.0, (0.0,)), Segment(1.115, (1.0, 0.5))),
+        duration=2.0,
+        dt=0.01,
+        carrier=Carrier(amplitude=0.4, frequency=0.04, phase=0.4),
+    )
+    sig = tmp_path / "sig.csv"
+    code, out, err = run(capsys, "simulate", "--config", str(cfg), "--out", str(sig))
+    assert code == 0 and err == ""
+    times, values = read_signal_csv(str(sig))
+    assert len(times) == 200
+    step = np.where(times >= 1.115, 1.0 + 0.5 * (times - 1.115), 0.0)
+    want = step + 0.4 * np.sin(2 * np.pi * 0.04 * times + 0.4)
+    assert np.allclose(values, want, rtol=0, atol=1e-12)
+    assert values[0] == 0.4 * np.sin(0.4)
+
+
+def _carrier_phse(cfg):
+    del cfg["carrier"]["phase"]
+    cfg["carrier"]["phse"] = 1.0
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda cfg: cfg["segments"][0].update(coeffs=[True]), "True"),
+    (lambda cfg: cfg["segments"][1].update(coeffs="12"), "'12'"),
+    (lambda cfg: cfg.update(dt=True), "True"),
+    (lambda cfg: cfg.update(carier=cfg.pop("carrier")), "'carier'"),
+    (_carrier_phse, "'phse'"),
+    (lambda cfg: cfg["segments"][1].update(slope=0.5), "'slope'"),
+], ids=["coeffs_bool", "coeffs_string", "dt_bool", "key_carier", "carrier_phse", "segment_slope"])
+def test_simulate_config_checked(tmp_path, capsys, edit, named):
+    """A bool where a number belongs, or a misspelt or extra key at any level,
+    is a one-line error naming it, not a signal rendered without it."""
+    obj = json.loads(json.dumps(DOC_SIGNAL))
+    edit(obj)
+    cfg = tmp_path / "sig.json"
+    cfg.write_text(json.dumps(obj))
+    sig = tmp_path / "sig.csv"
+    code, out, err = run(capsys, "simulate", "--config", str(cfg), "--out", str(sig))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {cfg}: bad signal config: ") and named in err
+    assert len(err.strip().splitlines()) == 1
+    assert not sig.exists()
+
+
 def test_detect_stdout_and_trace(tmp_path, capsys):
     cfg = tmp_path / "step.json"
     write_step_config(cfg)
@@ -198,6 +262,23 @@ def test_detect_rejects_non_finite_parameters(tmp_path, capsys, flag, value):
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("text, flags, named", [
+    ("time,value\n0.0,1.0\n0.01,1.0\n", ["--model", "1,2,3,4"], "n1[,n2[,order]]"),
+    ("time,value\n0.0,1.0\n0.01,1.0\n", ["--model", "a"], "--model wants integers"),
+    ("time,value\n", [], "no samples"),
+    ("time,value\n0.0,1.0\n", [], "pass --dt"),
+    ("time,value\n0.02,1.0\n0.01,1.0\n", [], "strictly increasing"),
+], ids=["model_four_parts", "model_not_int", "no_rows", "one_row_no_dt", "time_decreasing"])
+def test_detect_rejects_bad_model_and_signal(tmp_path, capsys, text, flags, named):
+    sig = tmp_path / "sig.csv"
+    sig.write_text(text)
+    code, out, err = run(capsys, "detect", "--in", str(sig), *flags)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and named in err
     assert len(err.strip().splitlines()) == 1
 
 
@@ -356,9 +437,12 @@ def test_bench_emit_trials_needs_out(capsys):
     {"snr": 10.0},
     {"noize": "uniform"},
     {"base_seed": 7},
+    {"setup": None},
+    {"setup": [1]},
 ], ids=["noise", "method", "rule", "mode", "kappa", "kappa_nan", "scale", "snr_nan",
         "trials_float", "trials_bool", "window_float", "n1_bool", "n1_range", "simpson_even",
-        "snr_bool", "kappa_bool", "scale_bool", "key_snr", "key_noize", "key_base_seed"])
+        "snr_bool", "kappa_bool", "scale_bool", "key_snr", "key_noize", "key_base_seed",
+        "setup_null", "setup_list"])
 def test_bench_config_checked_before_any_trial(tmp_path, capsys, monkeypatch, bad):
     """A bad value in the second campaign is a one-line error raised before
     the first campaign runs a trial; no report is written. Every trial

@@ -13,13 +13,7 @@ from hypothesis import strategies as st
 from algcpd import kernels
 from algcpd._exact import Polynomial, RationalFunction as RF
 from algcpd.builder import ModelSpec, build_detector
-from algcpd.kernels import (
-    BivariatePoly,
-    discretize,
-    kernelize,
-    oracle_window_values,
-    quadrature_weights,
-)
+from algcpd.kernels import BivariatePoly, discretize, kernelize, quadrature_weights
 from algcpd.operators import DiffOperator, OperatorPolynomial, to_integral_form
 
 
@@ -87,6 +81,54 @@ def reference_moments(ref, T):
     """Every vanishing moment degree up to the kernel's u degree + 1."""
     top = max((j for _, j in ref), default=0) + 1
     return [m for m in range(top + 1) if exact_moment(ref, T, m) == 0]
+
+
+def oracle_window_values(det, samples, dt, rule="trapezoid"):
+    """Independent single-window evaluation used to check the kernel path.
+
+    Avoids the collapsed bivariate kernels entirely: for each monomial
+    c * s^-m * D^a of comp.laurent_terms() the m-fold integration factor S_m
+    is rebuilt numerically by repeated antidifferentiation (S_1 = 1,
+    S_{j+1}(tau) = integral_tau^T S_j), evaluated per sample in float, and
+    accumulated with math.fsum. Same quadrature rule, different code path and
+    different summation order.
+    """
+    y = [float(v) for v in samples]
+    window = len(y)
+    q = [float(w) for w in quadrature_weights(window, Fraction(dt), rule)]
+    T = (window - 1) * dt
+    taus = [i * dt for i in range(window)]
+
+    # plan[v] = [(c, m, a)] for the monomials c * s^-m * D^a of delay power v
+    plan = [[(c, -e, a) for c, e, a in comp.laurent_terms()] for comp in det.omega.coeffs]
+    assert all(m >= 1 for terms in plan for _, m, _ in terms)
+    max_m = max((m for terms in plan for _, m, _ in terms), default=0)
+
+    # s_polys[m] = float coefficients (ascending) of S_m on [0, T]
+    s_polys = [[], [1.0]]
+    for _ in range(2, max_m + 1):
+        anti = [0.0] + [c / (k + 1) for k, c in enumerate(s_polys[-1])]
+        at_T = 0.0
+        for c in reversed(anti):
+            at_T = at_T * T + c
+        nxt = [-c for c in anti]
+        nxt[0] += at_T
+        s_polys.append(nxt)
+
+    out = np.empty(len(plan), dtype=np.float64)
+    for vi, terms in enumerate(plan):
+        contributions = []
+        for c, m, a in terms:
+            cf = float(c)
+            sp = s_polys[m]
+            for i in range(window):
+                tau = taus[i]
+                sm = 0.0
+                for pc in reversed(sp):
+                    sm = sm * tau + pc
+                contributions.append(cf * sm * (-tau) ** a * y[i] * q[i])
+        out[vi] = math.fsum(contributions)
+    return out
 
 
 def test_kernel_exact_moments():
@@ -163,7 +205,7 @@ def test_raw_weights_are_float_image_of_exact():
     det = build_detector(ModelSpec.monomial(0, 0))
     dd = discretize(det, window=16, dt=0.01, project=False)
     assert dd.projected is False
-    for v, row in enumerate(dd.exact_weights):
+    for v, row in enumerate(fraction_horner_rows(det, 16, 0.01, "trapezoid")):
         for i, w in enumerate(row):
             assert dd.weights[v, i] == float(w)
     assert dd.weights.dtype == np.float64
@@ -321,8 +363,6 @@ def check_against_reference(det, window, dt, rule):
     for project in (False, True):
         dd = discretize(det, window=window, dt=dt, rule=rule, project=project)
         assert_same_bits(dd.weights, reference_weights(det, want_exact, dt, project))
-        assert dd.exact_weights == want_exact
-        assert all(type(w) is Fraction for row in dd.exact_weights for w in row)
 
 
 @pytest.mark.parametrize(
@@ -355,14 +395,5 @@ def test_discretize_raw_weights_are_float_image_of_reference(model, dt, window, 
     want_exact = fraction_horner_rows(det, window, dt, rule)
     dd = discretize(det, window=window, dt=dt, rule=rule, project=False)
     assert_same_bits(dd.weights, reference_weights(det, want_exact, dt, False))
-
-    # exact_weights is built on first access and leaves the floats alone
-    bits = dd.weights.tobytes()
-    assert "exact_weights" not in vars(dd)
-    assert dd.exact_weights == want_exact
-    assert dd.exact_weights is dd.exact_weights
-    assert dd.weights.tobytes() == bits
     with pytest.raises(dataclasses.FrozenInstanceError):
         dd.window = window + 1
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        dd.exact_weights = ()

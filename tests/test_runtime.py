@@ -1,5 +1,6 @@
 """Batch and streaming detection runtimes."""
 
+import dataclasses
 import itertools
 import math
 
@@ -267,6 +268,19 @@ def flank_trace(left_peak, right_peak, reach=0):
     )
 
 
+def test_linear_estimate_without_slope_reads_midpoint():
+    """Under mode="linear_estimate" the candidate's time is the window's
+    root of vnu[0] + vnu[1] * t; where vnu[1] is 0 at the candidate, there
+    is none and the time is the window midpoint."""
+    trace = flank_trace(5.0, 5.0)
+    slope = np.ones(200)
+    slope[99] = 0.0
+    trace = dataclasses.replace(trace, vnu=np.stack([trace.v, slope]))
+    (det,) = detect(trace, DetectConfig(kappa=1.0, scale=1.0, mode="linear_estimate"))
+    assert (det.position, det.kind) == (99, "linear_estimate")
+    assert det.time == trace.time_at(99)
+
+
 @pytest.mark.parametrize("reach", [0, 1])
 def test_fixed_scale_gate_flanks_end_where_resolve_ends_them(reach):
     trace = flank_trace(5.0, 5.0, reach)
@@ -378,6 +392,16 @@ def test_stream_chunk_emission_lag(scale, min_separation):
     """Fed seven samples per push_chunk(), a detection at p comes out of the
     call that completes position p + min_sep_pos + W//2 + 1."""
     assert_exact_emission_lag(scale, min_separation, 7)
+
+
+def test_finalize_twice_returns_nothing_more():
+    dd = step_detector()
+    y = step_signal(200, 0.01, [(1.115, 1.0)])
+    sd = StreamDetector(dd, DetectConfig(scale=64 ** -0.5))
+    got = sd.push_chunk(y) + sd.finalize()
+    assert len(got) == 1
+    assert sd.finalize() == []
+    assert as_tuples(sd.detections) == as_tuples(got)
 
 
 def test_stream_mad_scale_chunk_invariant():
