@@ -13,8 +13,11 @@ The stream cases pin what a StreamDetector emits on pc5 at 10 dB normal noise
 the last push), fed one sample per push() and seven per push_chunk(), under a
 fixed scale and under the trailing MAD. The sine3 stream cases pin the same
 event lists on sine3 at 25 dB normal noise under the trailing MAD, the scale
-its reference setup gates with. The noisy samples are a case of their own, so
-a mismatch there reads as signal drift, not detector drift.
+its reference setup gates with. The min_separation=0 stream cases pin pc5 at
+10 dB again under the trailing MAD with no merge distance, so a stream drains
+every few positions and the engine runs its smallest calls. The noisy samples
+are a case of their own, so a mismatch there reads as signal drift, not
+detector drift.
 
 The campaign cases pin run_campaign on three reference campaigns (pc5 normal
 at 0 dB, poly6 perlin at 20 dB, sine3 normal at 25 dB), with enough trials
@@ -74,10 +77,12 @@ from test_engine_oracle import hard_signal  # noqa: E402
 WINDOWS = (64, 385)
 STREAM_SEEDS = range(4)
 STREAM_WINDOW = 96
-# (suite, SNR dB, gate scales): each stream case's signal and the scales it runs
+# (suite, SNR dB, gate scales, min_separation s): each stream case's signal,
+# the scales it runs and its merge distance (None: the default, one window)
 STREAMS = (
-    ("pc5", 10.0, (("fixed", STREAM_WINDOW ** -0.5), ("mad", None))),
-    ("sine3", 25.0, (("mad", None),)),
+    ("pc5", 10.0, (("fixed", STREAM_WINDOW ** -0.5), ("mad", None)), None),
+    ("sine3", 25.0, (("mad", None),), None),
+    ("pc5", 10.0, (("mad", None),), 0.0),
 )
 # (suite, noise kind, SNR dB, trials): one group of trials and a part of the next
 CAMPAIGNS = (("pc5", "normal", 0.0, 7), ("poly6", "perlin", 20.0, 8), ("sine3", "normal", 25.0, 16))
@@ -154,12 +159,12 @@ def stream_events(dd, y, cfg: DetectConfig, chunk: int) -> list:
     ]
 
 
-def stream_digests(suite: str, snr_db: float, scales, seed: int) -> dict:
+def stream_digests(suite: str, snr_db: float, scales, min_separation, seed: int) -> dict:
     dt, y = noisy(suite, snr_db, seed)
     dd = discretize(build_detector(ModelSpec.monomial(0, 0)), window=STREAM_WINDOW, dt=dt)
     out = {}
     for name, scale in scales:
-        cfg = DetectConfig(kappa=3.0, scale=scale)
+        cfg = DetectConfig(kappa=3.0, scale=scale, min_separation=min_separation)
         for chunk in (1, 7):
             out[f"events_{name}_chunk{chunk}"] = sha(repr(stream_events(dd, y, cfg, chunk)))
     return out
@@ -232,11 +237,14 @@ def artifact_digests(name: str) -> dict:
 def cases() -> dict:
     """Every golden case: label -> the function making its digests."""
     table = {label: partial(digests, m) for label, m in MODELS.items()}
-    for suite, db, scales in STREAMS:
+    for suite, db, scales, sep in STREAMS:
+        tail = "" if sep is None else f",min_separation={sep:g}"
         for seed in STREAM_SEEDS:
             label = f"{suite},normal,snr_db={db:g},seed={seed}"
             table[f"signal({label})"] = partial(signal_digests, suite, db, seed)
-            table[f"stream({label},W={STREAM_WINDOW})"] = partial(stream_digests, suite, db, scales, seed)
+            table[f"stream({label},W={STREAM_WINDOW}{tail})"] = partial(
+                stream_digests, suite, db, scales, sep, seed
+            )
     for suite, kind, db, trials in CAMPAIGNS:
         label = f"{suite},{kind},snr_db={db:g},trials={trials}"
         table[f"campaign_signal({label})"] = partial(campaign_signal_digests, suite, kind, db, trials)
