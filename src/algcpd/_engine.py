@@ -13,14 +13,20 @@ right over the window, each term one rounded multiply and one rounded add (no
 FMA); the mean is sum / window and both statistics take a correctly rounded
 sqrt last. The results are bit-identical to that loop.
 
-Calls with fewer than SHORT positions over all rows (a single streamed
-sample, say) take the short path, _eval_short: every accumulator's terms sit
-in one row behind a leading 0.0 column, and np.add.accumulate runs the row's
-prefix sum. A prefix sum is left to right by definition, so its last column
-is the scalar loop's sum, bit for bit; the 0.0 column is the loop's 0.0
-start, which keeps the sign of zero on an all -0.0 window. It costs about a
-dozen NumPy calls whatever the window, two prefix sums among them (the second
-over the squared deviations, once the mean is known).
+Calls with fewer than SHORT positions over all rows (a drain of a stream, say)
+take the short path, _eval_short: the terms of every accumulator of every
+position sit in one C-contiguous (window, k, npos, rows) array, window offset
+first, and np.add.reduce(..., axis=0, initial=0.0) sums the leading axis. When
+the reduced axis is the outer one and the trailing block holds at least 2
+elements, NumPy fills the output with 0.0 and adds whole rows to it element by
+element, offset 0 first: each accumulator takes its terms left to right from
+0.0, the scalar loop's sum bit for bit, and the 0.0 start keeps the sign of
+zero on an all -0.0 window. A trailing block of one element would turn the
+reduction into NumPy's pairwise inner-loop sum, so every reduction carries
+k >= 2 accumulators: the nv delay rows and the window sum in the first, the
+squared deviations and the squares in the second (once the mean is known).
+It costs about a dozen NumPy calls whatever the window, each over
+window * k * npos * rows terms.
 
 Longer calls keep the order while vectorizing across positions and rows. The
 samples are laid out position-major (sample p of every row side by side), so
@@ -33,10 +39,16 @@ in increasing order: one broadcast multiply of the slab by the offset's
 for the window sum and sum of squares. Separate np.multiply and np.add calls
 round each step exactly as the scalar loop does; only the loop nesting
 changes. That is 7 * W NumPy calls per block however few the positions,
-while the short path's arrays grow with the positions times W. The two cross
-near 256 positions at nv 2, and between 192 and 256 at nv 5, for W 96 and
-384 (measured on a 2-CPU VM: the short path takes 0.5-0.85 of the block time
-at 128 positions and 1.2-1.8 of it at 320), hence SHORT.
+while the short path's arrays grow with the positions times W. Measured on a
+2-CPU VM (NumPy 2.4.6), the short path takes this share of the block time:
+    positions        10    128    256    320    512
+    W 96,  nv 2    0.08   0.22   0.31   0.41   0.57
+    W 96,  nv 5    0.09   0.29   0.50   0.60   0.76
+    W 384, nv 2    0.06   0.28   0.56   0.68   1.04
+    W 384, nv 5    0.07   0.44   0.70   0.81   1.10
+so the two cross near 512 positions at W 384. SHORT stays at 256: no caller
+makes calls of 256-512 positions, and the short path's array of
+W * (nv + 1) * npos floats would grow with it at large W (W 4096, say).
 """
 
 from __future__ import annotations
@@ -45,7 +57,7 @@ import numpy as np
 
 #: positions per block of the vectorized form, over all rows (its arrays stay in L2)
 BLOCK = 16384
-#: calls with fewer positions than this, over all rows, take the prefix-sum short path
+#: calls with fewer positions than this, over all rows, take the one-reduction short path
 SHORT = 256
 
 
@@ -115,27 +127,29 @@ def _eval_block(wcols, seg, out_vnu, out_sigma, out_rms):
 
 
 def _eval_short(weights, cols, out_vnu, out_sigma, out_rms):
-    """Every position of every row at once, each accumulator a prefix sum
-    over one row of its terms: np.add.accumulate runs left to right by
-    definition, so the last column is the scalar loop's sum, bit for bit.
-    The leading 0.0 column is the loop's 0.0 start (it turns an all -0.0 sum
-    into +0.0)."""
+    """Every position of every row at once, the terms laid out window offset
+    first as one C-contiguous (window, k, npos, rows) array, each accumulator
+    one np.add.reduce over the leading axis from initial 0.0. Reducing the
+    outer axis of a block of k * npos * rows >= 2 elements, NumPy adds whole
+    rows element by element, offset 0 first: the scalar loop's order from the
+    same 0.0 start (which turns an all -0.0 sum into +0.0). Pass 1 sums w*x of
+    each delay row and x (k = nv + 1); pass 2 pairs (x - mean)^2 with x*x
+    (k = 2), since one accumulator alone, a block of one element, would be
+    summed pairwise."""
     nv, window = weights.shape
     npos, rows = out_sigma.shape
     step = cols.strides[0]
-    # the windows of each row, no copy: (rows, npos, window)
-    x = np.ndarray((rows, npos, window), np.float64, cols, 0, (cols.itemsize, step, step))
-    # per delay row its w*x, then x, then x*x; later (x - mean)^2
-    terms = np.zeros((nv + 2, rows, npos, window + 1))
-    np.multiply(weights[:, None, None, :], x, out=terms[:nv, ..., 1:])
-    terms[nv, ..., 1:] = x
-    np.multiply(x, x, out=terms[nv + 1, ..., 1:])
-    np.add.accumulate(terms, axis=3, out=terms)
-    last = terms[..., window]
-    out_vnu[...] = last[:nv].transpose(0, 2, 1)
-    mean = np.divide(last[nv], window)
-    dev = terms[nv]  # its 0.0 column survives the first prefix sum
-    np.subtract(x, mean[..., None], out=dev[..., 1:])
-    np.multiply(dev[..., 1:], dev[..., 1:], out=dev[..., 1:])
-    np.add.accumulate(dev, axis=2, out=dev)
-    out_sigma[...], out_rms[...] = np.sqrt(np.divide(last[nv:], window)).transpose(0, 2, 1)
+    # window offset i of every position and row, no copy: (window, npos, rows)
+    x = np.ndarray((window, npos, rows), np.float64, cols, 0, (step, step, cols.itemsize))
+    terms = np.empty((window, nv + 1, npos, rows))
+    np.multiply(weights.T[:, :, None, None], x[:, None], out=terms[:, :nv])
+    terms[:, nv] = x
+    acc = np.add.reduce(terms, axis=0, initial=0.0)
+    out_vnu[...] = acc[:nv]
+    mean = np.divide(acc[nv], window)
+    # pass 2 reuses the front of the same buffer, again C-contiguous
+    sq = terms.reshape(-1)[: 2 * x.size].reshape(window, 2, npos, rows)
+    np.subtract(x, mean, out=sq[:, 0])
+    np.multiply(sq[:, 0], sq[:, 0], out=sq[:, 0])
+    np.multiply(x, x, out=sq[:, 1])
+    out_sigma[...], out_rms[...] = np.sqrt(np.divide(np.add.reduce(sq, axis=0, initial=0.0), window))

@@ -24,6 +24,7 @@ exact weight.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
@@ -229,6 +230,9 @@ def discretize(
     quadrature-bias level. project=False keeps the raw quadrature weights,
     each the correctly rounded float of its exact weight q_i * K_v(T, i * dt).
     """
+    if isinstance(window, bool) or not isinstance(window, numbers.Integral):
+        raise ValueError(f"window must be an integer, got {window!r}")
+    window = int(window)
     if window < 2:
         raise ValueError("window must be >= 2")
     if not (math.isfinite(dt) and dt > 0):

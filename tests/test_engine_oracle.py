@@ -145,7 +145,7 @@ def test_engine_matches_scalar_loop_across_block_edge(nv, window):
 def test_engine_rows_match_scalar_loop(rows, nv, monkeypatch, calls):
     """Each row of a (rows, n) block is the scalar loop over that row alone,
     bit for bit: on the short path (fewer than SHORT positions over all
-    rows), on the block path in one block, and with a small BLOCK, so that
+    rows, and one position per row), on the block path in one block, and with a small BLOCK, so that
     a block holds BLOCK // rows positions of every row and each row's
     positions split across blocks. The spies check the path taken."""
     window = 64
@@ -153,6 +153,7 @@ def test_engine_rows_match_scalar_loop(rows, nv, monkeypatch, calls):
     few = max(1, (_engine.SHORT - 1) // rows)
     cases = [  # (positions per row, BLOCK, calls of each path)
         (few, _engine.BLOCK, {"_eval_short": 1}),
+        (1, _engine.BLOCK, {"_eval_short": 1}),
         (300, _engine.BLOCK, {"_eval_block": 1}),
         (300, 100, {"_eval_block": -(-300 // (100 // rows))}),
     ]
@@ -166,6 +167,24 @@ def test_engine_rows_match_scalar_loop(rows, nv, monkeypatch, calls):
         for r in range(rows):
             assert_bit_identical((vnu[:, r], sigma[r], rms[r]), scalar_eval_windows_raw(w, y[r]))
         assert calls == want_calls
+
+
+@pytest.mark.parametrize("k", [2, 3, 6])
+@pytest.mark.parametrize("npos", [1, 2, 10])
+@pytest.mark.parametrize("rows", [1, 3])
+def test_reduce_over_leading_axis_is_a_row_loop(k, npos, rows):
+    """The short path's order: np.add.reduce over the outer axis of a
+    C-contiguous (window, k, npos, rows) array from initial 0.0 adds whole
+    rows, offset 0 first, the same bits as a loop of np.add over the rows.
+    The shapes are those the short path builds (k is nv + 1 or 2)."""
+    window = 64
+    a = hard_signal(window * k * npos * rows, window, seed=100 * k + 10 * npos + rows)
+    a = a.reshape(window, k, npos, rows)
+    want = np.zeros((k, npos, rows))
+    for row in a:
+        want = np.add(want, row)
+    got = np.add.reduce(a, axis=0, initial=0.0)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_engine_rows_without_positions():

@@ -217,6 +217,14 @@ def test_discretize_validation():
     det = build_detector(ModelSpec.monomial(0, 0))
     with pytest.raises(ValueError):
         discretize(det, window=1)
+    # any window that is not an integer, bools and integral floats included
+    for window in (16.0, 16.5, True, False, "16", None, np.float64(16.0)):
+        with pytest.raises(ValueError, match="window must be an integer"):
+            discretize(det, window=window)
+    # NumPy integers are integers: the same detector as the int window
+    dd = discretize(det, window=np.int64(16))
+    assert type(dd.window) is int
+    assert dd.weights.tobytes() == discretize(det, window=16).weights.tobytes()
     for dt in (0.0, -0.01, math.inf, math.nan):
         with pytest.raises(ValueError):
             discretize(det, window=8, dt=dt)
