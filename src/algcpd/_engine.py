@@ -152,4 +152,5 @@ def _eval_short(weights, cols, out_vnu, out_sigma, out_rms):
     np.subtract(x, mean, out=sq[:, 0])
     np.multiply(sq[:, 0], sq[:, 0], out=sq[:, 0])
     np.multiply(x, x, out=sq[:, 1])
-    out_sigma[...], out_rms[...] = np.sqrt(np.divide(np.add.reduce(sq, axis=0, initial=0.0), window))
+    acc = np.add.reduce(sq, axis=0, initial=0.0)
+    out_sigma[...], out_rms[...] = np.sqrt(np.divide(acc, window))

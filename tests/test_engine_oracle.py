@@ -145,9 +145,10 @@ def test_engine_matches_scalar_loop_across_block_edge(nv, window):
 def test_engine_rows_match_scalar_loop(rows, nv, monkeypatch, calls):
     """Each row of a (rows, n) block is the scalar loop over that row alone,
     bit for bit: on the short path (fewer than SHORT positions over all
-    rows, and one position per row), on the block path in one block, and with a small BLOCK, so that
-    a block holds BLOCK // rows positions of every row and each row's
-    positions split across blocks. The spies check the path taken."""
+    rows, and one position per row), on the block path in one block, and
+    with a small BLOCK, so that a block holds BLOCK // rows positions of
+    every row and each row's positions split across blocks. The spies check
+    the path taken."""
     window = 64
     w = weights_for(nv, window)
     few = max(1, (_engine.SHORT - 1) // rows)
