@@ -38,6 +38,13 @@ The pipeline cases pin each artifact of acceptance criterion 7's seeded CLI
 pipeline (run_pipeline in tests/test_acceptance.py) by its sha256, one case
 per artifact; sig.csv, the simulated signal, is one of them.
 
+The short cases pin the window engine's short path (_eval_short) on real
+inputs: the bytes of vnu, sigma and rms from eval_windows_raw with the W-96
+step detector's weights, over a slice of the pc5 10 dB noisy signal (noise
+seed 0) and over a (3, n) block of seeds 0-2, each slice starting at
+SHORT_START and long enough for a given number of positions, every call under
+SHORT positions over all rows.
+
 Regenerate the file after a deliberate change with
 
     python tests/test_golden.py --write
@@ -62,8 +69,10 @@ GOLDEN = HERE / "golden.json"
 if __name__ == "__main__":
     sys.path.insert(0, str(HERE.parent / "src"))
 
+import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
+from algcpd._engine import SHORT, eval_windows_raw  # noqa: E402
 from algcpd._exact import Polynomial, RationalFunction as RF  # noqa: E402
 from algcpd.bench import REFERENCE_SETUPS, DetectorSetup, reference_campaign, run_campaign  # noqa: E402
 from algcpd.builder import ModelSpec, build_detector, verify_detector  # noqa: E402
@@ -84,6 +93,12 @@ STREAMS = (
     ("sine3", 25.0, (("mad", None),), None),
     ("pc5", 10.0, (("mad", None),), 0.0),
 )
+# (rows, positions) of each short-path call: rows 1 is noise seed 0 alone,
+# rows 3 the block of seeds 0-2
+SHORT_CALLS = ((1, 1), (1, 2), (1, 10), (1, 107), (1, 255), (3, 1), (3, 10), (3, 85))
+# first sample of each short-path slice; pc5's first change (6.405 s at dt
+# 0.01) lies under every window of every slice
+SHORT_START = 600
 # (suite, noise kind, SNR dB, trials): one group of trials and a part of the next
 CAMPAIGNS = (("pc5", "normal", 0.0, 7), ("poly6", "perlin", 20.0, 8), ("sine3", "normal", 25.0, 16))
 # noise-free inputs and their detector setups: the reference suites, and
@@ -170,6 +185,16 @@ def stream_digests(suite: str, snr_db: float, scales, min_separation, seed: int)
     return out
 
 
+def short_digests(rows: int, npos: int) -> dict:
+    assert rows * npos < SHORT
+    signals = [noisy("pc5", 10.0, seed) for seed in range(rows)]
+    dd = discretize(build_detector(ModelSpec.monomial(0, 0)), window=STREAM_WINDOW, dt=signals[0][0])
+    stop = SHORT_START + STREAM_WINDOW + npos - 1
+    block = np.stack([y[SHORT_START:stop] for _, y in signals])
+    out = eval_windows_raw(dd.weights, block[0] if rows == 1 else block)
+    return {name: sha(a.tobytes()) for name, a in zip(("vnu", "sigma", "rms"), out)}
+
+
 def campaign_signal_digests(suite, noise_kind, snr_db, trials) -> dict:
     c = reference_campaign(suite, noise_kind, snr_db, trials=trials)
     _, clean = render(builtin_suite(suite))
@@ -245,6 +270,11 @@ def cases() -> dict:
             table[f"stream({label},W={STREAM_WINDOW}{tail})"] = partial(
                 stream_digests, suite, db, scales, sep, seed
             )
+    for rows, npos in SHORT_CALLS:
+        seeds = "seed=0" if rows == 1 else f"seeds=0-{rows - 1}"
+        table[f"short(pc5,normal,snr_db=10,{seeds},W={STREAM_WINDOW},positions={npos})"] = partial(
+            short_digests, rows, npos
+        )
     for suite, kind, db, trials in CAMPAIGNS:
         label = f"{suite},{kind},snr_db={db:g},trials={trials}"
         table[f"campaign_signal({label})"] = partial(campaign_signal_digests, suite, kind, db, trials)
