@@ -31,7 +31,6 @@ from .operators import (
 )
 from .kernels import (
     DiscreteDetector,
-    SymbolicKernel,
     discretize,
     kernelize,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "build_detector_general",
     "verify_detector",
     "DiscreteDetector",
-    "SymbolicKernel",
     "discretize",
     "kernelize",
     "DecisionTrace",

@@ -209,9 +209,8 @@ def cmd_derive(args) -> int:
     print(f"integral depth: {det.depth}")
     print(f"delay degree: {det.degree}")
     print(f"max derivative: {det.max_deriv}")
-    sk = kernelize(det)
     print("kernels (T = window span, u = offset into window):")
-    for nu, k in enumerate(sk.kernels):
+    for nu, k in enumerate(kernelize(det)):
         print(f"K{nu}: {k.text()}")
     if args.emit_weights:
         dd = discretize(det, window=args.window, dt=args.dt, rule=args.rule)

@@ -59,21 +59,6 @@ class BivariatePoly(tuple):
         return render_terms((c, den, (("T", i), ("u", j))) for i, j, c, den in terms)
 
 
-@dataclass(frozen=True)
-class SymbolicKernel:
-    """One exact window kernel per delay power of the detector."""
-
-    detector: DetectorOperator
-    kernels: Tuple[BivariatePoly, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.kernels) - 1
-
-    def text(self) -> str:
-        return "\n".join(f"K_{v}(T,u): {k.text()}" for v, k in enumerate(self.kernels))
-
-
 def _integral_monomials(comp: DiffOperator) -> List[Tuple[Fraction, int, int]]:
     """[(c, m, a)] for the monomials c * s^-m * D^a of comp; raises ValueError
     unless every m >= 1."""
@@ -99,8 +84,11 @@ def _kernel(comp: DiffOperator) -> BivariatePoly:
     return BivariatePoly(cols)
 
 
-def kernelize(det: DetectorOperator) -> SymbolicKernel:
-    return SymbolicKernel(detector=det, kernels=tuple(_kernel(c) for c in det.omega.coeffs))
+def kernelize(det: DetectorOperator) -> Tuple[BivariatePoly, ...]:
+    """The exact window kernels of det, K_v(T, tau) for each delay power v in
+    order, one per coefficient of det.omega; raises ValueError unless each
+    coefficient is in strict integral form."""
+    return tuple(_kernel(c) for c in det.omega.coeffs)
 
 
 def _check_rule(window: int, rule: str) -> None:
@@ -133,34 +121,31 @@ def quadrature_weights(window: int, dt: Fraction, rule: str) -> List[Fraction]:
 class DiscreteDetector:
     """Frozen float weights of a kernelized detector on a fixed grid.
 
-    weights[v, i] multiplies sample i of a window for the delay-power-v value;
-    the window value at hypothesis t is sum_v v_v * t^v. t_mid is the window
-    midpoint T/2 used by the zero-crossing runtime, w_mid the collapsed weight
-    row at t_mid and wnorm its Euclidean norm (the runtime's noise scale).
+    window: samples per window, which the runtime and the stream slide.
+    dt: the grid step, by which the runtime turns positions into times.
+    weights: (delay powers, window) float64 rows, what the window engine reads.
+    exact_rows: (D, A) per row, exactly sum_j A[j] * i^j / D at tap i before
+    quadrature; the tests' exact reference for the float weights.
+    t_mid: the window midpoint T/2, where the runtime collapses the rows.
+    wnorm: the norm of the rows collapsed at t_mid, the runtime's noise scale.
     """
 
-    detector: DetectorOperator
-    kernel: SymbolicKernel
     window: int
     dt: float
-    rule: str
-    weights: np.ndarray  # (degree+1, window) float64, C-contiguous
-    # per row (D, A): before quadrature, row v at tap i is exactly
-    # sum_j A[j] * i^j / D, an integer polynomial in the tap index
+    weights: np.ndarray
     exact_rows: Tuple[Tuple[int, Tuple[int, ...]], ...]
     t_mid: float
-    w_mid: np.ndarray
     wnorm: float
-    projected: bool = True
 
-    @property
-    def degree(self) -> int:
-        return self.weights.shape[0] - 1
 
-    @property
-    def span(self) -> float:
-        """Window time span T = (window - 1) * dt."""
-        return (self.window - 1) * self.dt
+def _midpoint_norm(weights: np.ndarray, t_mid: float) -> float:
+    """The Euclidean norm of sum_v weights[v] * t_mid^v, the rows collapsed at t_mid."""
+    w_mid = np.zeros(weights.shape[1], dtype=np.float64)
+    p = 1.0
+    for row in weights:
+        w_mid += row * p
+        p *= t_mid
+    return float(np.sqrt(np.dot(w_mid, w_mid)))
 
 
 def _tap_numerators(coeffs: Tuple[int, ...], window: int) -> List[int]:
@@ -235,54 +220,48 @@ def discretize(
     window = int(window)
     if window < 2:
         raise ValueError("window must be >= 2")
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError("dt must be finite and positive")
-    kern = kernelize(det)
+    if isinstance(dt, bool) or not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
+    out_of_range = f"dt={dt!r} takes the weights or their norm out of the float range"
+    kernels = kernelize(det)
     h = Fraction(dt)
     T = (window - 1) * h
     q = quadrature_weights(window, h, rule)
 
     # K_v(T, tau) at this T, then at tau = i * h: sum_j A[j] * i^j / D, read off
     # the canonical Polynomial as (D, A)
-    tau_rows = [kv.at(T) for kv in kern.kernels]
+    tau_rows = [kv.at(T) for kv in kernels]
     rows = tuple((p.den, p.nums) for p in (r.dilate(h) for r in tau_rows))
     qn = [x.numerator for x in q]
     qd = [x.denominator for x in q]
-    weights = np.array(
-        [
-            # int / int rounds correctly, exactly as float(Fraction) does
-            [n * s / (d * den) for n, d, s in zip(qn, qd, _tap_numerators(coeffs, window))]
-            for den, coeffs in rows
-        ],
-        dtype=np.float64,
-    )
+    try:
+        weights = np.array(
+            [
+                # int / int rounds correctly, exactly as float(Fraction) does
+                [n * s / (d * den) for n, d, s in zip(qn, qd, _tap_numerators(coeffs, window))]
+                for den, coeffs in rows
+            ],
+            dtype=np.float64,
+        )
+        t_mid = float(T) / 2.0
+    except OverflowError:
+        raise ValueError(out_of_range) from None
 
-    if project:
-        grid = np.arange(window, dtype=np.float64) / max(window - 1, 1)
-        for vi, (kv, row) in enumerate(zip(kern.kernels, tau_rows)):
-            basis = [grid ** m for m in _annihilated_moments(kv, row, T)]
-            if basis:
-                weights[vi] = _project_out(weights[vi], basis)
-
-    t_mid = float(T) / 2.0
-    w_mid = np.zeros(window, dtype=np.float64)
-    p = 1.0
-    for row in weights:
-        w_mid += row * p
-        p *= t_mid
-    wnorm = float(np.sqrt(np.dot(w_mid, w_mid)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw_norm = _midpoint_norm(weights, t_mid)
+        if project:
+            grid = np.arange(window, dtype=np.float64) / max(window - 1, 1)
+            for vi, (kv, row) in enumerate(zip(kernels, tau_rows)):
+                basis = [grid ** m for m in _annihilated_moments(kv, row, T)]
+                if basis:
+                    weights[vi] = _project_out(weights[vi], basis)
+        wnorm = _midpoint_norm(weights, t_mid) if project else raw_norm
+    # Near the ends of the float range the raw rows' collapse overflows or
+    # underflows to 0. The projected one may be 0 in range too: a window too
+    # short for the model projects to rounding dust (2 or 3 taps, say).
+    if not (0.0 < raw_norm < math.inf and math.isfinite(wnorm)):
+        raise ValueError(out_of_range)
 
     return DiscreteDetector(
-        detector=det,
-        kernel=kern,
-        window=window,
-        dt=dt,
-        rule=rule,
-        weights=weights,
-        exact_rows=rows,
-        t_mid=t_mid,
-        w_mid=w_mid,
-        wnorm=wnorm,
-        projected=project,
+        window=window, dt=dt, weights=weights, exact_rows=rows, t_mid=t_mid, wnorm=wnorm
     )
-

@@ -66,12 +66,13 @@ class DetectConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if not (math.isfinite(self.kappa) and self.kappa >= 0):
-            raise ValueError("kappa must be finite and >= 0")
+        # a bool is a number to Python: kappa=True would silently gate at 1
+        if isinstance(self.kappa, bool) or not (math.isfinite(self.kappa) and self.kappa >= 0):
+            raise ValueError(f"kappa must be a finite number >= 0, got {self.kappa!r}")
         for name in ("min_separation", "scale"):
             x = getattr(self, name)
-            if x is not None and not (math.isfinite(x) and x >= 0):
-                raise ValueError(f"{name} must be finite and >= 0")
+            if x is not None and (isinstance(x, bool) or not (math.isfinite(x) and x >= 0)):
+                raise ValueError(f"{name} must be a finite number >= 0, got {x!r}")
 
 
 @dataclass(frozen=True)

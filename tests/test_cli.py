@@ -64,6 +64,18 @@ def test_derive_emit_weights(tmp_path, capsys):
     assert int(rows[1][0]) == 0
 
 
+@pytest.mark.parametrize("dt", ["1e150", "1e100", "1e-200"])
+def test_derive_rejects_dt_out_of_range(tmp_path, capsys, dt):
+    """A --dt whose weights leave the float range is a one-line error naming
+    dt, not a traceback or a weight file of zeros or infinities."""
+    wcsv = tmp_path / "w.csv"
+    code, _, err = run(capsys, "derive", "--emit-weights", str(wcsv), "--dt", dt)
+    assert code == 1
+    assert err.startswith("error:") and "dt=" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not wcsv.exists()
+
+
 def test_simulate_suite_and_truth(tmp_path, capsys):
     sig = tmp_path / "sig.csv"
     tru = tmp_path / "truth.csv"

@@ -139,7 +139,7 @@ def digests(model: ModelSpec) -> dict:
     out = {
         "text": sha(det.text()),
         "verify": sha(repr(verify_detector(det))),
-        "kernel": sha(kernelize(det).text()),
+        "kernel": sha("\n".join(f"K_{v}(T,u): {k.text()}" for v, k in enumerate(kernelize(det)))),
     }
     for w in WINDOWS:
         dd = discretize(det, window=w)

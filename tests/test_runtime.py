@@ -743,10 +743,10 @@ def test_decision_statistic_formula():
 def test_config_validation():
     with pytest.raises(ValueError):
         DetectConfig(mode="argmax")
-    bad = [-1.0, math.nan, math.inf, -math.inf]
+    bad = [-1.0, math.nan, math.inf, -math.inf, True, False]
     for field in ("kappa", "min_separation", "scale"):
         for x in bad:
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=field):
                 DetectConfig(**{field: x})
     # the edge of each valid range is accepted
     DetectConfig(kappa=0.0, min_separation=0.0, scale=0.0)
