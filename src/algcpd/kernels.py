@@ -214,6 +214,8 @@ def discretize(
     pure model-family signal produce values at rounding level instead of
     quadrature-bias level. project=False keeps the raw quadrature weights,
     each the correctly rounded float of its exact weight q_i * K_v(T, i * dt).
+    Raises ValueError for a dt that takes the raw weights, or their norm
+    collapsed at the window midpoint, out of the float range.
     """
     if isinstance(window, bool) or not isinstance(window, numbers.Integral):
         raise ValueError(f"window must be an integer, got {window!r}")
