@@ -68,7 +68,6 @@ class DetectorSetup:
     rule: str = "trapezoid"
     kappa: float = 3.0
     scale: Optional[float] = None
-    mode: str = "zero_crossing"
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
@@ -78,13 +77,13 @@ class DetectorSetup:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         self.model()  # ModelSpec checks n1, n2 and order
         _check_rule(self.window, self.rule)
-        self.config()  # DetectConfig checks mode, kappa and scale
+        self.config()  # DetectConfig checks kappa and scale
 
     def model(self) -> ModelSpec:
         return ModelSpec.monomial(self.n1, self.n2, self.order)
 
     def config(self) -> DetectConfig:
-        return DetectConfig(kappa=self.kappa, scale=self.scale, mode=self.mode)
+        return DetectConfig(kappa=self.kappa, scale=self.scale)
 
     def label(self) -> str:
         kind = "mad" if self.scale is None else "fix"

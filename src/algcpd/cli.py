@@ -28,7 +28,7 @@ from ._csv import read_table, write_table
 from .builder import METHODS, ModelSpec, build_detector
 from .kernels import RULES, discretize, kernelize
 from .noise import NOISE_KINDS, apply_noise
-from .runtime import MODES, DetectConfig, Detection, detect_samples
+from .runtime import DetectConfig, Detection, detect_samples
 from .signals import SUITES, Carrier, Segment, SignalSpec, builtin_suite, render
 from .svgplot import HLine, Panel, Series, VLine, render_svg
 
@@ -258,12 +258,7 @@ def cmd_detect(args) -> int:
     model = _parse_model(args.model)
     det = build_detector(model, method=args.method)
     dd = discretize(det, window=args.window, dt=dt, rule=args.rule)
-    cfg = DetectConfig(
-        kappa=args.kappa,
-        min_separation=args.min_separation,
-        mode=args.mode,
-        scale=args.scale,
-    )
+    cfg = DetectConfig(kappa=args.kappa, min_separation=args.min_separation, scale=args.scale)
     trace, detections = detect_samples(dd, values, cfg, t0=float(times[0]))
     write_detections_csv(args.out or sys.stdout, detections)
     if args.trace_out:
@@ -360,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--truth-out", metavar="PATH", help="truth CSV (time)")
     s.set_defaults(func=cmd_simulate)
 
-    t = sub.add_parser("detect", help="batch change detection over a signal CSV")
+    # allow_abbrev=False: --mode, say, is an error, not --model
+    t = sub.add_parser("detect", help="batch change detection over a signal CSV", allow_abbrev=False)
     t.add_argument("--in", dest="infile", required=True, metavar="PATH", help="signal CSV (time,value)")
     t.add_argument("--model", default="0,0,0", help="'n1[,n2[,order]]' (default 0,0,0)")
     t.add_argument("--method", choices=METHODS, default=None)
@@ -368,12 +364,12 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--dt", type=float, default=None, help="override inferred sample spacing")
     t.add_argument("--rule", choices=RULES, default="trapezoid")
     t.add_argument("--kappa", type=float, default=3.0, help="gate threshold multiplier")
-    t.add_argument("--mode", choices=MODES, default="zero_crossing")
     t.add_argument("--scale", type=float, default=None,
                    help="fixed gate scale (default: batch MAD of the decision statistic)")
     t.add_argument("--min-separation", type=float, default=None,
                    help="minimum seconds between detections (default: window span)")
-    t.add_argument("--out", metavar="PATH", help="detections CSV (default: stdout)")
+    t.add_argument("--out", metavar="PATH",
+                   help="detections CSV, kind always zero_crossing (default: stdout)")
     t.add_argument("--trace-out", metavar="PATH", help="decision trace CSV")
     t.set_defaults(func=cmd_detect)
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -47,8 +48,6 @@ import numpy as np
 from ._engine import eval_windows_raw
 from .kernels import DiscreteDetector
 
-# the decision modes DetectConfig knows
-MODES = ("zero_crossing", "linear_estimate")
 MAD_FACTOR = 1.4826  # normal-consistency factor for median absolute deviation
 _MIN_SCALE_HISTORY = 16
 # flank values gathered per step of the crossing gate (128 kB):
@@ -60,12 +59,9 @@ _SCREEN_ELEMENTS = 1 << 14
 class DetectConfig:
     kappa: float = 3.0
     min_separation: Optional[float] = None  # seconds; None -> window * dt
-    mode: str = "zero_crossing"  # one of MODES
     scale: Optional[float] = None  # noise scale of d; None -> MAD estimate
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
         # a bool is a number to Python: kappa=True would silently gate at 1
         if isinstance(self.kappa, bool) or not (math.isfinite(self.kappa) and self.kappa >= 0):
             raise ValueError(f"kappa must be a finite number >= 0, got {self.kappa!r}")
@@ -166,9 +162,27 @@ def _eval_rows(dd: DiscreteDetector, block: np.ndarray) -> List[DecisionTrace]:
     ]
 
 
+def _sample_bound(dd: DiscreteDetector) -> float:
+    """The largest |sample| whose window statistics stay in the float range:
+    sqrt(DBL_MAX / (2W)) keeps a window's sum of squares under DBL_MAX / 2,
+    unless the weights bind first through the bounds on v, the collapse
+    sum_r ||w_r||_1 max(1, t_mid)^r |y|, and on d's denominator, wnorm sqrt(W) |y|."""
+    with np.errstate(over="ignore"):
+        collapsed = _collapse(np.abs(dd.weights).sum(axis=1), max(1.0, dd.t_mid))
+    gain = max(collapsed, dd.wnorm * math.sqrt(dd.window), 1.0)
+    big = sys.float_info.max
+    return min(math.sqrt(big / (2 * dd.window)), float(big / 2 / gain))
+
+
+def _out_of_bound(bound: float, window: int) -> ValueError:
+    return ValueError(f"samples must be finite and at most {bound:.3g} in magnitude, "
+                      f"the bound of the window sums at window={window}")
+
+
 def _check_samples(dd: DiscreteDetector, samples: np.ndarray) -> None:
-    if samples.size and not np.isfinite(samples).all():
-        raise ValueError("samples must be finite")
+    bound = _sample_bound(dd)
+    if samples.size and not np.abs(samples).max() <= bound:  # NaN fails it too
+        raise _out_of_bound(bound, dd.window)
     n = samples.shape[-1]
     if n < dd.window:
         raise ValueError(f"need at least window={dd.window} samples, got {n}")
@@ -204,12 +218,12 @@ class _GateEngine:
     Takes the window geometry (samples per window, grid step, midpoint offset
     and weight norm), the noise scale of d (a constant, or None for the
     trailing MAD over max(8W, 512) positions) and, per feed, the statistics
-    the caller already holds: the delay-row values vnu, their collapse v, the
-    normalized d and the rms. One gate, _gate, resolves every ready crossing
-    under either scale; see it for the order in which its tests prune.
+    the caller already holds: the collapsed window value v, the normalized d
+    and the rms. One gate, _gate, resolves every ready crossing under either
+    scale; see it for the order in which its tests prune.
 
-    The history the gate reads is d, v, rms and vnu of positions base to
-    end, as plain arrays. A feed to an empty history holds the arrays as
+    The history the gate reads is d, v and rms of positions base to end, as
+    plain arrays. A feed to an empty history holds the arrays as
     given, so a batch trace is gated where it lies; a later feed
     concatenates, and _trim slices off the positions no crossing reads again.
     """
@@ -243,7 +257,6 @@ class _GateEngine:
             raise ValueError(f"min_separation {sep!r} s is not a finite number of {dt!r} s steps")
         self.base = 0  # the position of the history's first column
         self.d = self.v = self.rms = np.empty(0)
-        self.vnu = np.empty((0, 0))
         self.crossings: List[int] = []  # queued, ascending
         self.pending: Optional[Detection] = None
         self.wnorm_sqrtw = wnorm * math.sqrt(window)
@@ -255,15 +268,14 @@ class _GateEngine:
         return self.base + self.d.shape[0]
 
     # -- feeding -------------------------------------------------------------
-    def feed(self, vnu, v, d, rms, first_pos: int) -> None:
+    def feed(self, v, d, rms, first_pos: int) -> None:
         """Append the statistics of positions first_pos.. and queue their
         crossings; drain() or finish() gates them."""
         if first_pos != self.end:
             raise AssertionError("engine fed out of order")
         if self.d.shape[0]:
             d, v, rms = (np.concatenate(p) for p in ((self.d, d), (self.v, v), (self.rms, rms)))
-            vnu = np.concatenate((self.vnu, vnu), axis=1)
-        self.d, self.v, self.rms, self.vnu = d, v, rms, vnu
+        self.d, self.v, self.rms = d, v, rms
         lo = max(1, first_pos)  # crossings need a left neighbor
         if self.end - 1 >= lo:
             sign = np.sign(self.d[lo - 1 - self.base :])
@@ -323,11 +335,11 @@ class _GateEngine:
         cut = self.end - (2 * self.flank + 2) - self.trailing - self.base
         if cut > 0:
             self.base += cut
-            kept = (self.d[cut:], self.v[cut:], self.rms[cut:], self.vnu[:, cut:])
+            kept = (self.d[cut:], self.v[cut:], self.rms[cut:])
             # a view would keep a large feed's arrays alive behind a short history
             if cut > 3 * kept[0].shape[0]:
                 kept = tuple(a.copy() for a in kept)
-            self.d, self.v, self.rms, self.vnu = kept
+            self.d, self.v, self.rms = kept
 
     def _gate(self, ks: List[int]) -> List[Detection]:
         """Candidates of the ready crossings ks (ascending), in position order.
@@ -375,22 +387,11 @@ class _GateEngine:
         return threshold
 
     def _candidate(self, k: int, score: float) -> Detection:
-        """The candidate of the passing crossing at history column k."""
-        col = k - 1 if abs(self.d[k - 1]) <= abs(self.d[k]) else k
-        k_star = self.base + col
-        if self.cfg.mode == "zero_crossing":
-            time = self.t0 + k_star * self.dt + self.t_mid
-        else:
-            v0 = float(self.vnu[0, col])
-            v1 = float(self.vnu[1, col]) if self.vnu.shape[0] > 1 else 0.0
-            if v1 != 0.0:
-                local = -v0 / v1
-                span = (self.window - 1) * self.dt
-                local = min(max(local, 0.0), span)
-            else:
-                local = self.t_mid
-            time = self.t0 + k_star * self.dt + local
-        return Detection(time=time, score=score, kind=self.cfg.mode, position=k_star)
+        """The candidate of the passing crossing at history column k: the
+        position of the smaller |d| of the two, timed at its window midpoint."""
+        k_star = self.base + (k - 1 if abs(self.d[k - 1]) <= abs(self.d[k]) else k)
+        time = self.t0 + k_star * self.dt + self.t_mid
+        return Detection(time=time, score=score, kind="zero_crossing", position=k_star)
 
     def _push_candidate(self, cand: Detection) -> List[Detection]:
         if self.pending is None:
@@ -409,7 +410,7 @@ def detect(trace: DecisionTrace, cfg: DetectConfig = DetectConfig()) -> List[Det
     """Batch detection over a precomputed trace; the gate reads trace.d."""
     scale = cfg.scale if cfg.scale is not None else batch_mad_scale(trace.d)
     engine = _GateEngine(trace.window, trace.dt, trace.t_mid, trace.wnorm, cfg, trace.t0, scale)
-    engine.feed(trace.vnu, trace.v, trace.d, trace.rms, 0)
+    engine.feed(trace.v, trace.d, trace.rms, 0)
     return engine.finish()
 
 
@@ -465,6 +466,7 @@ class StreamDetector:
         self._singles: List[float] = []
         self._held = 0
         self._due = self._engine.due() + dd.window  # _held to evaluate at
+        self._bound = _sample_bound(dd)
         self.detections: List[Detection] = []
 
     @property
@@ -475,8 +477,8 @@ class StreamDetector:
         if self._engine.finished:
             raise RuntimeError("stream already finalized")
         x = float(sample)
-        if not math.isfinite(x):
-            raise ValueError("samples must be finite")
+        if not abs(x) <= self._bound:  # NaN fails it as inf does
+            raise _out_of_bound(self._bound, self.dd.window)
         self._singles.append(x)
         self._held += 1
         return self._advance()
@@ -489,8 +491,8 @@ class StreamDetector:
             raise ValueError("chunk must be one-dimensional")
         if chunk.size == 0:
             return []
-        if not np.isfinite(chunk).all():
-            raise ValueError("samples must be finite")
+        if not np.abs(chunk).max() <= self._bound:
+            raise _out_of_bound(self._bound, self.dd.window)
         if self._singles:  # they came before this chunk
             self._chunks.append(np.array(self._singles))
             self._singles = []
@@ -514,8 +516,8 @@ class StreamDetector:
         if self._held < self.dd.window:
             return
         work = np.concatenate((self._tail, *self._chunks, self._singles))
-        vnu, v, d, _, rms = _statistics(self.dd, work)
-        self._engine.feed(vnu, v, d, rms, self._engine.end)
+        _, v, d, _, rms = _statistics(self.dd, work)
+        self._engine.feed(v, d, rms, self._engine.end)
         self._tail = work[1 - self.dd.window :].copy()
         self._chunks, self._singles = [], []
         self._held = self._tail.shape[0]

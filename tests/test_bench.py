@@ -109,7 +109,7 @@ def off_default_result():
     """A result whose setup has every field off its default."""
     setup = DetectorSetup(
         n1=1, n2=1, order=1, method="general", window=97, rule="simpson",
-        kappa=2.25, scale=0.1, mode="linear_estimate",
+        kappa=2.25, scale=0.1,
     )
     for f in dataclasses.fields(DetectorSetup):
         if f.default is not dataclasses.MISSING:
@@ -145,6 +145,18 @@ def test_report_csv_round_trip():
     again = io.StringIO()
     write_report_csv(back, again)
     assert again.getvalue() == buf.getvalue()
+
+
+def test_report_csv_with_a_mode_column_is_rejected():
+    """A report.csv written while DetectorSetup had a decision mode has a
+    mode column after scale; its header no longer matches."""
+    old = io.StringIO(
+        "suite,noise,snr_db,trials,base_seed,n1,n2,order,method,window,rule,kappa,scale,mode,"
+        "true_segments,exact,within_one,mean_abs_err,histogram\n"
+        "sine3,none,inf,3,100,0,0,0,linear,96,trapezoid,3.0,,zero_crossing,3,3,3,0.0,3:3\n"
+    )
+    with pytest.raises(ValueError, match="expected header"):
+        read_report_csv(old)
 
 
 def test_campaign_rejects_too_few_trials():

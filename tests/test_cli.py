@@ -225,6 +225,16 @@ def test_detect_stdout_and_trace(tmp_path, capsys):
     assert head == "time,d,v,sigma,rms"
 
 
+def test_detect_has_no_mode_option(tmp_path, capsys):
+    """The change time is read one way, so --mode is a usage error."""
+    sig = tmp_path / "sig.csv"
+    sig.write_text("time,value\n0.0,1.0\n0.01,1.0\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["detect", "--in", str(sig), "--mode", "zero_crossing"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --mode" in capsys.readouterr().err
+
+
 def test_detect_rejects_ragged_grid(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("time,value\n0.0,1.0\n0.01,1.0\n0.5,1.0\n0.51,1.0\n")

@@ -1,5 +1,6 @@
 """Source hygiene: no module in the package imports a name it never uses,
-and no private module-level helper goes unused.
+and no private helper goes unused: a module-level name, a method or an
+attribute a class sets on self.
 
 A name listed in the module's `__all__` counts as used: that is how
 `__init__.py` re-exports.
@@ -45,10 +46,17 @@ def test_check_sees_an_unused_import(tmp_path):
     assert unused_imports(mod) == [(2, "os"), (4, "loads")]
 
 
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
 def private_definitions(tree):
-    """{name: (line, node)} for the module-level functions, classes and
-    assignments whose name starts with one underscore."""
-    out = {}
+    """(label, name, line, own) for each private name tree defines: the
+    module-level functions, classes and assignments, and in each class the
+    methods and the attributes its methods set on self, labelled
+    Class.name. own holds the ids of the defining nodes, which read nothing:
+    the whole function, class or assignment, or each store to self.name."""
+    top = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -57,21 +65,39 @@ def private_definitions(tree):
             names = [t.id for t in targets if isinstance(t, ast.Name)]
         else:
             continue
-        for name in names:
-            if name.startswith("_") and not name.startswith("__"):
-                out[name] = (node.lineno, node)
+        for name in filter(_private, names):
+            top[name] = (name, name, node.lineno, {id(n) for n in ast.walk(node)})
+    out = list(top.values())
+    for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+        stores = {}  # attribute name: its stores to self, in order
+        for node in cls.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if _private(node.name):
+                own = {id(n) for n in ast.walk(node)}
+                out.append((f"{cls.name}.{node.name}", node.name, node.lineno, own))
+            for n in ast.walk(node):
+                if (isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                        and isinstance(n.value, ast.Name) and n.value.id == "self"
+                        and _private(n.attr)):
+                    stores.setdefault(n.attr, []).append(n)
+        for name, nodes in stores.items():
+            out.append((f"{cls.name}.{name}", name, nodes[0].lineno, {id(n) for n in nodes}))
     return out
 
 
 def unreferenced_privates(paths):
-    """(file, line, name) for each private module-level name of paths that no
-    AST node of paths reads, leaving out the nodes of its own definition: a
-    load of the name, an attribute of that name, or an import of it."""
+    """(file, line, label) for each private name of paths (see
+    private_definitions) that no AST node of paths reads, leaving out the
+    nodes of its own definition: a load of the name, a load of an attribute
+    of that name, or an import of it."""
     trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in paths}
     refs = []  # (name, node)
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Store):
+                continue
+            if isinstance(node, ast.Name):
                 refs.append((node.id, node))
             elif isinstance(node, ast.Attribute):
                 refs.append((node.attr, node))
@@ -79,10 +105,9 @@ def unreferenced_privates(paths):
                 refs.extend((a.name, node) for a in node.names)
     dead = []
     for path, tree in trees.items():
-        for name, (line, definition) in private_definitions(tree).items():
-            own = {id(n) for n in ast.walk(definition)}
+        for label, name, line, own in private_definitions(tree):
             if not any(n == name and id(node) not in own for n, node in refs):
-                dead.append((path.name, line, name))
+                dead.append((path.name, line, label))
     return sorted(dead)
 
 
@@ -102,3 +127,20 @@ def test_check_sees_an_unreferenced_private(tmp_path):
     assert unreferenced_privates([a, b]) == [("a.py", 3, "_dead"), ("a.py", 6, "_recursive")]
     assert unreferenced_privates([a]) == [("a.py", 3, "_dead"), ("a.py", 6, "_recursive"),
                                           ("a.py", 8, "_Shape")]
+
+
+def test_check_sees_an_unreferenced_private_member(tmp_path):
+    """A private method or self attribute that nothing reads is dead; a
+    store, an augmented store or a call from inside the method itself is
+    not a read."""
+    a = tmp_path / "a.py"
+    a.write_text("class Box:\n"
+                 "    def __init__(self):\n"
+                 "        self._size = 1\n        self._count = 0\n        self._seen = 0\n"
+                 "    def add(self):\n"
+                 "        self._count += 1\n        self._seen = self._size\n"
+                 "        return self._grow()\n"
+                 "    def _grow(self):\n        return 2\n"
+                 "    def _spin(self, n):\n        return self._spin(n - 1) if n else 0\n"
+                 "def peek(box):\n    return box._seen\n")
+    assert unreferenced_privates([a]) == [("a.py", 4, "Box._count"), ("a.py", 12, "Box._spin")]

@@ -1,8 +1,8 @@
 """Batch and streaming detection runtimes."""
 
-import dataclasses
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -53,22 +53,12 @@ def test_clean_step_zero_crossing():
     assert dets[0].score > 0
 
 
-def test_clean_step_linear_estimate():
-    dd = step_detector()
-    y = step_signal(200, 0.01, [(1.115, 1.0)])
-    _, dets = detect_samples(dd, y, DetectConfig(mode="linear_estimate"))
-    assert len(dets) == 1
-    assert dets[0].kind == "linear_estimate"
-    assert abs(dets[0].time - 1.115) <= 2 * 0.01
-
-
 def test_off_grid_jump_located_within_sample():
     dd = step_detector()
     y = step_signal(200, 0.01, [(1.1137, 1.0)])
-    for mode in ("zero_crossing", "linear_estimate"):
-        _, dets = detect_samples(dd, y, DetectConfig(mode=mode))
-        assert len(dets) == 1
-        assert abs(dets[0].time - 1.1137) < 0.01
+    _, dets = detect_samples(dd, y)
+    assert len(dets) == 1
+    assert abs(dets[0].time - 1.1137) < 0.01
 
 
 def test_negative_jump_detected():
@@ -175,17 +165,9 @@ def gate_oracle(trace, cfg, scale):
         if min(vleft, vright) <= runtime.DUST * wnorm_sqrtw * float(trace.rms[k]):
             continue
         k_star = k - 1 if abs(float(d[k - 1])) <= abs(float(d[k])) else k
-        if cfg.mode == "zero_crossing":
-            time = trace.t0 + k_star * dt + trace.t_mid
-        else:
-            v0 = float(trace.vnu[0, k_star])
-            v1 = float(trace.vnu[1, k_star]) if trace.vnu.shape[0] > 1 else 0.0
-            if v1 != 0.0:
-                local = min(max(-v0 / v1, 0.0), (window - 1) * dt)
-            else:
-                local = trace.t_mid
-            time = trace.t0 + k_star * dt + local
-        cand = Detection(time=time, score=min(left_exc, right_exc), kind=cfg.mode, position=k_star)
+        time = trace.t0 + k_star * dt + trace.t_mid
+        score = min(left_exc, right_exc)
+        cand = Detection(time=time, score=score, kind="zero_crossing", position=k_star)
         if pending is None:
             pending = cand
         elif cand.position - pending.position <= min_sep_pos:
@@ -268,19 +250,6 @@ def flank_trace(left_peak, right_peak, reach=0):
     )
 
 
-def test_linear_estimate_without_slope_reads_midpoint():
-    """Under mode="linear_estimate" the candidate's time is the window's
-    root of vnu[0] + vnu[1] * t; where vnu[1] is 0 at the candidate, there
-    is none and the time is the window midpoint."""
-    trace = flank_trace(5.0, 5.0)
-    slope = np.ones(200)
-    slope[99] = 0.0
-    trace = dataclasses.replace(trace, vnu=np.stack([trace.v, slope]))
-    (det,) = detect(trace, DetectConfig(kappa=1.0, scale=1.0, mode="linear_estimate"))
-    assert (det.position, det.kind) == (99, "linear_estimate")
-    assert det.time == trace.time_at(99)
-
-
 @pytest.mark.parametrize("reach", [0, 1])
 def test_fixed_scale_gate_flanks_end_where_resolve_ends_them(reach):
     trace = flank_trace(5.0, 5.0, reach)
@@ -308,7 +277,7 @@ def gate_detect(trace, cfg):
     engine = runtime._GateEngine(
         trace.window, trace.dt, trace.t_mid, trace.wnorm, cfg, trace.t0, cfg.scale
     )
-    engine.feed(trace.vnu, trace.v, trace.d, trace.rms, 0)
+    engine.feed(trace.v, trace.d, trace.rms, 0)
     return engine.finish()
 
 
@@ -445,12 +414,11 @@ def test_stream_mad_scale_matches_gate_oracle():
     noise=st.sampled_from([0.0, 0.05, 0.3]),
     seed=st.integers(0, 2**16),
     kappa=st.sampled_from([0.0, 2.0, 3.0]),
-    mode=st.sampled_from(["zero_crossing", "linear_estimate"]),
     fixed=st.booleans(),
     sizes=st.lists(st.integers(1, 300), min_size=1, max_size=5),
 )
 def test_gate_matches_oracle_under_any_partition(
-    window, n, steps, noise, seed, kappa, mode, fixed, sizes
+    window, n, steps, noise, seed, kappa, fixed, sizes
 ):
     """Step-plus-noise signals under either scale: batch and a stream cut at
     random chunk sizes both give the oracle's detections, exactly."""
@@ -460,7 +428,7 @@ def test_gate_matches_oracle_under_any_partition(
     dd = step_detector(window=window, dt=dt)
     trace = eval_windows(dd, y)
     scale = window ** -0.5 if fixed else None
-    cfg = DetectConfig(kappa=kappa, mode=mode, scale=scale)
+    cfg = DetectConfig(kappa=kappa, scale=scale)
     batch_scale = scale if fixed else runtime.batch_mad_scale(trace.d)
     assert as_tuples(detect(trace, cfg)) == as_tuples(gate_oracle(trace, cfg, batch_scale))
     got = streamed(dd, y, cfg, *sizes)
@@ -482,7 +450,7 @@ def eager_calls(trace, cfg, sizes, n):
         done = max(0, seen - trace.window + 1)
         if done > fed:
             cols = slice(fed, done)
-            engine.feed(trace.vnu[:, cols], trace.v[cols], trace.d[cols], trace.rms[cols], fed)
+            engine.feed(trace.v[cols], trace.d[cols], trace.rms[cols], fed)
             fed = done
             calls.append(engine.drain())
         else:
@@ -581,7 +549,7 @@ def test_stream_storage_shrinks_after_a_large_chunk():
     for cfg in (DetectConfig(), DetectConfig(scale=window ** -0.5)):
         sd = StreamDetector(step_detector(window=window), cfg)
         sd.push_chunk(y[:100_000])
-        for name in ("d", "v", "rms", "vnu"):
+        for name in ("d", "v", "rms"):
             a = getattr(sd._engine, name)
             assert (a if a.base is None else a.base).shape[-1] <= keep + 2 * window, (cfg, name)
         assert sd._tail.base is None and sd._tail.shape[0] == window - 1, cfg
@@ -654,15 +622,81 @@ def test_stream_rejects_bad_chunks():
     assert sd.samples_seen == 250
     for x in y[250:260].tolist():
         got += sd.push(x)
-    for bad in (math.nan, math.inf, -math.inf):
+    for bad in (math.nan, math.inf, -math.inf, 2e153, -1e300):
         with pytest.raises(ValueError):
             sd.push(bad)
         assert sd.samples_seen == 260
+    with pytest.raises(ValueError):
+        sd.push_chunk(np.array([1.0, 2e153]))
+    assert sd.samples_seen == 260
     got += sd.push_chunk(y[260:]) + sd.finalize()
     clean = StreamDetector(dd, cfg)
     want = clean.push_chunk(y[:250]) + clean.push_chunk(y[250:]) + clean.finalize()
     assert len(want) == 2
     assert as_tuples(got) == as_tuples(want)
+
+
+def amplitude_probe(a):
+    """A step at sample 300 of 600 in 0.05 normal noise, scaled by a."""
+    noise = 0.05 * np.random.default_rng(0).standard_normal(600)
+    return a * (np.where(np.arange(600) >= 300, 1.0, 0.0) + noise)
+
+
+@pytest.mark.parametrize("scale", [None, 64 ** -0.5], ids=["mad", "fixed"])
+@pytest.mark.parametrize("a", [1e150, 1e152])
+def test_samples_within_the_bound_detect(a, scale):
+    """Up to sqrt(DBL_MAX / (2W)), 1.19e153 at W 64, a step is found where
+    it is at amplitude 1, in batch and in a stream."""
+    dd = step_detector()
+    cfg = DetectConfig(kappa=3.0, scale=scale)
+    y = amplitude_probe(a)
+    _, dets = detect_samples(dd, y, cfg)
+    assert [d.position for d in dets] == [268]
+    assert [d.position for d in streamed(dd, y, cfg, 1)] == [268]
+    assert [d.position for d in streamed(dd, y, cfg, 600)] == [268]
+
+
+@pytest.mark.parametrize("scale", [None, 64 ** -0.5], ids=["mad", "fixed"])
+@pytest.mark.parametrize("a", [2e153, 1e154, 1e155, 1e300])
+def test_samples_past_the_bound_fail_loudly(a, scale):
+    """Past the bound a window's sum of squares can overflow, and the
+    detections were wrong or none; now batch, push_chunk and push raise,
+    naming the bound and the window, and the stream keeps no bad sample."""
+    dd = step_detector()
+    cfg = DetectConfig(kappa=3.0, scale=scale)
+    y = amplitude_probe(a)
+    assert math.sqrt(sys.float_info.max / (2 * 64)) == runtime._sample_bound(dd)
+    message = r"samples must be finite and at most 1\.19e\+153 .* window=64"
+    with pytest.raises(ValueError, match=message):
+        detect_samples(dd, y, cfg)
+    sd = StreamDetector(dd, cfg)
+    with pytest.raises(ValueError, match=message):
+        sd.push_chunk(y)
+    assert sd.samples_seen == 0
+    first = int(np.flatnonzero(np.abs(y) > runtime._sample_bound(dd))[0])
+    for x in y[:first].tolist():
+        sd.push(x)
+    with pytest.raises(ValueError, match=message):
+        sd.push(y[first])
+    assert sd.samples_seen == first
+
+
+def test_sample_bound_holds_heavy_weights_in_range():
+    """The general polynomial(3, 2) detector at W 64 and dt 4e15 has weights
+    large enough that its delay rows overflow at sqrt(DBL_MAX / (2W)), so the
+    bound is theirs. Samples at the bound with the signs of any row keep every
+    statistic finite (pytest makes an overflow warning an error); twice that
+    fails."""
+    det = build_detector(ModelSpec.polynomial(3, 2), method="general")
+    dd = discretize(det, window=64, dt=4e15)
+    bound = runtime._sample_bound(dd)
+    assert bound < math.sqrt(sys.float_info.max / (2 * 64)) / 10
+    for row in dd.weights:
+        y = bound * np.tile(np.where(row < 0, -1.0, 1.0), 3)
+        trace = eval_windows(dd, y)
+        assert all(np.isfinite(a).all() for a in (trace.vnu, trace.v, trace.d, trace.rms))
+        with pytest.raises(ValueError, match="samples must be finite"):
+            eval_windows(dd, 2 * y)
 
 
 def test_eval_windows_validation():
@@ -711,14 +745,14 @@ def test_detect_gates_trace_d_as_given(monkeypatch):
 
 def test_detect_gates_the_trace_in_place():
     """The gate holds a batch trace's arrays as given: feeding a whole trace
-    copies none of d, v, rms or vnu."""
+    copies none of d, v or rms."""
     dd, y = gate_case()
     trace = eval_windows(dd, y)
     engine = runtime._GateEngine(
         trace.window, trace.dt, trace.t_mid, trace.wnorm, DetectConfig(), trace.t0, 0.15
     )
-    engine.feed(trace.vnu, trace.v, trace.d, trace.rms, 0)
-    for name in ("d", "v", "rms", "vnu"):
+    engine.feed(trace.v, trace.d, trace.rms, 0)
+    for name in ("d", "v", "rms"):
         assert np.shares_memory(getattr(engine, name), getattr(trace, name)), name
 
 
@@ -741,8 +775,6 @@ def test_decision_statistic_formula():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        DetectConfig(mode="argmax")
     bad = [-1.0, math.nan, math.inf, -math.inf, True, False]
     for field in ("kappa", "min_separation", "scale"):
         for x in bad:
