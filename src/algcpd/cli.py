@@ -286,7 +286,11 @@ def cmd_bench(args) -> int:
             def on_trial(i, dets, _ci=ci, _dir=trial_dir):
                 write_detections_csv(os.path.join(_dir, f"c{_ci:02d}_t{i:03d}.csv"), dets)
 
-        results.append(bench_mod.run_campaign(c, on_trial=on_trial))
+        try:
+            results.append(bench_mod.run_campaign(c, on_trial=on_trial))
+        except ValueError as e:
+            source = args.config or "reference grid"
+            raise ValueError(f"{source}: campaign failed (campaign {ci}): {e}") from None
 
     text = bench_mod.format_report(results)
     sys.stdout.write(text)
@@ -333,7 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    d = sub.add_parser("derive", help="print operator and kernel forms of a detector")
+    # allow_abbrev=False on each subcommand: --mode, say, is an error, not --model
+    d = sub.add_parser("derive", help="print operator and kernel forms of a detector",
+                       allow_abbrev=False)
     d.add_argument("--n1", type=int, default=0, help="smooth part degree bound")
     d.add_argument("--n2", type=int, default=0, help="jump part degree")
     d.add_argument("--order", type=int, default=0, help="derivative order of the change")
@@ -344,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--emit-weights", metavar="PATH", help="write discretized weights CSV")
     d.set_defaults(func=cmd_derive)
 
-    s = sub.add_parser("simulate", help="render a signal to CSV, optionally noised")
+    s = sub.add_parser("simulate", help="render a signal to CSV, optionally noised",
+                       allow_abbrev=False)
     src = s.add_mutually_exclusive_group(required=True)
     src.add_argument("--suite", choices=sorted(SUITES), help="built-in suite name")
     src.add_argument("--config", metavar="PATH", help="JSON signal config (see docs/config.md)")
@@ -355,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--truth-out", metavar="PATH", help="truth CSV (time)")
     s.set_defaults(func=cmd_simulate)
 
-    # allow_abbrev=False: --mode, say, is an error, not --model
     t = sub.add_parser("detect", help="batch change detection over a signal CSV", allow_abbrev=False)
     t.add_argument("--in", dest="infile", required=True, metavar="PATH", help="signal CSV (time,value)")
     t.add_argument("--model", default="0,0,0", help="'n1[,n2[,order]]' (default 0,0,0)")
@@ -373,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--trace-out", metavar="PATH", help="decision trace CSV")
     t.set_defaults(func=cmd_detect)
 
-    b = sub.add_parser("bench", help="run Monte Carlo campaigns and report histograms")
+    b = sub.add_parser("bench", help="run Monte Carlo campaigns and report histograms",
+                       allow_abbrev=False)
     b.add_argument("--config", metavar="PATH", help="JSON campaign config (see docs/config.md)")
     b.add_argument("--trials", type=int, default=None, help="override trials per campaign")
     b.add_argument("--seed", type=int, required=True, help="base seed; trial i uses seed+i")
@@ -382,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write per-trial detection CSVs under DIR/trials")
     b.set_defaults(func=cmd_bench)
 
-    g = sub.add_parser("plot", help="render CSVs to a static SVG")
+    g = sub.add_parser("plot", help="render CSVs to a static SVG", allow_abbrev=False)
     g.add_argument("--signal", required=True, metavar="PATH", help="signal CSV (time,value)")
     g.add_argument("--detections", metavar="PATH", help="detections CSV to mark")
     g.add_argument("--truth", metavar="PATH", help="truth CSV to mark")

@@ -26,7 +26,12 @@ become candidates for a time-ordered pending-candidate suppressor.
 With an explicit cfg.scale batch and stream are bit-identical and chunk-size
 invariant; with cfg.scale=None batch uses the whole-trace MAD of d while the
 stream uses a trailing MAD at each crossing (a documented approximation, still
-chunk-size invariant).
+chunk-size invariant). The trailing MAD is batch_mad_scale of each crossing's
+window, bit for bit, but it is not taken one window at a time: a group of
+crossings copies its windows into the rows of one array, sorts them to read
+the medians, then sorts the absolute deviations to read the MADs. A group's
+array holds at most _SCREEN_ELEMENTS values (21 windows at W=96), the bound
+the flank gather keeps to.
 
 The engine is fed (feed) and drained (drain, finish) separately. Batch feeds
 the whole trace and finishes. The stream holds samples until the engine's
@@ -44,14 +49,15 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ._engine import eval_windows_raw
 from .kernels import DiscreteDetector
 
 MAD_FACTOR = 1.4826  # normal-consistency factor for median absolute deviation
 _MIN_SCALE_HISTORY = 16
-# flank values gathered per step of the crossing gate (128 kB):
-# more costs peak memory and saves little time
+# flank values gathered per step of the crossing gate, and trailing-MAD
+# values sorted per group (128 kB): more costs peak memory and saves little time
 _SCREEN_ELEMENTS = 1 << 14
 
 
@@ -212,6 +218,37 @@ def batch_mad_scale(d: np.ndarray) -> float:
     return MAD_FACTOR * _median(np.abs(d - med))
 
 
+def _trailing_mads(d: np.ndarray, ends: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """batch_mad_scale(d[ends[i] - counts[i] : ends[i]]) for each i, bit for
+    bit, from one (len(ends), max(counts)) array of rows, each sorted in
+    place: first the windows, to read their medians, then the absolute
+    deviations from them, to read the MADs. A window shorter than its row
+    starts at column 0 and is padded with +inf, which sorts after every
+    value but NaN and so moves none of the order statistics read. Callers
+    hold NumPy's overflow and invalid warnings, as Python floats raise none."""
+    width = int(counts.max())
+    windows = as_strided(d, (d.size - width + 1, width), d.strides * 2)
+    rows = windows[np.maximum(ends - width, 0)]  # a copy
+    short = (counts < width).nonzero()[0].tolist()
+    r = np.arange(counts.size)  # the middle one or two of each row's first counts[i]
+    lo, hi, odd = (r, (counts - 1) // 2), (r, counts // 2), counts % 2 == 1
+
+    def medians():
+        # _median's formula on each sorted row
+        mid = rows[lo]
+        med = np.where(odd, 0.0 + mid, (0.0 + mid + rows[hi]) / 2)
+        return np.where(np.isnan(rows[:, -1]), np.nan, med)
+
+    for i in short:
+        rows[i, counts[i] :] = np.inf
+    rows.sort(axis=1)
+    np.abs(np.subtract(rows, medians()[:, None], out=rows), out=rows)
+    for i in short:  # a pad minus an inf median is NaN: pad it again
+        rows[i, counts[i] :] = np.inf
+    rows.sort(axis=1)
+    return MAD_FACTOR * medians()
+
+
 class _GateEngine:
     """Order-driven crossing gate + suppression, shared by batch and stream.
 
@@ -220,7 +257,11 @@ class _GateEngine:
     trailing MAD over max(8W, 512) positions) and, per feed, the statistics
     the caller already holds: the collapsed window value v, the normalized d
     and the rms. One gate, _gate, resolves every ready crossing under either
-    scale; see it for the order in which its tests prune.
+    scale; see it for the order in which its tests prune. Under the trailing
+    MAD, _thresholds takes a gate step's scales in groups of at most
+    max(1, _SCREEN_ELEMENTS // trailing) crossings, one sorted row of d per
+    crossing (_trailing_mads): a group's rows take at most 128 kB, or one
+    window where that alone is more (W > 2048).
 
     The history the gate reads is d, v and rms of positions base to end, as
     plain arrays. A feed to an empty history holds the arrays as
@@ -378,13 +419,18 @@ class _GateEngine:
         crossing's right flank end; under 16 of them it is inf."""
         if self.scale is not None:
             return np.full(col.size, self.cfg.kappa * self.scale)
-        d = self.d
-        threshold = np.empty(col.size)
-        for i, hi in enumerate(np.minimum(col + self.flank, d.size - 1).tolist()):
-            window = d[max(0, hi + 1 - self.trailing) : hi + 1]
-            small = window.size < _MIN_SCALE_HISTORY
-            threshold[i] = self.cfg.kappa * (math.inf if small else batch_mad_scale(window))
-        return threshold
+        ends = np.minimum(col + self.flank, self.d.size - 1) + 1
+        counts = np.minimum(ends, self.trailing)  # positions in each window
+        scale = np.empty(col.size)
+        group = max(1, _SCREEN_ELEMENTS // self.trailing)
+        # an overflowing middle pair or inf - inf yields inf or NaN, as in
+        # Python floats; kappa 0 times an inf scale is NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, col.size, group):
+                part = slice(lo, lo + group)
+                scale[part] = _trailing_mads(self.d, ends[part], counts[part])
+            scale[counts < _MIN_SCALE_HISTORY] = np.inf
+            return self.cfg.kappa * scale
 
     def _candidate(self, k: int, score: float) -> Detection:
         """The candidate of the passing crossing at history column k: the

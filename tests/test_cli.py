@@ -489,6 +489,38 @@ def test_bench_config_checked_before_any_trial(tmp_path, capsys, monkeypatch, ba
     assert len(err.strip().splitlines()) == 1
 
 
+def test_bench_campaign_error_names_the_campaign(tmp_path, capsys):
+    """An error raised while a campaign's trials run names the campaign, as
+    the config-time errors do: -3070 dB puts pc5's noisy samples past the
+    bound of the window sums at W 384."""
+    cfg = tmp_path / "camp.json"
+    cfg.write_text(json.dumps({"campaigns": [
+        {"suite": "sine3", "trials": 1},
+        {"suite": "pc5", "snr_db": -3070, "trials": 1},
+    ]}))
+    code, out, err = run(capsys, "bench", "--config", str(cfg), "--seed", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {cfg}: campaign failed (campaign 1): samples must be finite")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["derive", "--emit", "w.csv"],
+    ["simulate", "--suite", "sine3", "--out", "s.csv", "--truth", "t.csv"],
+    ["detect", "--in", "s.csv", "--mod", "0,0,0"],
+    ["bench", "--seed", "1", "--conf", "c.json"],
+    ["plot", "--signal", "s.csv", "--out", "p.svg", "--det", "d.csv"],
+], ids=["derive", "simulate", "detect", "bench", "plot"])
+def test_abbreviated_long_options_are_usage_errors(capsys, argv):
+    """No subcommand reads a prefix of a long option as the option, so a
+    renamed or removed option cannot be taken for another one."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+
 def test_plot_svg(tmp_path, capsys):
     cfg = tmp_path / "step.json"
     write_step_config(cfg)

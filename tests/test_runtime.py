@@ -3,6 +3,7 @@
 import itertools
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -583,6 +584,90 @@ def test_median_matches_np_median_bit_for_bit():
             got_mad = runtime.batch_mad_scale(a)
         assert bits(runtime._median(a)) == bits(want), a
         assert bits(got_mad) == bits(mad), a
+
+
+def trailing_engine(d, window, kappa):
+    """A trailing-MAD gate engine whose history is d, fed at position 0."""
+    engine = runtime._GateEngine(window, 0.01, 0.0, 1.0, DetectConfig(kappa=kappa), 0.0, None)
+    engine.feed(d, d, np.ones(d.size), 0)
+    return engine
+
+
+def plain_thresholds(engine, col):
+    """kappa times batch_mad_scale of each crossing's trailing window, one
+    crossing at a time: the max(8W, 512) positions of d ending at its right
+    flank's end, clipped to the history, and inf under 16 of them."""
+    d, out = engine.d, []
+    for k in col.tolist():
+        end = min(k + engine.flank, d.size - 1) + 1
+        window = d[max(0, end - engine.trailing) : end]
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = math.inf if window.size < 16 else runtime.batch_mad_scale(window)
+        out.append(engine.cfg.kappa * scale)
+    return np.array(out)
+
+
+def mad_traces():
+    """900 positions of d each: noise, and the special cases of
+    test_median_matches_np_median_bit_for_bit spread over whole windows."""
+    rng = np.random.default_rng(23)
+    big = np.finfo(np.float64).max
+    with_nan = rng.standard_normal(900)
+    with_nan[700] = np.nan
+    return {
+        "noise": rng.standard_normal(900),
+        "signed_zeros": rng.choice([0.0, -0.0], 900),
+        "zeros_and_ones": rng.choice([0.0, -0.0, 1.0, -1.0], 900),
+        "ties": rng.integers(-2, 3, 900).astype(np.float64),
+        "nan": with_nan,
+        "overflowing_pair": rng.choice([1.7e308, big], 900),
+        "overflowing_negative": rng.choice([-big, -1.7e308, 5.0], 900),
+        "overflowing_mixed": np.resize([big, big, -big], 900),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(mad_traces()))
+@pytest.mark.parametrize("window", [16, 96])
+@pytest.mark.parametrize("kappa", [0.0, 3.0])
+def test_trailing_mad_thresholds_match_batch_mad_scale(case, window, kappa):
+    """The gate's trailing-MAD thresholds, taken from sorted rows in groups,
+    equal kappa * batch_mad_scale of each crossing's window bit for bit. A
+    crossing at every position covers windows under 16 positions (W 16),
+    short windows at the stream start, full ones, and more crossings than
+    one group; kappa 0 times an inf scale is NaN, as in Python floats."""
+    d = mad_traces()[case]
+    engine = trailing_engine(d, window, kappa)
+    col = np.arange(1, d.size)
+    ends = np.minimum(col + engine.flank, d.size - 1) + 1
+    assert (ends < 16).any() == (window == 16)
+    assert (ends < engine.trailing).any() and (ends == engine.trailing).any()
+    assert col.size > runtime._SCREEN_ELEMENTS // engine.trailing
+    want = plain_thresholds(engine, col)
+    got = engine._thresholds(col)  # warnings are errors: it must raise none
+    assert got.shape == want.shape
+    assert (got.view(np.uint64) == want.view(np.uint64)).all(), case
+
+
+def test_trailing_mad_gate_temporaries_bounded():
+    """One whole-trace push_chunk of a pc5 draw (W 96, trailing MAD, 3,200
+    samples) adds a traced peak under 4 * _SCREEN_ELEMENTS float64 values.
+    The gate takes its trailing MADs in groups of at most _SCREEN_ELEMENTS
+    values; one array of all of a drain's windows would be several times
+    that."""
+    spec = builtin_suite("pc5")
+    _, clean = render(spec)
+    y = apply_noise(clean, "normal", 10.0, 0)
+    assert y.size == 3200
+    sd = StreamDetector(step_detector(window=96, dt=spec.dt), DetectConfig())
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sd.push_chunk(y)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(sd.detections) >= 2
+    assert peak < 4 * runtime._SCREEN_ELEMENTS * 8, peak
 
 
 def test_stream_bookkeeping():
