@@ -14,11 +14,15 @@ in the frozen weight arrays.
 
 A row is evaluated on the integer tap grid: T is substituted once, by Horner
 over the kernel's polynomials, and folding tau = i * dt into the result gives
-K_v(T, i * dt) as one canonical polynomial A(i) / D in the tap index i, summed
-by Horner over plain ints. Each weight is then the int quotient
-q_i.numerator * A(i) / (q_i.denominator * D), which rounds correctly, so the
-rows are still exact and every float is the correctly rounded image of its
-exact weight.
+K_v(T, i * dt) as one canonical polynomial A(i) / D in the tap index i. The
+quadrature weight at tap i is q_i = c_i * h, for the grid step h = hn / hd and
+a factor c_i of the rule ({1/2, 1} for the trapezoid rule, {1/3, 4/3, 2/3} for
+Simpson's). So hn is multiplied into A's integer coefficients once per row,
+the products are summed at each tap by Horner over plain ints, and each weight
+is the int quotient c_i.numerator * hn * A(i) / (c_i.denominator * hd * D),
+with one divisor per factor and row. That quotient is the exact weight
+q_i * A(i) / D, and int / int rounds it correctly, so the rows are still exact
+and every float is the correctly rounded image of its exact weight.
 """
 
 from __future__ import annotations
@@ -27,11 +31,11 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from ._exact import Polynomial, render_terms
+from ._exact import Polynomial, _poly, render_terms
 from .builder import DetectorOperator
 from .operators import DiffOperator
 
@@ -73,15 +77,20 @@ def _integral_monomials(comp: DiffOperator) -> List[Tuple[Fraction, int, int]]:
 def _kernel(comp: DiffOperator) -> BivariatePoly:
     """Sum over the monomials c * s^-m * D^a of comp of
     c * (T - tau)^(m-1) / (m-1)! * (-tau)^a, whose T^i term is
-    c * C(m-1, i) / (m-1)! * (-tau)^(m-1-i+a)."""
-    cols: List[Polynomial] = []
-    for c, m, a in _integral_monomials(comp):
-        f = c / math.factorial(m - 1)
-        cols += [Polynomial.zero()] * (m - len(cols))
+    c * C(m-1, i) / (m-1)! * (-tau)^(m-1-i+a). The terms are summed as integer
+    numerators over one denominator L, so each T-column is made once."""
+    terms = _integral_monomials(comp)
+    L = math.lcm(*(c.denominator * math.factorial(m - 1) for c, m, _ in terms))
+    cols: List[List[int]] = []
+    for c, m, a in terms:
+        f = c.numerator * (L // (c.denominator * math.factorial(m - 1)))
+        cols += [[] for _ in range(m - len(cols))]
         for i in range(m):
             j = m - 1 - i + a
-            cols[i] = cols[i] + Polynomial.s_power(j, (-1) ** j * math.comb(m - 1, i) * f)
-    return BivariatePoly(cols)
+            col = cols[i]
+            col += [0] * (j + 1 - len(col))
+            col[j] += (-1) ** j * math.comb(m - 1, i) * f
+    return BivariatePoly(_poly(col, L) for col in cols)
 
 
 def kernelize(det: DetectorOperator) -> Tuple[BivariatePoly, ...]:
@@ -103,17 +112,25 @@ def _check_rule(window: int, rule: str) -> None:
         raise ValueError(f"unknown quadrature rule {rule!r}; pick from {RULES}")
 
 
-def quadrature_weights(window: int, dt: Fraction, rule: str) -> List[Fraction]:
+def _quadrature_factors(window: int, rule: str) -> List[Tuple[Fraction, slice]]:
+    """The rule as (c, taps) pairs, q_i = c * dt at each tap i the slice picks;
+    the slices partition range(window). Raises ValueError as _check_rule does."""
     _check_rule(window, rule)
+    ends = slice(0, None, window - 1)
     if rule == "trapezoid":
-        q = [dt] * window
-        q[0] = dt / 2
-        q[-1] = dt / 2
-        return q
-    q = [dt / 3]
-    for i in range(1, window - 1):
-        q.append(dt * (4 if i % 2 else 2) / 3)
-    q.append(dt / 3)
+        return [(Fraction(1, 2), ends), (Fraction(1), slice(1, window - 1))]
+    return [
+        (Fraction(1, 3), ends),
+        (Fraction(4, 3), slice(1, window - 1, 2)),
+        (Fraction(2, 3), slice(2, window - 1, 2)),
+    ]
+
+
+def quadrature_weights(window: int, dt: Fraction, rule: str) -> List[Fraction]:
+    """The quadrature weight q_i of each of the window taps at grid step dt."""
+    q: List[Fraction] = [dt] * window
+    for c, taps in _quadrature_factors(window, rule):
+        q[taps] = [c * dt] * len(range(window)[taps])
     return q
 
 
@@ -148,7 +165,7 @@ def _midpoint_norm(weights: np.ndarray, t_mid: float) -> float:
     return float(np.sqrt(np.dot(w_mid, w_mid)))
 
 
-def _tap_numerators(coeffs: Tuple[int, ...], window: int) -> List[int]:
+def _tap_numerators(coeffs: Sequence[int], window: int) -> List[int]:
     """sum_j coeffs[j] * i^j at each tap i in range(window), Horner over ints."""
     rev = coeffs[::-1]
     out = []
@@ -200,6 +217,18 @@ def _project_out(row: np.ndarray, basis: List[np.ndarray]) -> np.ndarray:
     return out
 
 
+def _grid_step(dt) -> float:
+    """dt as a Python float; ValueError unless it is a real number (bools
+    excluded) whose float is finite and positive."""
+    try:
+        h = float(dt) if isinstance(dt, numbers.Real) and not isinstance(dt, bool) else math.nan
+    except OverflowError:  # an int or Fraction beyond the floats
+        h = math.inf
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
+    return h
+
+
 def discretize(
     det: DetectorOperator,
     window: int = 64,
@@ -214,7 +243,10 @@ def discretize(
     pure model-family signal produce values at rounding level instead of
     quadrature-bias level. project=False keeps the raw quadrature weights,
     each the correctly rounded float of its exact weight q_i * K_v(T, i * dt).
-    Raises ValueError for a dt that takes the raw weights, or their norm
+    dt is read once as a Python float, the step the runtime reads back from
+    dd.dt, so a NumPy or Fraction dt gives the detector of float(dt). Raises
+    ValueError for a dt that is not a real number, one whose float is not
+    finite and positive, and one that takes the raw weights, or their norm
     collapsed at the window midpoint, out of the float range.
     """
     if isinstance(window, bool) or not isinstance(window, numbers.Integral):
@@ -222,29 +254,28 @@ def discretize(
     window = int(window)
     if window < 2:
         raise ValueError("window must be >= 2")
-    if isinstance(dt, bool) or not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be finite and positive, got {dt!r}")
+    dt = _grid_step(dt)
     out_of_range = f"dt={dt!r} takes the weights or their norm out of the float range"
+    factors = _quadrature_factors(window, rule)
     kernels = kernelize(det)
     h = Fraction(dt)
+    hn, hd = h.numerator, h.denominator
     T = (window - 1) * h
-    q = quadrature_weights(window, h, rule)
 
     # K_v(T, tau) at this T, then at tau = i * h: sum_j A[j] * i^j / D, read off
     # the canonical Polynomial as (D, A)
     tau_rows = [kv.at(T) for kv in kernels]
     rows = tuple((p.den, p.nums) for p in (r.dilate(h) for r in tau_rows))
-    qn = [x.numerator for x in q]
-    qd = [x.denominator for x in q]
+    weights = np.empty((len(rows), window), dtype=np.float64)
     try:
-        weights = np.array(
-            [
-                # int / int rounds correctly, exactly as float(Fraction) does
-                [n * s / (d * den) for n, d, s in zip(qn, qd, _tap_numerators(coeffs, window))]
-                for den, coeffs in rows
-            ],
-            dtype=np.float64,
-        )
+        for row, (den, coeffs) in zip(weights, rows):
+            # q_i * A(i) / D with q_i = c * h: h's numerator goes into A, and
+            # each factor c has one divisor; int / int rounds correctly, exactly
+            # as float(Fraction) does
+            taps = _tap_numerators([hn * a for a in coeffs], window)
+            for c, sl in factors:
+                n, d = c.numerator, c.denominator * hd * den
+                row[sl] = [s / d for s in taps[sl]] if n == 1 else [n * s / d for s in taps[sl]]
         t_mid = float(T) / 2.0
     except OverflowError:
         raise ValueError(out_of_range) from None

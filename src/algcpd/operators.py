@@ -109,17 +109,21 @@ class DiffOperator:
     def compose(self, other: "DiffOperator") -> "DiffOperator":
         """self o other, normalized by the commutation rule."""
         out: Dict[int, RF] = {}
-        for a, rho in self.terms.items():
-            for b, sigma in other.terms.items():
-                # D^a o sigma = sum_j C(a,j) sigma^(j) D^(a-j)
-                sig_j = sigma
-                for j in range(a + 1):
+        top = self.order
+        for b, sigma in other.terms.items():
+            # D^a o sigma = sum_j C(a,j) sigma^(j) D^(a-j); sigma's nonzero
+            # derivatives up to self's top order, built once for every a
+            chain = [sigma]
+            while len(chain) <= top:
+                deriv = chain[-1].derivative()
+                if deriv.is_zero():
+                    break
+                chain.append(deriv)
+            for a, rho in self.terms.items():
+                for j, sig_j in enumerate(chain[: a + 1]):
                     c = rho * sig_j * comb(a, j)
-                    if not c.is_zero():
-                        k = a - j + b
-                        out[k] = out[k] + c if k in out else c
-                    if j < a:
-                        sig_j = sig_j.derivative()
+                    k = a - j + b
+                    out[k] = out[k] + c if k in out else c
         return DiffOperator(out)
 
     def apply(self, f) -> RF:

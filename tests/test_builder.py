@@ -84,6 +84,41 @@ def test_verify_catches_broken_operator():
     assert rep.smooth_residuals or rep.jump_residuals
 
 
+def test_verify_reports_every_delay_and_jump_element(monkeypatch):
+    # r * P_0 added to omega keeps every coefficient a smooth annihilator but
+    # breaks the jump nulling, so each (delay, element) pair leaves a residual
+    det = build_detector(ModelSpec.polynomial(3, 2))
+    extra = OperatorPolynomial((DiffOperator(), det.omega.coeffs[0]))
+    broken = dataclasses.replace(det, omega=det.omega + extra)
+    shifts = []
+    shift_d = DiffOperator.shift_d
+
+    def counted(self, c):
+        shifts.append(c)
+        return shift_d(self, c)
+
+    monkeypatch.setattr(DiffOperator, "shift_d", counted)
+    rep = verify_detector(broken, n_delays=3)
+    assert not rep.ok
+    assert rep.delays == (Fraction(1, 2), Fraction(25, 7), Fraction(2, 3))
+    assert rep.smooth_residuals == ()
+    assert rep.jump_residuals == (
+        "delay 1/2 on 1/s: (1/512*s^3 - 3/32*s^2 + 21/16*s - 21/4)/s^5",
+        "delay 1/2 on 1/s^2: (1/512*s^2 - 1/16*s + 7/16)/s^5",
+        "delay 1/2 on 1/s^3: (1/512*s - 1/32)/s^5",
+        "delay 25/7 on 1/s: (3814697265625/40353607*s^3 - 3662109375000/5764801*s^2"
+        " + 146484375000/117649*s - 11718750000/16807)/s^5",
+        "delay 25/7 on 1/s^2: (3814697265625/40353607*s^2 - 2441406250000/5764801*s"
+        " + 48828125000/117649)/s^5",
+        "delay 25/7 on 1/s^3: (3814697265625/40353607*s - 1220703125000/5764801)/s^5",
+        "delay 2/3 on 1/s: (512/19683*s^3 - 2048/2187*s^2 + 7168/729*s - 7168/243)/s^5",
+        "delay 2/3 on 1/s^2: (512/19683*s^2 - 4096/6561*s + 7168/2187)/s^5",
+        "delay 2/3 on 1/s^3: (512/19683*s - 2048/6561)/s^5",
+    )
+    # the delay shift is taken once per delay, not once per jump element
+    assert shifts == [-t0 for t0 in rep.delays]
+
+
 def test_model_validation():
     with pytest.raises(ValueError):
         ModelSpec.monomial(-1, 0)

@@ -16,6 +16,7 @@ from algcpd._exact import Polynomial, RationalFunction as RF
 from algcpd.builder import ModelSpec, build_detector
 from algcpd.kernels import BivariatePoly, discretize, kernelize, quadrature_weights
 from algcpd.operators import DiffOperator, OperatorPolynomial, to_integral_form
+from algcpd.runtime import detect_samples
 
 
 def _smooth_samples(rng, n, dt):
@@ -242,6 +243,30 @@ def test_discretize_validation():
         discretize(det, window=8, rule="gauss")
 
 
+def test_discretize_reads_dt_as_a_python_float():
+    # the weights are those of float(dt), the grid the runtime reads from dd.dt
+    det = build_detector(ModelSpec.monomial(0, 0))
+    y = np.where(np.arange(200) * 0.01 >= 1.115, 1.0, 0.0)
+    times = []
+    for dt in (np.float32(0.01), np.float64(0.01), Fraction(1, 100)):
+        dd = discretize(det, window=64, dt=dt)
+        want = discretize(det, window=64, dt=float(dt))
+        assert type(dd.dt) is float and dd.dt == want.dt
+        assert_same_bits(dd.weights, want.weights)
+        assert dd.exact_rows == want.exact_rows
+        dets = detect_samples(dd, y)[1]
+        assert dets == detect_samples(want, y)[1]
+        times += [d.time for d in dets]
+    assert times and all(type(t) is float for t in times)
+    for dt in ("0.01", None, 0.01j, [0.01]):
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            discretize(det, window=8, dt=dt)
+    # a rational too large or too small for the floats is out of range too
+    for dt in (10**400, Fraction(1, 10**400)):
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            discretize(det, window=8, dt=dt)
+
+
 def test_projection_kills_quadrature_bias():
     det = build_detector(ModelSpec.monomial(0, 0))
     raw = discretize(det, window=64, dt=0.01, project=False)
@@ -355,7 +380,10 @@ ORACLE_MODELS = {
     "polynomial(3,2)": (ModelSpec.polynomial(3, 2), None),
     "monomial(1,0)/general": (ModelSpec.monomial(1, 0), "general"),
 }
-ORACLE_DTS = (0.01, 0.001, 0.1, 1 / 3, 2**-7, 1e-6)
+# 2.0 is the one step with an even Fraction numerator, so the end and interior
+# quadrature weights have different numerators (trapezoid q_0 = 1 against
+# q_i = 2; simpson 2/3, 8/3 and 4/3)
+ORACLE_DTS = (0.01, 0.001, 0.1, 1 / 3, 2**-7, 1e-6, 2.0)
 
 
 @functools.lru_cache(maxsize=None)
