@@ -25,7 +25,6 @@ from .operators import (
     DiffOperator,
     OperatorPolynomial,
     annihilator_of_span,
-    apply_to_delayed,
     conjugate_by_delay,
     to_integral_form,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "DiffOperator",
     "OperatorPolynomial",
     "annihilator_of_span",
-    "apply_to_delayed",
     "conjugate_by_delay",
     "to_integral_form",
     "ModelSpec",

@@ -27,7 +27,7 @@ import numpy as np
 from . import _engine, runtime
 from ._csv import read_table, write_table
 from .builder import METHODS, ModelSpec, build_detector
-from .kernels import DiscreteDetector, _check_rule, discretize
+from .kernels import DiscreteDetector, _quadrature_factors, discretize
 from .noise import NOISE_KINDS, apply_noise, noise_power_ratio
 from .runtime import DetectConfig
 from .signals import builtin_suite, render
@@ -76,7 +76,7 @@ class DetectorSetup:
             if not _is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         self.model()  # ModelSpec checks n1, n2 and order
-        _check_rule(self.window, self.rule)
+        _quadrature_factors(self.window, self.rule)
         self.config()  # DetectConfig checks kappa and scale
 
     def model(self) -> ModelSpec:

@@ -100,30 +100,24 @@ def kernelize(det: DetectorOperator) -> Tuple[BivariatePoly, ...]:
     return tuple(_kernel(c) for c in det.omega.coeffs)
 
 
-def _check_rule(window: int, rule: str) -> None:
-    """Raise ValueError unless rule is one of RULES and spans window samples."""
+def _quadrature_factors(window: int, rule: str) -> List[Tuple[Fraction, slice]]:
+    """The rule as (c, taps) pairs, q_i = c * dt at each tap i the slice picks;
+    the slices partition range(window). Raises ValueError unless rule is one
+    of RULES and spans window samples."""
+    ends = slice(0, None, window - 1)
     if rule == "trapezoid":
         if window < 2:
             raise ValueError("trapezoid rule needs window >= 2")
-    elif rule == "simpson":
+        return [(Fraction(1, 2), ends), (Fraction(1), slice(1, window - 1))]
+    if rule == "simpson":
         if window < 3 or window % 2 == 0:
             raise ValueError("simpson rule needs an odd window >= 3")
-    else:
-        raise ValueError(f"unknown quadrature rule {rule!r}; pick from {RULES}")
-
-
-def _quadrature_factors(window: int, rule: str) -> List[Tuple[Fraction, slice]]:
-    """The rule as (c, taps) pairs, q_i = c * dt at each tap i the slice picks;
-    the slices partition range(window). Raises ValueError as _check_rule does."""
-    _check_rule(window, rule)
-    ends = slice(0, None, window - 1)
-    if rule == "trapezoid":
-        return [(Fraction(1, 2), ends), (Fraction(1), slice(1, window - 1))]
-    return [
-        (Fraction(1, 3), ends),
-        (Fraction(4, 3), slice(1, window - 1, 2)),
-        (Fraction(2, 3), slice(2, window - 1, 2)),
-    ]
+        return [
+            (Fraction(1, 3), ends),
+            (Fraction(4, 3), slice(1, window - 1, 2)),
+            (Fraction(2, 3), slice(2, window - 1, 2)),
+        ]
+    raise ValueError(f"unknown quadrature rule {rule!r}; pick from {RULES}")
 
 
 def quadrature_weights(window: int, dt: Fraction, rule: str) -> List[Fraction]:
@@ -217,13 +211,19 @@ def _project_out(row: np.ndarray, basis: List[np.ndarray]) -> np.ndarray:
     return out
 
 
+def _real(x) -> float:
+    """x as a Python float: NaN unless x is a real number (bools excluded),
+    and inf for an int or Fraction beyond the floats."""
+    try:
+        return float(x) if isinstance(x, numbers.Real) and not isinstance(x, bool) else math.nan
+    except OverflowError:
+        return math.inf
+
+
 def _grid_step(dt) -> float:
     """dt as a Python float; ValueError unless it is a real number (bools
     excluded) whose float is finite and positive."""
-    try:
-        h = float(dt) if isinstance(dt, numbers.Real) and not isinstance(dt, bool) else math.nan
-    except OverflowError:  # an int or Fraction beyond the floats
-        h = math.inf
+    h = _real(dt)
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"dt must be finite and positive, got {dt!r}")
     return h

@@ -303,15 +303,6 @@ def conjugate_by_delay(op: DiffOperator) -> OperatorPolynomial:
     return OperatorPolynomial(tuple(DiffOperator(d) for d in coeffs))
 
 
-def apply_to_delayed(op: DiffOperator, f, delay) -> RF:
-    """Apply op to f * exp(-delay * s), returning the rational prefactor.
-
-    op(f e^{-rs}) = ([op with D -> D - r] f) e^{-rs}; the delay exponential
-    factors out, so the result is shift_d(op, -delay).apply(f).
-    """
-    return op.shift_d(-Fraction(delay)).apply(f)
-
-
 def annihilator_of_span(basis: Sequence) -> DiffOperator:
     """Common-denominator annihilator of the span of rational functions.
 

@@ -26,12 +26,12 @@ become candidates for a time-ordered pending-candidate suppressor.
 With an explicit cfg.scale batch and stream are bit-identical and chunk-size
 invariant; with cfg.scale=None batch uses the whole-trace MAD of d while the
 stream uses a trailing MAD at each crossing (a documented approximation, still
-chunk-size invariant). The trailing MAD is batch_mad_scale of each crossing's
-window, bit for bit, but it is not taken one window at a time: a group of
-crossings copies its windows into the rows of one array, sorts them to read
-the medians, then sorts the absolute deviations to read the MADs. A group's
-array holds at most _SCREEN_ELEMENTS values (21 windows at W=96), the bound
-the flank gather keeps to.
+chunk-size invariant). One sorted-row routine, _mads, takes both: the batch
+MAD is one row holding all of d, and a group of crossings copies its trailing
+windows into the rows of one array, sorts them to read the medians, then
+sorts the absolute deviations to read the MADs. A group's array holds at most
+_SCREEN_ELEMENTS values (21 windows at W=96), the bound the flank gather
+keeps to.
 
 The engine is fed (feed) and drained (drain, finish) separately. Batch feeds
 the whole trace and finishes. The stream holds samples until the engine's
@@ -52,7 +52,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from ._engine import eval_windows_raw
-from .kernels import DiscreteDetector
+from .kernels import DiscreteDetector, _real
 
 MAD_FACTOR = 1.4826  # normal-consistency factor for median absolute deviation
 _MIN_SCALE_HISTORY = 16
@@ -145,11 +145,21 @@ def _statistics(dd: DiscreteDetector, samples: np.ndarray):
     return vnu, v, d, sigma, rms
 
 
+def _start_time(t0) -> float:
+    """t0 as a Python float; ValueError unless it is a real number (bools
+    excluded) whose float is finite."""
+    t = _real(t0)
+    if not math.isfinite(t):
+        raise ValueError(f"t0 must be a finite number, got {t0!r}")
+    return t
+
+
 def eval_windows(
     dd: DiscreteDetector,
     samples: Sequence[float],
     t0: float = 0.0,
 ) -> DecisionTrace:
+    t0 = _start_time(t0)
     samples = np.ascontiguousarray(samples, dtype=np.float64)
     if samples.ndim != 1:
         raise ValueError("samples must be one-dimensional")
@@ -194,38 +204,30 @@ def _check_samples(dd: DiscreteDetector, samples: np.ndarray) -> None:
         raise ValueError(f"need at least window={dd.window} samples, got {n}")
 
 
-def _median(a: np.ndarray) -> float:
-    """np.median of a non-empty 1-D float64 array, bit for bit, from one
-    np.partition: the same kth (the middle one or two, then the last, which
-    is NaN if any value is), and the mean of the middle value or two as
-    np.mean makes it. Its sum starts at 0.0, so a -0.0 median is +0.0, and
-    (0.0 + a + b) / 2 overflows to inf where a + b does."""
-    n = a.shape[0]
-    h = n // 2
-    part = np.partition(a, [h, -1] if n % 2 else [h - 1, h, -1])
-    if math.isnan(part[-1]):
-        return math.nan
-    if n % 2:
-        return 0.0 + float(part[h])
-    lo, hi = part[h - 1 : h + 1].tolist()
-    return (0.0 + lo + hi) / 2
-
-
 def batch_mad_scale(d: np.ndarray) -> float:
+    """The MAD of all of d as float64 (inf if d is empty): _mads of one row,
+    d itself."""
+    d = np.asarray(d, dtype=np.float64)  # _mads' rows take its dtype and hold deviations
     if d.size == 0:
         return math.inf
-    med = _median(d)
-    return MAD_FACTOR * _median(np.abs(d - med))
+    n = np.array([d.size])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(_mads(d, n, n)[0])
 
 
-def _trailing_mads(d: np.ndarray, ends: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """batch_mad_scale(d[ends[i] - counts[i] : ends[i]]) for each i, bit for
-    bit, from one (len(ends), max(counts)) array of rows, each sorted in
-    place: first the windows, to read their medians, then the absolute
-    deviations from them, to read the MADs. A window shorter than its row
-    starts at column 0 and is padded with +inf, which sorts after every
-    value but NaN and so moves none of the order statistics read. Callers
-    hold NumPy's overflow and invalid warnings, as Python floats raise none."""
+def _mads(d: np.ndarray, ends: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """MAD_FACTOR * np.median(|w - np.median(w)|), bit for bit, of each
+    window w = d[ends[i] - counts[i] : ends[i]]: the batch MAD is one row
+    holding all of d, the stream's trailing MADs one row per crossing. The
+    windows are copied into one (len(ends), max(counts)) array, and each row
+    is sorted in place twice: first to read the medians, then the absolute
+    deviations from them, to read the MADs. A median is the middle value, or
+    (0.0 + a + b) / 2 of the middle pair as np.mean makes it (a -0.0 median
+    is +0.0, an overflowing pair inf), and NaN where the window holds one. A
+    window shorter than its row starts at column 0 and is padded with +inf,
+    which sorts after every value but NaN and so moves none of the order
+    statistics read. Callers hold NumPy's overflow and invalid warnings, as
+    Python floats raise none."""
     width = int(counts.max())
     windows = as_strided(d, (d.size - width + 1, width), d.strides * 2)
     rows = windows[np.maximum(ends - width, 0)]  # a copy
@@ -234,7 +236,6 @@ def _trailing_mads(d: np.ndarray, ends: np.ndarray, counts: np.ndarray) -> np.nd
     lo, hi, odd = (r, (counts - 1) // 2), (r, counts // 2), counts % 2 == 1
 
     def medians():
-        # _median's formula on each sorted row
         mid = rows[lo]
         med = np.where(odd, 0.0 + mid, (0.0 + mid + rows[hi]) / 2)
         return np.where(np.isnan(rows[:, -1]), np.nan, med)
@@ -260,8 +261,9 @@ class _GateEngine:
     scale; see it for the order in which its tests prune. Under the trailing
     MAD, _thresholds takes a gate step's scales in groups of at most
     max(1, _SCREEN_ELEMENTS // trailing) crossings, one sorted row of d per
-    crossing (_trailing_mads): a group's rows take at most 128 kB, or one
-    window where that alone is more (W > 2048).
+    crossing (_mads, the routine batch_mad_scale runs on one row): a group's
+    rows take at most 128 kB, or one window where that alone is more
+    (W > 2048).
 
     The history the gate reads is d, v and rms of positions base to end, as
     plain arrays. A feed to an empty history holds the arrays as
@@ -428,7 +430,7 @@ class _GateEngine:
         with np.errstate(over="ignore", invalid="ignore"):
             for lo in range(0, col.size, group):
                 part = slice(lo, lo + group)
-                scale[part] = _trailing_mads(self.d, ends[part], counts[part])
+                scale[part] = _mads(self.d, ends[part], counts[part])
             scale[counts < _MIN_SCALE_HISTORY] = np.inf
             return self.cfg.kappa * scale
 
@@ -501,8 +503,8 @@ class StreamDetector:
     ):
         self.dd = dd
         self.cfg = cfg
-        self.t0 = t0
-        self._engine = _GateEngine(dd.window, dd.dt, dd.t_mid, dd.wnorm, cfg, t0, cfg.scale)
+        self.t0 = _start_time(t0)
+        self._engine = _GateEngine(dd.window, dd.dt, dd.t_mid, dd.wnorm, cfg, self.t0, cfg.scale)
         # the samples from the first position not yet evaluated on, in order:
         # _tail, a copy of the last W-1 samples evaluated on (none at the
         # start), the chunks pushed since, then the single samples pushed

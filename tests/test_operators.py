@@ -10,7 +10,6 @@ from algcpd.operators import (
     DiffOperator,
     OperatorPolynomial,
     annihilator_of_span,
-    apply_to_delayed,
     clear_polynomial_denominators,
     conjugate_by_delay,
     to_integral_form,
@@ -90,17 +89,6 @@ def test_conjugate_collapse_equals_shift():
         poly = conjugate_by_delay(op)
         assert poly.eval_at(r) == op.shift_d(r)
         assert poly.coeff(0) == op
-
-
-def test_apply_to_delayed_matches_conjugate():
-    # op(f e^{-rs}) factors as ([D -> D - r] f) e^{-rs}
-    rng = random.Random(15)
-    for _ in range(30):
-        op = rand_op(rng, 3)
-        f = rand_rf(rng)
-        r = Fraction(rng.randint(1, 6), rng.randint(1, 3))
-        via_poly = conjugate_by_delay(op).eval_at(-r).apply(f)
-        assert apply_to_delayed(op, f, r) == via_poly
 
 
 def test_annihilator_kills_span():

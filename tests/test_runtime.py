@@ -4,6 +4,7 @@ import itertools
 import math
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -561,17 +562,21 @@ def test_stream_storage_shrinks_after_a_large_chunk():
 
 
 def test_median_matches_np_median_bit_for_bit():
-    """runtime._median and the MAD it makes against np.median over odd and
-    even counts, ties, signed zeros, NaN, and middle pairs whose sum
-    overflows to inf (np.median's own mean overflows there too)."""
+    """batch_mad_scale against the MAD np.median makes over odd and even
+    counts (up to one sine3 trial at W 96 and one _SCREEN_ELEMENTS group),
+    ties, signed zeros, infinities, NaN, and middle pairs whose sum
+    overflows to inf (np.median's own mean overflows there too).
+    batch_mad_scale runs outside errstate: it must raise no warning."""
     rng = np.random.default_rng(11)
     big = np.finfo(np.float64).max
-    cases = [rng.standard_normal(n) for n in (1, 2, 3, 4, 767, 768)]
+    cases = [rng.standard_normal(n) for n in (1, 2, 3, 4, 767, 768, 1155, 16384)]
     cases += [rng.integers(-2, 3, n).astype(np.float64) for n in (5, 6, 16, 17)]
+    cases.append(rng.integers(-2, 3, 9))  # an int array is read as float64
     cases += [np.array(a) for a in (
         [0.0, -0.0], [-0.0, -0.0], [-0.0, 0.0, -0.0], [0.0, -0.0, -0.0, 0.0], [-0.0],
         [1.7e308, big], [-big, -1.7e308, 5.0], [-big, 1.0, -1.7e308, 2.0],
         [big, big, -big], [1.0, np.nan, 2.0], [np.nan, 3.0],
+        [np.inf, 1.0, 2.0], [-np.inf, 1.0], [np.inf, -np.inf], [np.inf, np.inf, 3.0],
     )]
 
     def bits(x):
@@ -581,9 +586,7 @@ def test_median_matches_np_median_bit_for_bit():
         with np.errstate(over="ignore", invalid="ignore"):
             want = float(np.median(a))
             mad = runtime.MAD_FACTOR * float(np.median(np.abs(a - want)))
-            got_mad = runtime.batch_mad_scale(a)
-        assert bits(runtime._median(a)) == bits(want), a
-        assert bits(got_mad) == bits(mad), a
+        assert bits(runtime.batch_mad_scale(a)) == bits(mad), a
 
 
 def trailing_engine(d, window, kappa):
@@ -594,16 +597,16 @@ def trailing_engine(d, window, kappa):
 
 
 def plain_thresholds(engine, col):
-    """kappa times batch_mad_scale of each crossing's trailing window, one
-    crossing at a time: the max(8W, 512) positions of d ending at its right
-    flank's end, clipped to the history, and inf under 16 of them."""
+    """kappa times the MAD of each crossing's trailing window by np.median,
+    one crossing at a time: the max(8W, 512) positions of d ending at its
+    right flank's end, clipped to the history, and inf under 16 of them."""
     d, out = engine.d, []
     for k in col.tolist():
         end = min(k + engine.flank, d.size - 1) + 1
-        window = d[max(0, end - engine.trailing) : end]
+        w = d[max(0, end - engine.trailing) : end]
         with np.errstate(over="ignore", invalid="ignore"):
-            scale = math.inf if window.size < 16 else runtime.batch_mad_scale(window)
-        out.append(engine.cfg.kappa * scale)
+            mad = runtime.MAD_FACTOR * float(np.median(np.abs(w - np.median(w))))
+        out.append(engine.cfg.kappa * (math.inf if w.size < 16 else mad))
     return np.array(out)
 
 
@@ -631,7 +634,7 @@ def mad_traces():
 @pytest.mark.parametrize("kappa", [0.0, 3.0])
 def test_trailing_mad_thresholds_match_batch_mad_scale(case, window, kappa):
     """The gate's trailing-MAD thresholds, taken from sorted rows in groups,
-    equal kappa * batch_mad_scale of each crossing's window bit for bit. A
+    equal kappa times np.median's MAD of each crossing's window bit for bit. A
     crossing at every position covers windows under 16 positions (W 16),
     short windows at the stream start, full ones, and more crossings than
     one group; kappa 0 times an inf scale is NaN, as in Python floats."""
@@ -794,6 +797,38 @@ def test_eval_windows_validation():
     bad[50] = np.inf
     with pytest.raises(ValueError):
         eval_windows(dd, bad)
+
+
+@pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf, True, "1.0", None])
+def test_bad_t0_fails_before_any_sample(t0, monkeypatch):
+    """A start time that is not a real number with a finite float (a bool
+    is not one) raises ValueError in batch and stream before the engine
+    sees a sample."""
+    dd = step_detector()
+    y = step_signal(200, 0.01, [(1.115, 1.0)])
+    monkeypatch.setattr(runtime, "eval_windows_raw", None)
+    with pytest.raises(ValueError, match="t0 must be a finite number"):
+        detect_samples(dd, y, t0=t0)
+    with pytest.raises(ValueError, match="t0 must be a finite number"):
+        StreamDetector(dd, t0=t0)
+
+
+def test_t0_is_read_as_a_python_float():
+    """A NumPy or Fraction t0 gives the detections of its float, timed as
+    Python floats, in batch and stream."""
+    dd = step_detector()
+    y = step_signal(400, 0.01, [(1.2, 1.0), (2.5, 1.5)])
+    cfg = DetectConfig(kappa=3.0, scale=64 ** -0.5)
+    want = as_tuples(detect_samples(dd, y, cfg, t0=0.5)[1])
+    assert len(want) == 2
+    for t0 in (np.float64(0.5), Fraction(1, 2)):
+        trace, dets = detect_samples(dd, y, cfg, t0=t0)
+        sd = StreamDetector(dd, cfg, t0=t0)
+        streamed_dets = sd.push_chunk(y) + sd.finalize()
+        for got in (dets, streamed_dets):
+            assert as_tuples(got) == want
+            assert all(type(d.time) is float for d in got)
+        assert type(trace.t0) is float and type(sd.t0) is float
 
 
 def test_trace_geometry():
