@@ -18,8 +18,9 @@ K_v(T, i * dt) as one canonical polynomial A(i) / D in the tap index i. The
 quadrature weight at tap i is q_i = c_i * h, for the grid step h = hn / hd and
 a factor c_i of the rule ({1/2, 1} for the trapezoid rule, {1/3, 4/3, 2/3} for
 Simpson's). So hn is multiplied into A's integer coefficients once per row,
-the products are summed at each tap by Horner over plain ints, and each weight
-is the int quotient c_i.numerator * hn * A(i) / (c_i.denominator * hd * D),
+the taps are tabulated as running sums of A's forward differences over plain
+ints (Horner only for the first deg + 1 taps), and each weight is the int
+quotient c_i.numerator * hn * A(i) / (c_i.denominator * hd * D),
 with one divisor per factor and row. That quotient is the exact weight
 q_i * A(i) / D, and int / int rounds it correctly, so the rows are still exact
 and every float is the correctly rounded image of its exact weight.
@@ -31,7 +32,8 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from itertools import accumulate, repeat
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -160,15 +162,35 @@ def _midpoint_norm(weights: np.ndarray, t_mid: float) -> float:
 
 
 def _tap_numerators(coeffs: Sequence[int], window: int) -> List[int]:
-    """sum_j coeffs[j] * i^j at each tap i in range(window), Horner over ints."""
+    """P(i) = sum_j coeffs[j] * i^j at each tap i in range(window), exactly.
+
+    Horner over ints gives P at the first deg + 1 taps, and their difference
+    table the forward differences Delta^k P(0). Delta^deg P is constant, and
+    Delta^k P(i) = Delta^k P(0) + sum_{j<i} Delta^(k+1) P(j), so deg chained
+    running sums (itertools.accumulate) tabulate the rest with no multiply:
+    about deg * window int adds, all in C (Knuth, TAOCP vol. 2, 4.6.4). The
+    levels stream through one another; only the taps are held. The empty
+    coeffs is the zero polynomial."""
+    deg = len(coeffs) - 1
+    if deg < 0:
+        return [0] * window
     rev = coeffs[::-1]
-    out = []
-    for i in range(window):
+    head = []
+    for i in range(min(window, deg + 1)):
         acc = 0
         for c in rev:
             acc = acc * i + c
-        out.append(acc)
-    return out
+        head.append(acc)
+    if window <= deg + 1:
+        return head
+    diffs, row = [], head
+    for _ in range(deg + 1):
+        diffs.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    taps: Iterable[int] = repeat(diffs[deg], window - deg)
+    for k in range(deg - 1, -1, -1):
+        taps = accumulate(taps, initial=diffs[k])
+    return list(taps)
 
 
 def _annihilated_moments(kv: BivariatePoly, row: Polynomial, T: Fraction) -> List[int]:
@@ -247,8 +269,11 @@ def discretize(
     dd.dt, so a NumPy or Fraction dt gives the detector of float(dt). Raises
     ValueError for a dt that is not a real number, one whose float is not
     finite and positive, and one that takes the raw weights, or their norm
-    collapsed at the window midpoint, out of the float range.
+    collapsed at the window midpoint, out of the float range, and for a
+    project that is not a bool.
     """
+    if not isinstance(project, bool):
+        raise ValueError(f"project must be a bool, got {project!r}")
     if isinstance(window, bool) or not isinstance(window, numbers.Integral):
         raise ValueError(f"window must be an integer, got {window!r}")
     window = int(window)

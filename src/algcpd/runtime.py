@@ -182,7 +182,12 @@ def _sample_bound(dd: DiscreteDetector) -> float:
     """The largest |sample| whose window statistics stay in the float range:
     sqrt(DBL_MAX / (2W)) keeps a window's sum of squares under DBL_MAX / 2,
     unless the weights bind first through the bounds on v, the collapse
-    sum_r ||w_r||_1 max(1, t_mid)^r |y|, and on d's denominator, wnorm sqrt(W) |y|."""
+    sum_r ||w_r||_1 max(1, t_mid)^r |y|, and on d's denominator, wnorm sqrt(W) |y|.
+    Raises ValueError for a wnorm that is not positive: d would then divide v
+    by EPSILON alone, and every window of noise would read as a change."""
+    if not dd.wnorm > 0.0:  # NaN fails it too
+        raise ValueError(f"the detector's midpoint norm wnorm is {dd.wnorm!r} at "
+                         f"window={dd.window}: the window is too short for its model")
     with np.errstate(over="ignore"):
         collapsed = _collapse(np.abs(dd.weights).sum(axis=1), max(1.0, dd.t_mid))
     gain = max(collapsed, dd.wnorm * math.sqrt(dd.window), 1.0)

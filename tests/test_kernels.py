@@ -241,6 +241,10 @@ def test_discretize_validation():
         assert np.isfinite(dd.weights).all() and 0.0 < dd.wnorm < math.inf
     with pytest.raises(ValueError):
         discretize(det, window=8, rule="gauss")
+    # project="no" is truthy and used to project anyway
+    for project in ("no", 0, 1, None, np.bool_(True)):
+        with pytest.raises(ValueError, match="project must be a bool"):
+            discretize(det, window=8, project=project)
 
 
 def test_discretize_reads_dt_as_a_python_float():
@@ -441,3 +445,31 @@ def test_discretize_raw_weights_are_float_image_of_reference(model, dt, window, 
     assert_same_bits(dd.weights, reference_weights(det, want_exact, dt, False))
     with pytest.raises(dataclasses.FrozenInstanceError):
         dd.window = window + 1
+
+
+def horner_taps(coeffs, window):
+    """sum_j coeffs[j] * i^j at each tap i in range(window), Horner at every tap."""
+    out = []
+    for i in range(window):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = acc * i + c
+        out.append(acc)
+    return out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    coeffs=st.lists(st.integers(min_value=-(2**900), max_value=2**900), max_size=14),
+    zero_lead=st.booleans(),
+)
+def test_tap_numerators_match_horner(coeffs, zero_lead):
+    """The running sums of forward differences are P at every tap, for any
+    integer coefficients (the zero polynomial and a zero leading coefficient
+    too), at windows 1 to deg + 3 and 4096."""
+    if coeffs and zero_lead:
+        coeffs[-1] = 0
+    for window in [*range(1, len(coeffs) + 3), 4096]:
+        got = kernels._tap_numerators(coeffs, window)
+        assert got == horner_taps(coeffs, window)
+        assert all(type(x) is int for x in got)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algcpd import runtime
+from algcpd.bench import Campaign, DetectorSetup, run_campaign
 from algcpd.builder import ModelSpec, build_detector
 from algcpd.kernels import discretize
 from algcpd.noise import apply_noise
@@ -785,6 +786,30 @@ def test_sample_bound_holds_heavy_weights_in_range():
         assert all(np.isfinite(a).all() for a in (trace.vnu, trace.v, trace.d, trace.rms))
         with pytest.raises(ValueError, match="samples must be finite"):
             eval_windows(dd, 2 * y)
+
+
+def test_zero_wnorm_fails_loudly():
+    """monomial(0, 0) at W 2 projects to rows whose midpoint norm is exactly
+    0.0; d then divides v by EPSILON alone, and a noisy step gave dozens of
+    detections. Batch, campaign rows and stream raise, naming the window,
+    before the engine sees a sample."""
+    dd = step_detector(window=2)
+    assert dd.wnorm == 0.0
+    y = step_signal(600, 0.01, [(3.0, 1.0)]) + np.random.default_rng(0).normal(0, 0.05, 600)
+    message = r"wnorm is 0\.0 at window=2"
+    with pytest.raises(ValueError, match=message):
+        detect_samples(dd, y)
+    with pytest.raises(ValueError, match=message):
+        runtime._eval_rows(dd, np.stack([y, y]))
+    with pytest.raises(ValueError, match=message):
+        run_campaign(Campaign("pc5", "normal", 10.0, DetectorSetup(n1=0, window=2), trials=2))
+    for scale in (None, 2 ** -0.5):
+        with pytest.raises(ValueError, match=message):
+            StreamDetector(dd, DetectConfig(scale=scale))
+    # a detector with a positive norm at the same window still runs
+    raw = discretize(build_detector(ModelSpec.monomial(0, 0)), window=2, project=False)
+    assert raw.wnorm > 0.0
+    eval_windows(raw, y)
 
 
 def test_eval_windows_validation():
