@@ -19,9 +19,12 @@ bivariate window kernels built from them.
 Operational images of polynomial pieces are Laurent polynomials in s
 (t^n/n! <-> s^-(n+1)), so almost every denominator the builder and the
 verifier meet is c*s^k. ``RationalFunction`` canonicalizes those by slicing
-numerator tuples and adds two of them over s^max(i, j); every other
-denominator takes the Euclid path (``poly_gcd``). Both paths give the one
-canonical form, so equality and zero tests do not depend on the path taken.
+numerator tuples, adds two of them over s^max(i, j), multiplies two over
+s^(i+j) and differentiates n/s^k as (s*n' - k*n)/s^(k+1) in one pass over
+the numerators, with no denominator product and no quotient rule; every
+other denominator takes the Euclid path (``poly_gcd``). Both paths give the
+one canonical form, so equality and zero tests do not depend on the path
+taken.
 """
 
 from __future__ import annotations
@@ -111,6 +114,8 @@ class Polynomial:
         """coeff * s**k"""
         if k < 0:
             raise ValueError("s_power exponent must be >= 0")
+        if isinstance(coeff, int):
+            return _poly((0,) * k + (coeff,), 1)
         c = _frac(coeff)
         return _poly((0,) * k + (c.numerator,), c.denominator)
 
@@ -345,6 +350,10 @@ class RationalFunction:
 
     Either way the denominator is then made monic by dividing by its leading
     coefficient, which rescales one integer denominator of each polynomial.
+
+    Sums, products and derivatives of canonical c/s^k operands stay on the
+    first path: they build the numerator over s^max(i, j), s^(i+j) or
+    s^(k+1) and cancel the common s-power by the same slice.
     """
 
     __slots__ = ("num", "den")
@@ -364,15 +373,12 @@ class RationalFunction:
             return
         k = _s_power_degree(den)
         if k is not None:
-            # den = c*s^k, so gcd(num, den) = s^z: cancel it by a slice, and
-            # dividing both by c leaves den = s^(k-z).
-            z = min(k, num.trailing_zero_count())
+            # den = c*s^k: dividing both by c leaves num/c over s^k
             c_num, c_den = den.nums[-1], den.den
-            if c_num == c_den:  # c == 1 (den is reduced)
-                num = _raw(num.nums[z:], num.den) if z else num
-            else:
-                num = _poly([x * c_den for x in num.nums[z:]], num.den * c_num)
-            den = _raw((0,) * (k - z) + (1,), 1)
+            if c_num != c_den:  # c != 1 (den is reduced)
+                num = _poly([x * c_den for x in num.nums], num.den * c_num)
+            r = _over_s_power(num, k)
+            num, den = r.num, r.den
         else:
             g = poly_gcd(num, den)
             if g.degree > 0:
@@ -419,10 +425,7 @@ class RationalFunction:
         if i is not None and j is not None:
             # n1/s^i + n2/s^j = (n1*s^(m-i) + n2*s^(m-j)) / s^m, m = max(i, j)
             m = max(i, j)
-            return RationalFunction(
-                _shift(self.num, m - i) + _shift(other.num, m - j),
-                Polynomial.s_power(m),
-            )
+            return _over_s_power(_shift(self.num, m - i) + _shift(other.num, m - j), m)
         return RationalFunction(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
@@ -442,9 +445,21 @@ class RationalFunction:
         return self + (-other)
 
     def __mul__(self, other) -> "RationalFunction":
+        if isinstance(other, (int, Fraction)):
+            # a nonzero scalar keeps num and den coprime and den monic
+            if not other:
+                return _RF_ZERO
+            r = RationalFunction.__new__(RationalFunction)
+            r.num = self.num * other
+            r.den = self.den
+            return r
         other = _as_rf(other)
         if other is NotImplemented:
             return NotImplemented
+        i, j = _s_power_degree(self.den), _s_power_degree(other.den)
+        if i is not None and j is not None:
+            # (n1/s^i) * (n2/s^j) = n1*n2 / s^(i+j)
+            return _over_s_power(self.num * other.num, i + j)
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -464,17 +479,16 @@ class RationalFunction:
 
     # -- calculus ---------------------------------------------------------------
     def derivative(self) -> "RationalFunction":
+        k = _s_power_degree(self.den)
+        if k is not None:
+            # (n/s^k)' = (s*n' - k*n)/s^(k+1): (j - k)*c_j at s^j
+            n = self.num
+            return _over_s_power(_poly([(j - k) * c for j, c in enumerate(n.nums)], n.den), k + 1)
         # (n/d)' = (n'd - nd')/d^2
         return RationalFunction(
             self.num.derivative() * self.den - self.num * self.den.derivative(),
             self.den * self.den,
         )
-
-    def derivative_n(self, n: int) -> "RationalFunction":
-        r = self
-        for _ in range(n):
-            r = r.derivative()
-        return r
 
     # -- comparison ----------------------------------------------------------------
     def __eq__(self, other) -> bool:
@@ -512,6 +526,19 @@ def _s_power_degree(p: Polynomial):
     return len(nums) - 1 if nums and not any(nums[:-1]) else None
 
 
+def _over_s_power(num: Polynomial, k: int) -> RationalFunction:
+    """The canonical num / s^k (k >= 0). gcd(num, s^k) is s^z with
+    z = min(k, trailing zeros of num), so slicing z coefficients off num
+    cancels it and leaves den = s^(k-z)."""
+    if not num.nums:
+        return _RF_ZERO
+    z = min(k, num.trailing_zero_count())
+    r = RationalFunction.__new__(RationalFunction)
+    r.num = _raw(num.nums[z:], num.den) if z else num
+    r.den = _raw((0,) * (k - z) + (1,), 1)
+    return r
+
+
 def _shift(p: Polynomial, k: int) -> Polynomial:
     """p * s**k for k >= 0, without a multiplication."""
     if not k:
@@ -528,3 +555,5 @@ def _as_rf(x):
         return RationalFunction(Polynomial.constant(x))
     return NotImplemented
 
+
+_RF_ZERO = RationalFunction(_ZERO)

@@ -247,8 +247,9 @@ def verify_detector(det: DetectorOperator, n_delays: int = 3, seed: int = 0) -> 
     and at random rational delays on the delayed jump family. Residuals must
     be the zero rational function. The delay exponential factors out of
     Omega(t0) applied to w * exp(-t0 * s), leaving Omega(t0) with D -> D - t0
-    applied to w, so that shift is taken once per delay and serves every
-    element of the jump family.
+    applied to w. The operator is not rewritten for that: apply shifts the
+    jump element, g_(a+1) = g_a' - t0 * g_a, with Omega(t0) taken once per
+    delay for every element of the jump family.
     """
     rng = random.Random(seed)
     delays = [Fraction(1, 2)]
@@ -264,9 +265,9 @@ def verify_detector(det: DetectorOperator, n_delays: int = 3, seed: int = 0) -> 
 
     jump_bad: List[str] = []
     for t0 in delays:
-        op = det.omega.eval_at(t0).shift_d(-t0)
+        op = det.omega.eval_at(t0)
         for w in det.model.jump_signal_family():
-            r = op.apply(w)
+            r = op.apply(w, -t0)
             if not r.is_zero():
                 jump_bad.append(f"delay {t0} on {w.text()}: {r.text()}")
 

@@ -126,18 +126,25 @@ class DiffOperator:
                     out[k] = out[k] + c if k in out else c
         return DiffOperator(out)
 
-    def apply(self, f) -> RF:
-        """Apply to a rational function: sum_a rho_a * f^(a)."""
+    def apply(self, f, shift=0) -> RF:
+        """Apply to a rational function with D taken as D + shift:
+        sum_a rho_a * (D + shift)^a f, for an exact scalar shift.
+
+        One chain g_0 = f, g_(a+1) = g_a' + shift * g_a gives every
+        (D + shift)^a f; shift 0 gives sum_a rho_a * f^(a). This equals
+        shift_d(shift).apply(f) without expanding any coefficient.
+        """
         f = _as_coeff(f)
-        if self.is_zero() or f.is_zero():
-            return RF.zero()
         out = RF.zero()
-        deriv = f
-        prev = 0
-        for a, rho in self.items():
-            deriv = deriv.derivative_n(a - prev)
-            prev = a
-            out = out + rho * deriv
+        g = f
+        for a in range(self.order + 1):
+            if g.is_zero():
+                break
+            if a:
+                g = g.derivative() + g * shift if shift else g.derivative()
+            rho = self.terms.get(a)
+            if rho is not None:
+                out = out + rho * g
         return out
 
     def shift_d(self, c) -> "DiffOperator":

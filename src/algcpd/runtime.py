@@ -12,10 +12,13 @@ place d is made; see SIGMA_FLOOR for what each floor guards.
 
 A change inside a window drives v through a sign change at the position
 where the hypothesized delay matches the true one, so detections are gated
-zero crossings of d. The gate demands a direction-consistent excursion of at
-least kappa times the noise scale of d on BOTH flanks of the crossing (which
-implies the plain one-sided max |d| >= kappa * scale condition), plus a float
-dust floor so noise-free flat segments never fire.
+zero crossings of d. A crossing at k is a sign change of d between k-1 and
+k, or a lone exact zero at k-1 between values of opposite sign (a change
+right under a window midpoint); a run of two or more zeros never is one.
+The gate demands a direction-consistent excursion of at least kappa times
+the noise scale of d on BOTH flanks of the crossing (which implies the plain
+one-sided max |d| >= kappa * scale condition), plus a float dust floor so
+noise-free flat segments never fire.
 
 Batch and stream share one engine. The engine consumes window statistics in
 position order and, whenever crossings have their right flank available,
@@ -325,9 +328,16 @@ class _GateEngine:
             d, v, rms = (np.concatenate(p) for p in ((self.d, d), (self.v, v), (self.rms, rms)))
         self.d, self.v, self.rms = d, v, rms
         lo = max(1, first_pos)  # crossings need a left neighbor
-        if self.end - 1 >= lo:
-            sign = np.sign(self.d[lo - 1 - self.base :])
-            found = np.flatnonzero(sign[:-1] * sign[1:] < 0)
+        if self.end > lo:
+            start = max(0, lo - 2)
+            sign = np.sign(self.d[start - self.base :])
+            # k is a crossing where d changes sign between k-1 and k, or where
+            # d[k-1] is a lone exact 0.0 between d[k-2] and d[k] of opposite sign
+            turn = sign[:-1] * sign[1:] < 0  # turn[i] is k = start + 1 + i
+            zero = sign[1:-1] == 0
+            if zero.any():
+                turn[1:] |= zero & (sign[:-2] * sign[2:] < 0)
+            found = np.flatnonzero(turn[lo - start - 1 :])
             if found.size:
                 self.crossings.extend((found + lo).tolist())
 
@@ -405,8 +415,9 @@ class _GateEngine:
         for lo in range(0, len(ks), step):
             col = np.array(ks[lo : lo + step], dtype=np.int64) - self.base
             threshold = self._thresholds(col)
-            # +1 where d falls through zero at k, -1 where it rises
-            sign = np.where(self.d[col - 1] > 0, 1.0, -1.0)
+            # +1 where d falls through zero at k, -1 where it rises; d[k-1]
+            # may be the lone zero, d[k] is not zero
+            sign = np.where(self.d[col] < 0, 1.0, -1.0)
             score = np.inf  # becomes the smaller flank excursion
             for offsets, side in ((self._flanks[:f], 1.0), (self._flanks[f:], -1.0)):
                 flank = np.take(self.d, col[:, None] + offsets, mode="clip")

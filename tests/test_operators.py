@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algcpd._exact import Polynomial, RationalFunction as RF
 from algcpd.operators import (
@@ -79,6 +81,32 @@ def test_shift_d_is_homomorphism():
         assert a.compose(b).shift_d(c) == a.shift_d(c).compose(b.shift_d(c))
         assert (a + b).shift_d(c) == a.shift_d(c) + b.shift_d(c)
         assert a.shift_d(c).shift_d(-c) == a
+
+
+def rand_laurent(rng):
+    """A sum of up to three c*s^e, e in -4..1: the coefficients verify meets."""
+    out = RF.zero()
+    for _ in range(rng.randint(1, 3)):
+        out = out + RF.s_power(rng.randint(-4, 1), Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+    return out
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32),
+    laurent=st.booleans(),
+    c=st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5)),
+)
+def test_shifted_apply_matches_shift_d(seed, laurent, c):
+    """apply(f, c), the chain g' + c*g on f, equals the operator expanded under
+    D -> D + c and applied to f, for random or Laurent operators and f."""
+    rng = random.Random(seed)
+    if laurent:
+        op = DiffOperator({a: rand_laurent(rng) for a in range(rng.randint(0, 4)) if rng.random() < 0.7})
+        f = rand_laurent(rng)
+    else:
+        op, f = rand_op(rng, 3), rand_rf(rng)
+    assert op.apply(f, c) == op.shift_d(c).apply(f)
 
 
 def test_conjugate_collapse_equals_shift():

@@ -1,5 +1,6 @@
 """Batch and streaming detection runtimes."""
 
+import dataclasses
 import itertools
 import math
 import sys
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algcpd import runtime
-from algcpd.bench import Campaign, DetectorSetup, run_campaign
+from algcpd.bench import REFERENCE_SETUPS, Campaign, DetectorSetup, run_campaign
 from algcpd.builder import ModelSpec, build_detector
 from algcpd.kernels import discretize
 from algcpd.noise import apply_noise
@@ -122,17 +123,63 @@ def test_batch_stream_bit_identity_fixed_scale():
         assert as_tuples(sd.detections) == as_tuples(batch)
 
 
+def test_noise_free_step_found_at_its_sample_at_every_window():
+    """A unit step between samples 2W-1 and 2W of 4W samples, step detector,
+    kappa 3, scale W^-0.5: batch finds it once, within half a sample of 2W,
+    at every W from 29 to 400. At even W a window midpoint lies on the step,
+    so d is a lone exact zero there, and a stream in chunks of W//2 + 1
+    finds it too. Below W 29 the step's |d| peak, about 0.56, is under the
+    threshold 3*W^-0.5."""
+    det = build_detector(ModelSpec.monomial(0, 0))
+    dt = 0.01
+    for window in range(29, 401):
+        dd = discretize(det, window=window, dt=dt)
+        y = np.zeros(4 * window)
+        y[2 * window :] = 1.0
+        cfg = DetectConfig(kappa=3.0, scale=window ** -0.5)
+        _, batch = detect_samples(dd, y, cfg)
+        assert len(batch) == 1, window
+        # the window midpoint of position p is sample p + (W-1)/2
+        assert abs(batch[0].position + (window - 1) / 2 - 2 * window) <= 0.5, window
+        if window % 2 == 0:
+            assert as_tuples(streamed(dd, y, cfg, window // 2 + 1)) == as_tuples(batch), window
+
+
+@pytest.mark.parametrize("suite", ["pc5", "sine3"])
+def test_noise_free_reference_changes_found_within_one_sample(suite):
+    """Every change of the noise-free suite is found within one sample through
+    its reference setup, in batch under the fixed scale W^-0.5 and the
+    whole-trace MAD, and in a stream under the fixed scale. pc5 at W 384 puts
+    each change under a window midpoint: d is a lone exact zero there."""
+    setup = REFERENCE_SETUPS[suite]
+    spec = builtin_suite(suite)
+    _, y = render(spec)
+    det = build_detector(setup.model(), method=setup.method)
+    dd = discretize(det, window=setup.window, dt=spec.dt, rule=setup.rule)
+    trace = eval_windows(dd, y)
+    truth = spec.change_times()
+    for scale in (setup.window ** -0.5, None):
+        cfg = dataclasses.replace(setup.config(), scale=scale)
+        batch = detect(trace, cfg)
+        assert len(batch) == len(truth), scale
+        for got, want in zip(batch, truth):
+            assert abs(got.time - want) <= spec.dt, (scale, got.time, want)
+        if scale is not None:
+            assert as_tuples(streamed(dd, y, cfg, 7)) == as_tuples(batch)
+
+
 def gate_oracle(trace, cfg, scale):
     """The gate as a plain loop over a whole trace, one crossing at a time.
 
-    A crossing at k is a strict sign change of d between k-1 and k. Its left
-    flank is d[k - W/2 .. k-1] and its right flank d[k .. k + W/2], both
-    clipped to the trace. It passes when the excursion away from zero on each
-    flank, in the direction of the crossing, reaches kappa times the scale,
-    and when max |v| on both flanks exceeds the dust floor. The scale is
-    `scale` when given; for None it is the MAD of d over the max(8W, 512)
-    positions ending at the right flank's end (inf under 16 of them). Passing
-    crossings closer than min_separation keep the higher score.
+    A crossing at k is a strict sign change of d between k-1 and k, or a
+    lone exact zero d[k-1] between d[k-2] and d[k] of opposite sign; d[k]
+    gives its direction. Its left flank is d[k - W/2 .. k-1] and its right
+    flank d[k .. k + W/2], both clipped to the trace. It passes when the
+    excursion away from zero on each flank, in that direction, reaches kappa
+    times the scale, and when max |v| on both flanks exceeds the dust floor.
+    The scale is `scale` when given; for None it is the MAD of d over the
+    max(8W, 512) positions ending at the right flank's end (inf under 16 of
+    them). Passing crossings closer than min_separation keep the higher score.
     """
     window, dt = trace.window, trace.dt
     flank = window // 2
@@ -145,12 +192,13 @@ def gate_oracle(trace, cfg, scale):
         min_sep_pos = max(1, int(round(cfg.min_separation / dt)))
     out, pending = [], None
     for k in range(1, d.size):
-        if not np.sign(d[k - 1]) * np.sign(d[k]) < 0:
+        lone = k >= 2 and d[k - 1] == 0.0 and np.sign(d[k - 2]) * np.sign(d[k]) < 0
+        if not (np.sign(d[k - 1]) * np.sign(d[k]) < 0 or lone):
             continue
         lo, hi = max(0, k - flank), min(last, k + flank)
-        sign_pre = 1.0 if d[k - 1] > 0 else -1.0
-        left_exc = float(np.max(sign_pre * d[lo:k]))
-        right_exc = float(np.max(-sign_pre * d[k : hi + 1]))
+        falls = 1.0 if d[k] < 0 else -1.0
+        left_exc = float(np.max(falls * d[lo:k]))
+        right_exc = float(np.max(-falls * d[k : hi + 1]))
         if scale is None:
             history = d[max(0, hi - trailing + 1) : hi + 1]
             if history.size < 16:
@@ -419,12 +467,19 @@ def test_stream_mad_scale_matches_gate_oracle():
     kappa=st.sampled_from([0.0, 2.0, 3.0]),
     fixed=st.booleans(),
     sizes=st.lists(st.integers(1, 300), min_size=1, max_size=5),
+    zeros=st.lists(
+        st.tuples(st.integers(0, 2**16), st.integers(1, 3), st.integers(-2, 2)), max_size=6
+    ),
 )
 def test_gate_matches_oracle_under_any_partition(
-    window, n, steps, noise, seed, kappa, fixed, sizes
+    window, n, steps, noise, seed, kappa, fixed, sizes, zeros
 ):
     """Step-plus-noise signals under either scale: batch and a stream cut at
-    random chunk sizes both give the oracle's detections, exactly."""
+    random chunk sizes both give the oracle's detections, exactly. Then d is
+    zeroed over runs of 1-3 positions from d[k-1] at some sign changes k, and
+    the gate is fed that trace in pieces cut at the same sizes and also
+    within two positions of each run's start: lone zeros between opposite
+    signs are crossings, longer runs are not, wherever a piece ends."""
     dt = 0.01
     y = step_signal(n, dt, [(at * n * dt, amp) for at, amp in steps])
     y = y + noise * np.random.default_rng(seed).standard_normal(n)
@@ -436,6 +491,27 @@ def test_gate_matches_oracle_under_any_partition(
     assert as_tuples(detect(trace, cfg)) == as_tuples(gate_oracle(trace, cfg, batch_scale))
     got = streamed(dd, y, cfg, *sizes)
     assert as_tuples(got) == as_tuples(gate_oracle(trace, cfg, scale))
+
+    changes = np.flatnonzero(np.sign(trace.d[:-1]) * np.sign(trace.d[1:]) < 0)
+    if not changes.size:
+        return
+    d = trace.d.copy()
+    cuts = set(itertools.accumulate(itertools.islice(itertools.cycle(sizes), d.size)))
+    for pick, run, at in zeros:
+        start = int(changes[pick % changes.size])  # d[k-1] of the change at k
+        d[start : start + run] = 0.0
+        cuts.add(start + at)
+    zeroed = dataclasses.replace(trace, d=d)
+    batch_scale = scale if fixed else runtime.batch_mad_scale(d)
+    assert as_tuples(detect(zeroed, cfg)) == as_tuples(gate_oracle(zeroed, cfg, batch_scale))
+    engine = runtime._GateEngine(window, dt, trace.t_mid, trace.wnorm, cfg, trace.t0, scale)
+    fed, got = 0, []
+    for cut in sorted(c for c in cuts if 0 < c <= d.size) + [d.size]:
+        if cut > fed:
+            engine.feed(trace.v[fed:cut], d[fed:cut], trace.rms[fed:cut], fed)
+            got += engine.drain()
+            fed = cut
+    assert as_tuples(got + engine.finish()) == as_tuples(gate_oracle(zeroed, cfg, scale))
 
 
 def eager_calls(trace, cfg, sizes, n):
