@@ -62,7 +62,6 @@ class DetectorSetup:
 
     n1: int
     n2: int = 0
-    order: int = 0
     method: str = "linear"
     window: int = 64
     rule: str = "trapezoid"
@@ -72,15 +71,15 @@ class DetectorSetup:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; pick from {METHODS}")
-        for name in ("n1", "n2", "order", "window"):
+        for name in ("n1", "n2", "window"):
             if not _is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        self.model()  # ModelSpec checks n1, n2 and order
+        self.model()  # ModelSpec checks n1 and n2
         _quadrature_factors(self.window, self.rule)
         self.config()  # DetectConfig checks kappa and scale
 
     def model(self) -> ModelSpec:
-        return ModelSpec.monomial(self.n1, self.n2, self.order)
+        return ModelSpec.monomial(self.n1, self.n2)
 
     def config(self) -> DetectConfig:
         return DetectConfig(kappa=self.kappa, scale=self.scale)
@@ -170,9 +169,9 @@ class CampaignResult:
 
 @lru_cache(maxsize=64)
 def _cached_detector(
-    n1: int, n2: int, order: int, method: str, window: int, rule: str, dt: float
+    n1: int, n2: int, method: str, window: int, rule: str, dt: float
 ) -> DiscreteDetector:
-    det = build_detector(ModelSpec.monomial(n1, n2, order), method=method)
+    det = build_detector(ModelSpec.monomial(n1, n2), method=method)
     return discretize(det, window=window, dt=dt, rule=rule)
 
 
@@ -201,8 +200,7 @@ def run_campaign(c: Campaign, on_trial=None) -> CampaignResult:
     truth = spec.change_times()
     true_segments = len(truth) + 1
     dd = _cached_detector(
-        c.setup.n1, c.setup.n2, c.setup.order, c.setup.method,
-        c.setup.window, c.setup.rule, spec.dt,
+        c.setup.n1, c.setup.n2, c.setup.method, c.setup.window, c.setup.rule, spec.dt
     )
     cfg = c.setup.config()
     group = max(1, _engine.BLOCK // max(1, clean.shape[0] - dd.window + 1))

@@ -2,10 +2,12 @@
 operator polynomial in strictly finite integral form.
 
 A model says: the observation is a smooth component whose operational image
-lies in span{s^-(v+1+order)} for v <= n1, plus, after an unknown change time
-r, a jump component of known shape (monomial or rational) or unknown
-polynomial shape up to degree n2. The built detector Omega(r) is a polynomial
-in the delay r with operator coefficients such that
+lies in span{s^-(v+1)} for v <= n1, a polynomial of degree <= n1, plus, after
+an unknown change time r, a jump component of known shape (monomial or
+rational) or unknown polynomial shape up to degree n2. A change in the k-th
+derivative of such a signal is the model of degrees (n1 + k, n2 + k). The
+built detector Omega(r) is a polynomial in the delay r with operator
+coefficients such that
 
   * Omega(r) kills the smooth component identically in r, and
   * Omega(r0) kills the delayed jump exactly when r0 is the true change time,
@@ -68,17 +70,14 @@ JumpShape = Union[MonomialJump, PolynomialJump, RationalJump]
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Piecewise model: smooth degree bound n1, jump shape, derivative order."""
+    """Piecewise model: smooth degree bound n1 and jump shape."""
 
     n1: int
     jump: JumpShape
-    order: int = 0
 
     def __post_init__(self):
         if not (0 <= self.n1 <= MAX_MODEL_DEGREE):
             raise ValueError(f"n1 must be in [0, {MAX_MODEL_DEGREE}]")
-        if not (0 <= self.order <= MAX_MODEL_DEGREE):
-            raise ValueError(f"order must be in [0, {MAX_MODEL_DEGREE}]")
         if isinstance(self.jump, (MonomialJump, PolynomialJump)):
             if not (0 <= self.jump.degree <= MAX_MODEL_DEGREE):
                 raise ValueError(f"jump degree must be in [0, {MAX_MODEL_DEGREE}]")
@@ -87,16 +86,16 @@ class ModelSpec:
 
     # -- convenience constructors -------------------------------------------
     @staticmethod
-    def monomial(n1: int, n2: int, order: int = 0) -> "ModelSpec":
-        return ModelSpec(n1, MonomialJump(n2), order)
+    def monomial(n1: int, n2: int) -> "ModelSpec":
+        return ModelSpec(n1, MonomialJump(n2))
 
     @staticmethod
-    def polynomial(n1: int, n2: int, order: int = 0) -> "ModelSpec":
-        return ModelSpec(n1, PolynomialJump(n2), order)
+    def polynomial(n1: int, n2: int) -> "ModelSpec":
+        return ModelSpec(n1, PolynomialJump(n2))
 
     @staticmethod
-    def rational(n1: int, shape: RF, order: int = 0) -> "ModelSpec":
-        return ModelSpec(n1, RationalJump(shape), order)
+    def rational(n1: int, shape: RF) -> "ModelSpec":
+        return ModelSpec(n1, RationalJump(shape))
 
     # -- operational bases ------------------------------------------------------
     def smooth_basis(self) -> List[RF]:
@@ -111,21 +110,13 @@ class ModelSpec:
             return [RF.s_power(-(v + 1)) for v in range(self.jump.degree + 1)]
         return [self.jump.shape]
 
-    def smooth_signal_family(self) -> List[RF]:
-        """Observed-domain images (the order-fold integral of the basis)."""
-        shift = RF.s_power(-self.order)
-        return [b * shift for b in self.smooth_basis()]
-
-    def jump_signal_family(self) -> List[RF]:
-        shift = RF.s_power(-self.order)
-        return [b * shift for b in self.jump_basis()]
-
     def label(self) -> str:
+        # ",order=0" is pinned text: recorded weight hashes and golden cases are keyed by it
         if isinstance(self.jump, MonomialJump):
-            return f"monomial(n1={self.n1},n2={self.jump.degree},order={self.order})"
+            return f"monomial(n1={self.n1},n2={self.jump.degree},order=0)"
         if isinstance(self.jump, PolynomialJump):
-            return f"polynomial(n1={self.n1},n2={self.jump.degree},order={self.order})"
-        return f"rational(n1={self.n1},x2={self.jump.shape.text()},order={self.order})"
+            return f"polynomial(n1={self.n1},n2={self.jump.degree},order=0)"
+        return f"rational(n1={self.n1},x2={self.jump.shape.text()},order=0)"
 
 
 @dataclass(frozen=True)
@@ -164,9 +155,9 @@ def build_detector(model: ModelSpec, method: Optional[str] = None) -> DetectorOp
 
 
 def build_detector_linear(model: ModelSpec) -> DetectorOperator:
-    """Known jump shape: Omega(r) = pi1 o (D + r) o P o s^order.
+    """Known jump shape: Omega(r) = pi1 o (D + r) o P.
 
-    P is the order-0 operator inverting the jump image (s^(n2+1) for a
+    P is the multiplication operator inverting the jump image (s^(n2+1) for a
     monomial, the reciprocal shape for a rational jump), so the delayed jump
     becomes a pure exponential, which (D + r) kills at the true delay. pi1
     annihilates both the P-image of the smooth family and its D-derivative,
@@ -187,7 +178,7 @@ def build_detector_linear(model: ModelSpec) -> DetectorOperator:
     span = [e for e in span if not e.is_zero()]
     pi1 = annihilator_of_span(span) if span else DiffOperator.d(1)
 
-    tail = DiffOperator.mul(p_rf * RF.s_power(model.order))
+    tail = DiffOperator.mul(p_rf)
     # (D + r) as a degree-1 operator polynomial, then close the sandwich
     omega = OperatorPolynomial((DiffOperator.d(1), DiffOperator.identity()))
     omega = omega.compose_right(tail).compose_left(pi1)
@@ -195,7 +186,7 @@ def build_detector_linear(model: ModelSpec) -> DetectorOperator:
 
 
 def build_detector_general(model: ModelSpec) -> DetectorOperator:
-    """Unknown polynomial jump: Omega(r) = conj(pi2) o pi1 o s^order.
+    """Unknown polynomial jump: Omega(r) = conj(pi2) o pi1.
 
     pi1 annihilates the smooth basis. Conjugating pi1 by the delay splits it
     into components pi1_j; the jump residual at the true delay is a
@@ -217,10 +208,7 @@ def build_detector_general(model: ModelSpec) -> DetectorOperator:
         pi2 = DiffOperator.d(1)
     else:
         pi2 = annihilator_of_span(images)
-    omega = conjugate_by_delay(pi2)
-    omega = omega.compose_right(pi1)
-    if model.order:
-        omega = omega.compose_right(DiffOperator.mul(RF.s_power(model.order)))
+    omega = conjugate_by_delay(pi2).compose_right(pi1)
     return _finalize(model, "general", omega)
 
 
@@ -243,13 +231,13 @@ class VerifyReport:
 def verify_detector(det: DetectorOperator, n_delays: int = 3, seed: int = 0) -> VerifyReport:
     """Exact nulling check, no tolerances.
 
-    Coefficientwise on the smooth family (nulling identically in the delay)
-    and at random rational delays on the delayed jump family. Residuals must
+    Coefficientwise on the smooth basis (nulling identically in the delay)
+    and at random rational delays on the delayed jump basis. Residuals must
     be the zero rational function. The delay exponential factors out of
     Omega(t0) applied to w * exp(-t0 * s), leaving Omega(t0) with D -> D - t0
     applied to w. The operator is not rewritten for that: apply shifts the
     jump element, g_(a+1) = g_a' - t0 * g_a, with Omega(t0) taken once per
-    delay for every element of the jump family.
+    delay for every element of the jump basis.
     """
     rng = random.Random(seed)
     delays = [Fraction(1, 2)]
@@ -257,7 +245,7 @@ def verify_detector(det: DetectorOperator, n_delays: int = 3, seed: int = 0) -> 
         delays.append(Fraction(rng.randint(1, 64), rng.randint(1, 16)))
 
     smooth_bad: List[str] = []
-    for f in det.model.smooth_signal_family():
+    for f in det.model.smooth_basis():
         for j, comp in enumerate(det.omega.coeffs):
             r = comp.apply(f)
             if not r.is_zero():
@@ -266,7 +254,7 @@ def verify_detector(det: DetectorOperator, n_delays: int = 3, seed: int = 0) -> 
     jump_bad: List[str] = []
     for t0 in delays:
         op = det.omega.eval_at(t0)
-        for w in det.model.jump_signal_family():
+        for w in det.model.jump_basis():
             r = op.apply(w, -t0)
             if not r.is_zero():
                 jump_bad.append(f"delay {t0} on {w.text()}: {r.text()}")

@@ -189,18 +189,18 @@ def load_bench_config(path: str, base_seed: int, trials: Optional[int]) -> List[
 
 def _parse_model(text: str) -> ModelSpec:
     parts = text.split(",")
-    if len(parts) > 3:
-        raise ValueError(f"--model wants 'n1[,n2[,order]]', got {text!r}")
+    if len(parts) > 2:
+        raise ValueError(f"--model wants 'n1[,n2]', got {text!r}")
     try:
         nums = [int(p) for p in parts]
     except ValueError:
         raise ValueError(f"--model wants integers, got {text!r}")
-    nums += [0] * (3 - len(nums))
+    nums += [0] * (2 - len(nums))
     return ModelSpec.monomial(*nums)
 
 
 def cmd_derive(args) -> int:
-    model = ModelSpec.monomial(args.n1, args.n2, args.order)
+    model = ModelSpec.monomial(args.n1, args.n2)
     det = build_detector(model, method=args.method)
     print(f"model: {det.model.label()}")
     print(f"method: {det.method}")
@@ -276,7 +276,7 @@ def cmd_bench(args) -> int:
             for s, k, db in bench_mod.REFERENCE_GRID
         ]
 
-    results = []
+    results, failed = [], None
     for ci, c in enumerate(campaigns):
         on_trial = None
         if args.emit_trials:
@@ -290,10 +290,13 @@ def cmd_bench(args) -> int:
             results.append(bench_mod.run_campaign(c, on_trial=on_trial))
         except ValueError as e:
             source = args.config or "reference grid"
-            raise ValueError(f"{source}: campaign failed (campaign {ci}): {e}") from None
+            failed = f"{source}: campaign failed (campaign {ci}): {e}"
+            break
 
+    # the campaigns that finished before one failed are still written under --out
     text = bench_mod.format_report(results)
-    sys.stdout.write(text)
+    if failed is None:
+        sys.stdout.write(text)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "report.txt"), "w") as fh:
@@ -303,6 +306,8 @@ def cmd_bench(args) -> int:
             c = r.campaign
             name = f"hist_c{ci:02d}_{c.suite}_{c.noise_kind}_{c.snr_db:g}dB.csv"
             bench_mod.write_histogram_csv(r, os.path.join(args.out, name))
+    if failed is not None:
+        raise ValueError(failed)
     return 0
 
 
@@ -342,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
                        allow_abbrev=False)
     d.add_argument("--n1", type=int, default=0, help="smooth part degree bound")
     d.add_argument("--n2", type=int, default=0, help="jump part degree")
-    d.add_argument("--order", type=int, default=0, help="derivative order of the change")
     d.add_argument("--method", choices=METHODS, default=None)
     d.add_argument("--window", type=int, default=64, help="samples per window for --emit-weights")
     d.add_argument("--dt", type=float, default=0.01, help="sample spacing for --emit-weights")
@@ -364,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("detect", help="batch change detection over a signal CSV", allow_abbrev=False)
     t.add_argument("--in", dest="infile", required=True, metavar="PATH", help="signal CSV (time,value)")
-    t.add_argument("--model", default="0,0,0", help="'n1[,n2[,order]]' (default 0,0,0)")
+    t.add_argument("--model", default="0,0", help="'n1[,n2]' (default 0,0)")
     t.add_argument("--method", choices=METHODS, default=None)
     t.add_argument("--window", type=int, default=64, help="samples per sliding window")
     t.add_argument("--dt", type=float, default=None, help="override inferred sample spacing")

@@ -53,18 +53,19 @@ def _smooth_signal(seed, n, dt):
 def test_criterion_1_symbolic_soundness():
     start = time.perf_counter()
 
-    # exhaustive (n1, n2, order) model grid, exact verification
+    # exhaustive (n1, n2) model grid, exact verification; a change in the k-th
+    # derivative is the model of degrees (n1 + k, n2 + k), so 0..6 holds every
+    # (n1, n2, k) with n1, n2 <= 4 and k <= 2
     grid_ok = True
-    for n1 in range(5):
-        for n2 in range(5):
-            for order in range(3):
-                det = build_detector(ModelSpec.monomial(n1, n2, order))
-                rep = verify_detector(det, n_delays=3, seed=n1 * 100 + n2 * 10 + order)
-                grid_ok = grid_ok and rep.ok and not rep.smooth_residuals and not rep.jump_residuals
+    for n1 in range(7):
+        for n2 in range(7):
+            det = build_detector(ModelSpec.monomial(n1, n2))
+            rep = verify_detector(det, n_delays=3, seed=n1 * 100 + n2 * 10)
+            grid_ok = grid_ok and rep.ok and not rep.smooth_residuals and not rep.jump_residuals
 
     # unknown-polynomial-jump construction, spot-checked across the grid corners
-    for n1, n2, order in [(0, 1, 0), (0, 4, 0), (4, 0, 0), (2, 2, 1), (1, 3, 2), (4, 4, 2)]:
-        rep = verify_detector(build_detector(ModelSpec.polynomial(n1, n2, order)), n_delays=2, seed=7)
+    for n1, n2 in [(0, 1), (0, 4), (4, 0), (3, 3), (3, 5), (6, 6)]:
+        rep = verify_detector(build_detector(ModelSpec.polynomial(n1, n2)), n_delays=2, seed=7)
         grid_ok = grid_ok and rep.ok
 
     # randomized ring-axiom battery
@@ -99,7 +100,7 @@ def test_criterion_1_symbolic_soundness():
     ok = grid_ok and ring_ok and comm_ok and ring_cases >= 1000 and comm_cases >= 1000 and elapsed < 30.0
     _report(
         1, "symbolic soundness", ok,
-        f"75-model grid exact, {ring_cases} ring + {comm_cases} commutation cases, {elapsed:.1f}s < 30s",
+        f"49-model grid exact, {ring_cases} ring + {comm_cases} commutation cases, {elapsed:.1f}s < 30s",
     )
 
 

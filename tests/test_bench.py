@@ -108,7 +108,7 @@ def test_format_report_stars_truth():
 def off_default_result():
     """A result whose setup has every field off its default."""
     setup = DetectorSetup(
-        n1=1, n2=1, order=1, method="general", window=97, rule="simpson",
+        n1=1, n2=1, method="general", window=97, rule="simpson",
         kappa=2.25, scale=0.1,
     )
     for f in dataclasses.fields(DetectorSetup):
@@ -147,16 +147,20 @@ def test_report_csv_round_trip():
     assert again.getvalue() == buf.getvalue()
 
 
-def test_report_csv_with_a_mode_column_is_rejected():
-    """A report.csv written while DetectorSetup had a decision mode has a
-    mode column after scale; its header no longer matches."""
-    old = io.StringIO(
-        "suite,noise,snr_db,trials,base_seed,n1,n2,order,method,window,rule,kappa,scale,mode,"
-        "true_segments,exact,within_one,mean_abs_err,histogram\n"
-        "sine3,none,inf,3,100,0,0,0,linear,96,trapezoid,3.0,,zero_crossing,3,3,3,0.0,3:3\n"
-    )
+@pytest.mark.parametrize("old", [
+    "suite,noise,snr_db,trials,base_seed,n1,n2,order,method,window,rule,kappa,scale,mode,"
+    "true_segments,exact,within_one,mean_abs_err,histogram\n"
+    "sine3,none,inf,3,100,0,0,0,linear,96,trapezoid,3.0,,zero_crossing,3,3,3,0.0,3:3\n",
+    "suite,noise,snr_db,trials,base_seed,n1,n2,order,method,window,rule,kappa,scale,"
+    "true_segments,exact,within_one,mean_abs_err,histogram\n"
+    "sine3,none,inf,3,100,0,0,0,linear,96,trapezoid,3.0,,3,3,3,0.0,3:3\n",
+], ids=["mode", "order"])
+def test_report_csv_with_a_retired_column_is_rejected(old):
+    """A report.csv written while DetectorSetup had a decision mode (a mode
+    column after scale) or a derivative order (an order column after n2) has
+    a header that no longer matches."""
     with pytest.raises(ValueError, match="expected header"):
-        read_report_csv(old)
+        read_report_csv(io.StringIO(old))
 
 
 def test_campaign_rejects_too_few_trials():
@@ -177,7 +181,7 @@ def test_campaign_trials_in_groups_match_one_at_a_time(monkeypatch, group):
     seed, and each engine call gets one row per trial of its group."""
     c = small_campaign(noise_kind="normal", snr_db=10.0, trials=7)
     spec = bench.builtin_suite("sine3")
-    dd = bench._cached_detector(0, 0, 0, "linear", 96, "trapezoid", spec.dt)
+    dd = bench._cached_detector(0, 0, "linear", 96, "trapezoid", spec.dt)
     _, clean = bench.render(spec)
     one_at_a_time = [
         run_trial(dd, clean, c.noise_kind, c.snr_db, c.base_seed + i, c.setup.config())
@@ -215,6 +219,8 @@ def test_setup_label_and_config():
     assert s.config().kappa == 2.2
     assert "fix" in s.label()
     assert "mad" in DetectorSetup(n1=0).label()
+    with pytest.raises(TypeError):  # a derivative order is written as raised degrees
+        DetectorSetup(n1=0, order=0)
 
 
 def test_setup_integers_are_read_not_truncated():
@@ -227,7 +233,7 @@ def test_setup_integers_are_read_not_truncated():
         with pytest.raises(ValueError):
             read(bad)
     sine3 = bench.REFERENCE_SETUPS["sine3"]
-    for bad in ({"window": 96.9}, {"n1": True}, {"n1": 9}, {"order": -1},
+    for bad in ({"window": 96.9}, {"n1": True}, {"n1": 9}, {"n2": -1},
                 {"rule": "simpson"}, {"window": 1}):
         with pytest.raises(ValueError):
             dataclasses.replace(sine3, **bad)

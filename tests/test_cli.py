@@ -288,12 +288,14 @@ def test_detect_rejects_non_finite_parameters(tmp_path, capsys, flag, value):
 
 
 @pytest.mark.parametrize("text, flags, named", [
-    ("time,value\n0.0,1.0\n0.01,1.0\n", ["--model", "1,2,3,4"], "n1[,n2[,order]]"),
+    ("time,value\n0.0,1.0\n0.01,1.0\n", ["--model", "1,2,3,4"], "n1[,n2]"),
+    ("time,value\n0.0,1.0\n0.01,1.0\n", ["--model", "0,0,0"], "--model wants 'n1[,n2]'"),
     ("time,value\n0.0,1.0\n0.01,1.0\n", ["--model", "a"], "--model wants integers"),
     ("time,value\n", [], "no samples"),
     ("time,value\n0.0,1.0\n", [], "pass --dt"),
     ("time,value\n0.02,1.0\n0.01,1.0\n", [], "strictly increasing"),
-], ids=["model_four_parts", "model_not_int", "no_rows", "one_row_no_dt", "time_decreasing"])
+], ids=["model_four_parts", "model_three_parts", "model_not_int", "no_rows", "one_row_no_dt",
+        "time_decreasing"])
 def test_detect_rejects_bad_model_and_signal(tmp_path, capsys, text, flags, named):
     sig = tmp_path / "sig.csv"
     sig.write_text(text)
@@ -461,10 +463,11 @@ def test_bench_emit_trials_needs_out(capsys):
     {"base_seed": 7},
     {"setup": None},
     {"setup": [1]},
+    {"setup": {"order": 0}},
 ], ids=["noise", "method", "rule", "mode", "kappa", "kappa_nan", "scale", "snr_nan",
         "trials_float", "trials_bool", "window_float", "n1_bool", "n1_range", "simpson_even",
         "snr_bool", "kappa_bool", "scale_bool", "key_snr", "key_noize", "key_base_seed",
-        "setup_null", "setup_list"])
+        "setup_null", "setup_list", "key_order"])
 def test_bench_config_checked_before_any_trial(tmp_path, capsys, monkeypatch, bad):
     """A bad value in the second campaign is a one-line error raised before
     the first campaign runs a trial; no report is written. Every trial
@@ -492,29 +495,42 @@ def test_bench_config_checked_before_any_trial(tmp_path, capsys, monkeypatch, ba
 def test_bench_campaign_error_names_the_campaign(tmp_path, capsys):
     """An error raised while a campaign's trials run names the campaign, as
     the config-time errors do: -3070 dB puts pc5's noisy samples past the
-    bound of the window sums at W 384."""
+    bound of the window sums at W 384. With --out, the campaigns that
+    finished before it are written (report.txt, report.csv, histograms)."""
     cfg = tmp_path / "camp.json"
     cfg.write_text(json.dumps({"campaigns": [
         {"suite": "sine3", "trials": 1},
         {"suite": "pc5", "snr_db": -3070, "trials": 1},
     ]}))
-    code, out, err = run(capsys, "bench", "--config", str(cfg), "--seed", "1")
-    assert code == 1
-    assert out == ""
-    assert err.startswith(f"error: {cfg}: campaign failed (campaign 1): samples must be finite")
-    assert len(err.strip().splitlines()) == 1
+    outdir = tmp_path / "rep"
+    for out_args in ([], ["--out", str(outdir)]):
+        code, out, err = run(capsys, "bench", "--config", str(cfg), "--seed", "1", *out_args)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {cfg}: campaign failed (campaign 1): samples must be finite")
+        assert len(err.strip().splitlines()) == 1
+    (done,) = bench.read_report_csv(str(outdir / "report.csv"))
+    assert (done.campaign.suite, done.campaign.trials) == ("sine3", 1)
+    assert sum(done.histogram.values()) == 1
+    assert (outdir / "report.txt").read_text() == bench.format_report([done])
+    assert sorted(p.name for p in outdir.iterdir()) == [
+        "hist_c00_sine3_normal_25dB.csv", "report.csv", "report.txt",
+    ]
 
 
 @pytest.mark.parametrize("argv", [
     ["derive", "--emit", "w.csv"],
     ["simulate", "--suite", "sine3", "--out", "s.csv", "--truth", "t.csv"],
-    ["detect", "--in", "s.csv", "--mod", "0,0,0"],
+    ["detect", "--in", "s.csv", "--mod", "0,0"],
     ["bench", "--seed", "1", "--conf", "c.json"],
     ["plot", "--signal", "s.csv", "--out", "p.svg", "--det", "d.csv"],
-], ids=["derive", "simulate", "detect", "bench", "plot"])
+    ["derive", "--order", "1"],
+], ids=["derive", "simulate", "detect", "bench", "plot", "derive_order"])
 def test_abbreviated_long_options_are_usage_errors(capsys, argv):
     """No subcommand reads a prefix of a long option as the option, so a
-    renamed or removed option cannot be taken for another one."""
+    renamed or removed option cannot be taken for another one. derive's
+    removed --order is such an option: a change in the k-th derivative is
+    the model of degrees (n1 + k, n2 + k)."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

@@ -118,7 +118,7 @@ PIPELINE = (
 def model_grid():
     models = [ModelSpec.monomial(n1, n2) for n1 in range(9) for n2 in range(3)]
     models += [ModelSpec.polynomial(n1, n2) for n1 in range(4) for n2 in range(3)]
-    models.append(ModelSpec.monomial(1, 2, order=1))
+    models.append(ModelSpec.monomial(2, 3))
     # the rational jumps of tests/test_builder.py: 1/(s+1) takes the Euclid path
     models.append(ModelSpec.rational(1, RF(Polynomial.one(), Polynomial([Fraction(1), Fraction(1)]))))
     models.append(ModelSpec.rational(0, RF.s_power(-2)))

@@ -148,9 +148,10 @@ def test_kernel_moments_grow_with_model():
         for m in range(3):  # smooth degree bound 2: kills 1, t, t^2
             assert exact_moment(ref, T, m) == 0
     # the projection basis is every vanishing moment up to tau degree + 1;
-    # the twice-differentiated step reaches that top one (tau degree 1, kills t^2)
+    # polynomial(0, 3) reaches that top one, the one model with n1 <= 4 and
+    # n2 <= 3 that does
     tops = []
-    for model in (ModelSpec.monomial(2, 0), ModelSpec.monomial(0, 0, order=2)):
+    for model in (ModelSpec.monomial(2, 0), ModelSpec.polynomial(0, 3)):
         det = build_detector(model)
         for kv, ref in zip(kernelize(det), reference_kernels(det)):
             want = reference_moments(ref, T)
@@ -380,7 +381,9 @@ ORACLE_MODELS = {
     "monomial(0,0)": (ModelSpec.monomial(0, 0), None),
     "monomial(4,0)": (ModelSpec.monomial(4, 0), None),
     "monomial(8,0)": (ModelSpec.monomial(8, 0), None),
-    "monomial(1,1,order=1)": (ModelSpec.monomial(1, 1, order=1), None),
+    # the old name of monomial(2, 2), a change in the first derivative of
+    # monomial(1, 1), kept so the ids of the cases it parametrizes stay put
+    "monomial(1,1,order=1)": (ModelSpec.monomial(2, 2), None),
     "polynomial(3,2)": (ModelSpec.polynomial(3, 2), None),
     "monomial(1,0)/general": (ModelSpec.monomial(1, 0), "general"),
 }

@@ -61,6 +61,16 @@ MUTANTS = (
         "return _over_s_power(self.num * other.num, i + j - 1)",
         ("tests/test_exact.py::test_laurent_product_matches_euclid",),
     ),
+    # -- the model's smooth basis ---------------------------------------------
+    # verify_detector reads the same basis, so only the sliding-window property
+    # test sees a basis one power short
+    Mutant(
+        "smooth-basis-one-short",
+        "src/algcpd/builder.py",
+        "for v in range(self.n1 + 1)]",
+        "for v in range(self.n1)]",
+        ("tests/test_builder.py::test_smooth_family_nulled_under_any_shift",),
+    ),
     # -- the delay shift of verify_detector -----------------------------------
     Mutant(
         "verify-apply-plus-t0",
@@ -169,16 +179,11 @@ MUTANTS = (
 
 
 def run_tests(tree: Path, tests) -> int:
-    """pytest's exit code for the given node ids in the copied tree. The
-    hypothesis plugin is off: on a failing example it imports libcst to write
-    a patch, and under the suite's error::DeprecationWarning that import
-    raises, so pytest would exit 3 (internal error) instead of 1. The @given
-    tests still run and fail as plain tests. No bytecode is written, so a
-    mutant of the same size and mtime second as the file it replaced cannot
-    leave a stale .pyc behind."""
+    """pytest's exit code for the given node ids in the copied tree. No
+    bytecode is written, so a mutant of the same size and mtime second as the
+    file it replaced cannot leave a stale .pyc behind."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-           "-p", "no:hypothesispytest", *tests]
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
     return subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL,
                           stderr=subprocess.DEVNULL).returncode
 
