@@ -15,15 +15,23 @@ in the frozen weight arrays.
 A row is evaluated on the integer tap grid: T is substituted once, by Horner
 over the kernel's polynomials, and folding tau = i * dt into the result gives
 K_v(T, i * dt) as one canonical polynomial A(i) / D in the tap index i. The
-quadrature weight at tap i is q_i = c_i * h, for the grid step h = hn / hd and
-a factor c_i of the rule ({1/2, 1} for the trapezoid rule, {1/3, 4/3, 2/3} for
-Simpson's). So hn is multiplied into A's integer coefficients once per row,
-the taps are tabulated as running sums of A's forward differences over plain
-ints (Horner only for the first deg + 1 taps), and each weight is the int
-quotient c_i.numerator * hn * A(i) / (c_i.denominator * hd * D),
-with one divisor per factor and row. That quotient is the exact weight
-q_i * A(i) / D, and int / int rounds it correctly, so the rows are still exact
-and every float is the correctly rounded image of its exact weight.
+quadrature weight at tap i is q_i = c_i * h, for the grid step h and a factor
+c_i of the rule ({1/2, 1} for the trapezoid rule, {1/3, 4/3, 2/3} for
+Simpson's). Each c_i is a power of two over the factors' common denominator,
+so a weight is a power of two times a polynomial in i with rational
+coefficients. The taps of every row are evaluated at once, as one NumPy
+array, by Horner in double-double arithmetic (Dekker 1971), with a proven
+error bound. Ziv's rounding test (Ziv 1991) accepts a tap when that bound
+cannot move its value across a rounding boundary. The few taps it cannot
+decide (near-ties, zeros, the ends of the float range) take the exact path:
+int Horner and one int / int division, which rounds correctly. So the rows
+are still exact, and every float weight is the correctly rounded image of
+its exact weight, bit for bit (the proof is in _tap_weights).
+
+T. J. Dekker, "A floating-point technique for extending the available
+precision", Numerische Mathematik 18 (1971) 224-242.
+A. Ziv, "Fast evaluation of elementary mathematical functions with correctly
+rounded last bit", ACM Transactions on Mathematical Software 17 (1991) 410-423.
 """
 
 from __future__ import annotations
@@ -32,8 +40,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -161,36 +168,171 @@ def _midpoint_norm(weights: np.ndarray, t_mid: float) -> float:
     return float(np.sqrt(np.dot(w_mid, w_mid)))
 
 
-def _tap_numerators(coeffs: Sequence[int], window: int) -> List[int]:
-    """P(i) = sum_j coeffs[j] * i^j at each tap i in range(window), exactly.
+# Dekker's splitting constant for 53-bit floats: H * _SPLIT splits H into two
+# halves of at most 26 bits each
+_SPLIT = float(2**27 + 1)
+# a tap index below this is a float of at most 26 bits, so a half times it is exact
+_TAP_LIMIT = 2**26
+# the range of a row's coefficients (their hi) on the double-double path, and
+# the bound on its taps under which 4 times a tap is still finite
+_TINY, _HUGE = 2.0**-900, 2.0**900
 
-    Horner over ints gives P at the first deg + 1 taps, and their difference
-    table the forward differences Delta^k P(0). Delta^deg P is constant, and
-    Delta^k P(i) = Delta^k P(0) + sum_{j<i} Delta^(k+1) P(j), so deg chained
-    running sums (itertools.accumulate) tabulate the rest with no multiply:
-    about deg * window int adds, all in C (Knuth, TAOCP vol. 2, 4.6.4). The
-    levels stream through one another; only the taps are held. The empty
-    coeffs is the zero polynomial."""
-    deg = len(coeffs) - 1
-    if deg < 0:
-        return [0] * window
-    rev = coeffs[::-1]
-    head = []
-    for i in range(min(window, deg + 1)):
-        acc = 0
-        for c in rev:
-            acc = acc * i + c
-        head.append(acc)
-    if window <= deg + 1:
-        return head
-    diffs, row = [], head
-    for _ in range(deg + 1):
-        diffs.append(row[0])
-        row = [b - a for a, b in zip(row, row[1:])]
-    taps: Iterable[int] = repeat(diffs[deg], window - deg)
-    for k in range(deg - 1, -1, -1):
-        taps = accumulate(taps, initial=diffs[k])
-    return list(taps)
+
+def _exact_tap(coeffs: Sequence[int], i: int, num: int, den: int) -> float:
+    """num * sum_j coeffs[j] * i^j / den, by int Horner and one int / int
+    division, which rounds correctly; OverflowError past the floats."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * i + c
+    return num * acc / den
+
+
+def _double_double(n: int, den: int) -> Tuple[float, float]:
+    """n / den as hi + lo: hi the correctly rounded quotient, lo the correctly
+    rounded remainder n / den - hi. OverflowError when hi is past the floats."""
+    hi = n / den
+    m, q = hi.as_integer_ratio()
+    return hi, (n * q - m * den) / (den * q)
+
+
+def _tap_weights(
+    rows: Sequence[Tuple[int, Sequence[int]]], window: int, h: Fraction,
+    factors: Sequence[Tuple[Fraction, slice]],
+) -> np.ndarray:
+    """The raw weight rows: at tap i of row (D, A), the correctly rounded float
+    of q_i * A(i) / D, with q_i = c * h for the factor (c, taps) of the rule
+    whose slice holds i. OverflowError when a weight is past the floats. Run
+    it under np.errstate(over="ignore", invalid="ignore"): an overflow in the
+    vectorized Horner leaves an inf or a NaN, which the test below rejects.
+
+    Every factor is p / Lc, for Lc the lcm of the factor denominators and p a
+    power of two, so the weight is p_i * P(i) with P(i) = sum_j c_j * i^j and
+    c_j = hn * A[j] / (Lc * hd * D) for h = hn / hd. Each c_j is held as
+    hi + lo (_double_double), within u^2 |c_j| of it for u = 2^-53, and P is
+    evaluated at every tap of every row at once, by double-double Horner
+    (Dekker 1971). One step takes (H, L) to (H, L) * i + (hi, lo):
+
+    * Veltkamp's split H = hh + hl is exact barring overflow and leaves two
+      halves of at most 26 bits, so for i < 2^26 the products hh*i and hl*i
+      are exact, and FastTwoSum turns them into s + e = H*i exactly;
+    * TwoSum(s, hi) = (s2, f) is exact, and s2 is the new H;
+    * the new L is fl(f + g), for g = fl(e' + lo) and e' = fl(e + fl(L*i)),
+      which round four times.
+
+    A rounding is at most u times its exact result (an addition that
+    underflows is exact, and so is a product by an integer that does). Let
+    A_k = sum_(j>=k) |c_j| i^(j-k) = A_(k+1) i + |c_k|, and let m count the
+    coefficients taken before c_k. To first order in u, |H| <= A_(k+1) and
+    |L| <= (2m - 1) u A_(k+1) before the step that adds c_k: |e| <= u|s|,
+    |f| <= u|s2| and |lo| <= u|c_k|, so |L| grows by at most 2u A_k. So the
+    step's four roundings add at most (8m + 1) u^2 A_k, and with the
+    coefficient's own error at most (8m + 2) u^2 A_k <= 10n u^2 A_k for n
+    coefficients. The rest of the recursion multiplies it by i^k, and
+    A_k i^k <= S = sum_j |c_j| i^j, so |P(i) - H - L| <= 10n^2 u^2 S
+    < 2^-102 n^2 S. A last TwoSum makes H = fl(H + L) and L its error.
+
+    Ziv's rounding test (Ziv 1991) decides each tap. S is computed by float
+    Horner over |hi| (relative error below (2n + 3)u), so
+    B = n^2 2^-96 S + 2^-1000 is at least 32 times that bound; its 2^-1000
+    covers the underflow of a tiny n^2 2^-96 S or |L| (1 + 2^-50). The test
+    computes 2v = fl(fl(|L| (2 + 2^-49)) + 2B), and v >= |L| + B/2 >=
+    |P(i) - H|. Let g be the gap from |H| to the next float towards zero,
+    the smaller of H's two gaps. When 2v < g, P(i) lies strictly within half
+    a gap of H, so H is its correctly rounded float; and as 2v >= 2^-999, H
+    is then a normal float of at least 2^-946, so p_i * H is exact too when
+    |H| < 2^900. A tap is accepted under these two conditions, or when
+    S = 0: then every c_j i^j is 0, so P(i) = 0 and the Horner leaves
+    H = +0. An overflow anywhere in a tap's Horner leaves an inf or a NaN in
+    H, L or S, and those fail the test.
+
+    The taps it rejects take the exact path, _exact_tap: near-ties, zeros of
+    P, and taps near the ends of the float range. So does every tap of a row
+    whose hi for a nonzero c_j is outside (2^-900, 2^900) or does not
+    convert, and every tap of a window longer than 2^26.
+    """
+    weights = np.empty((len(rows), window), dtype=np.float64)
+    hn, hd = h.numerator, h.denominator
+    lc = math.lcm(*(c.denominator for c, _ in factors))
+    powers = np.empty(window, dtype=np.float64)
+    for c, taps in factors:
+        powers[taps] = c.numerator * lc // c.denominator
+    width = max([len(a) for _, a in rows] + [1])
+    his, los = [], []
+    for den, coeffs in rows:
+        d = lc * hd * den
+        try:
+            pairs = [_double_double(hn * a, d) for a in coeffs]
+        except OverflowError:
+            pairs = [(math.nan, 0.0)]
+        if not all(_TINY < abs(x) < _HUGE for a, (x, _) in zip(coeffs, pairs) if a):
+            pairs = [(math.nan, 0.0)]  # a NaN fails the test at every tap of the row
+        pad = [0.0] * (width - len(pairs))
+        his.append([x for x, _ in pairs] + pad)
+        los.append([y for _, y in pairs] + pad)
+    hi, lo = np.array(his, dtype=np.float64), np.array(los, dtype=np.float64)
+
+    # six arrays, not one of six times the size: a freed block as large as
+    # that raises glibc's mmap threshold for the rest of the process
+    H, L, S, t, a, b = (np.empty(weights.shape, dtype=np.float64) for _ in range(6))
+    if window > _TAP_LIMIT:
+        accepted = np.zeros(weights.shape, dtype=bool)
+    else:
+        i = np.arange(window, dtype=np.float64)
+        mag = np.abs(hi)
+        np.copyto(H, hi[:, -1:])
+        np.copyto(L, lo[:, -1:])
+        np.copyto(S, mag[:, -1:])
+        add, sub, mul = np.add, np.subtract, np.multiply
+        for j in range(width - 2, -1, -1):
+            c, cl = hi[:, j : j + 1], lo[:, j : j + 1]
+            mul(H, _SPLIT, out=t)  # Veltkamp's split H = a + b
+            sub(t, H, out=a)
+            sub(t, a, out=a)
+            sub(H, a, out=b)
+            mul(a, i, out=a)  # exact products
+            mul(b, i, out=b)
+            add(a, b, out=H)  # FastTwoSum(a, b) = (s, e) in (H, t)
+            sub(H, a, out=t)
+            sub(b, t, out=t)
+            mul(L, i, out=L)
+            add(t, L, out=L)  # e'
+            add(H, c, out=a)  # TwoSum(s, hi) = (s2, f) in (a, t)
+            sub(a, H, out=b)
+            sub(a, b, out=t)
+            sub(H, t, out=t)
+            sub(c, b, out=b)
+            add(t, b, out=t)
+            add(L, cl, out=L)  # g
+            add(t, L, out=L)  # fl(f + g), the new L
+            H, a = a, H  # s2, the new H
+            mul(S, i, out=S)
+            add(S, mag[:, j : j + 1], out=S)
+        add(H, L, out=a)  # TwoSum(H, L) = (H, L)
+        sub(a, H, out=b)
+        sub(a, b, out=t)
+        sub(H, t, out=t)
+        sub(L, b, out=b)
+        add(t, b, out=L)
+        H, a = a, H
+        zero = np.equal(S, 0.0)
+        # Ziv's test: 2v < g, for 2v = |L| (2 + 2^-49) + 2B
+        mul(S, width * width * 2.0**-95, out=S)
+        add(S, 2.0**-999, out=S)
+        np.abs(L, out=t)
+        mul(t, 2.0 + 2.0**-49, out=t)
+        add(t, S, out=t)
+        np.abs(H, out=a)
+        np.nextafter(a, 0.0, out=b)
+        sub(a, b, out=b)
+        accepted = np.less(t, b)
+        accepted &= a < _HUGE
+        accepted |= zero
+        mul(H, powers, out=weights)
+    if not accepted.all():
+        for r, tap in zip(*(x.tolist() for x in np.nonzero(~accepted))):
+            den, coeffs = rows[r]
+            weights[r, tap] = _exact_tap(coeffs, tap, int(powers[tap]) * hn, lc * hd * den)
+    return weights
 
 
 def _annihilated_moments(kv: BivariatePoly, row: Polynomial, T: Fraction) -> List[int]:
@@ -214,18 +356,27 @@ def _annihilated_moments(kv: BivariatePoly, row: Polynomial, T: Fraction) -> Lis
     return out
 
 
-def _project_out(row: np.ndarray, basis: List[np.ndarray]) -> np.ndarray:
-    """Deflate row against span(basis) via twice-applied modified Gram-Schmidt."""
-    ortho: List[np.ndarray] = []
+def _orthonormal(ortho: Tuple[np.ndarray, ...], b: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """The orthonormal vectors ortho, extended by b made orthogonal to them by
+    twice-applied modified Gram-Schmidt and normalized; ortho itself when
+    nothing of b is left."""
+    u = b.astype(np.float64)
+    for o in ortho:
+        u -= np.dot(o, u) * o
+    for o in ortho:  # second pass for orthogonality at the eps level
+        u -= np.dot(o, u) * o
+    n = float(np.sqrt(np.dot(u, u)))
+    return ortho + (u / n,) if n > 0.0 else ortho
+
+
+def _project_out(
+    row: np.ndarray, basis: Sequence[np.ndarray] = (), ortho: Tuple[np.ndarray, ...] = ()
+) -> np.ndarray:
+    """Deflate row against span(ortho + basis) via twice-applied modified
+    Gram-Schmidt: ortho holds orthonormal vectors that _orthonormal made, and
+    basis is orthonormalized after them."""
     for b in basis:
-        u = b.astype(np.float64).copy()
-        for o in ortho:
-            u -= np.dot(o, u) * o
-        for o in ortho:  # second pass for orthogonality at the eps level
-            u -= np.dot(o, u) * o
-        n = float(np.sqrt(np.dot(u, u)))
-        if n > 0.0:
-            ortho.append(u / n)
+        ortho = _orthonormal(ortho, b)
     out = row.copy()
     for _ in range(2):
         for o in ortho:
@@ -284,35 +435,33 @@ def discretize(
     factors = _quadrature_factors(window, rule)
     kernels = kernelize(det)
     h = Fraction(dt)
-    hn, hd = h.numerator, h.denominator
     T = (window - 1) * h
 
     # K_v(T, tau) at this T, then at tau = i * h: sum_j A[j] * i^j / D, read off
     # the canonical Polynomial as (D, A)
     tau_rows = [kv.at(T) for kv in kernels]
     rows = tuple((p.den, p.nums) for p in (r.dilate(h) for r in tau_rows))
-    weights = np.empty((len(rows), window), dtype=np.float64)
-    try:
-        for row, (den, coeffs) in zip(weights, rows):
-            # q_i * A(i) / D with q_i = c * h: h's numerator goes into A, and
-            # each factor c has one divisor; int / int rounds correctly, exactly
-            # as float(Fraction) does
-            taps = _tap_numerators([hn * a for a in coeffs], window)
-            for c, sl in factors:
-                n, d = c.numerator, c.denominator * hd * den
-                row[sl] = [s / d for s in taps[sl]] if n == 1 else [n * s / d for s in taps[sl]]
-        t_mid = float(T) / 2.0
-    except OverflowError:
-        raise ValueError(out_of_range) from None
-
     with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            weights = _tap_weights(rows, window, h, factors)
+            t_mid = float(T) / 2.0
+        except OverflowError:
+            raise ValueError(out_of_range) from None
         raw_norm = _midpoint_norm(weights, t_mid)
         if project:
             grid = np.arange(window, dtype=np.float64) / max(window - 1, 1)
+            # vector k of the orthonormal basis depends on moments 0..k only, and
+            # the rows share or nest their moment sets: one basis per prefix
+            prefixes = {(): ()}
             for vi, (kv, row) in enumerate(zip(kernels, tau_rows)):
-                basis = [grid ** m for m in _annihilated_moments(kv, row, T)]
-                if basis:
-                    weights[vi] = _project_out(weights[vi], basis)
+                moments = tuple(_annihilated_moments(kv, row, T))
+                for k in range(1, len(moments) + 1):
+                    if moments[:k] not in prefixes:
+                        prefixes[moments[:k]] = _orthonormal(
+                            prefixes[moments[: k - 1]], grid ** moments[k - 1]
+                        )
+                if moments:
+                    weights[vi] = _project_out(weights[vi], ortho=prefixes[moments])
         wnorm = _midpoint_norm(weights, t_mid) if project else raw_norm
     # Near the ends of the float range the raw rows' collapse overflows or
     # underflows to 0. The projected one may be 0 in range too: a window too

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from algcpd import kernels
 from algcpd._exact import Polynomial, RationalFunction as RF
 from algcpd.builder import ModelSpec, build_detector
-from algcpd.kernels import BivariatePoly, discretize, kernelize, quadrature_weights
+from algcpd.kernels import RULES, BivariatePoly, discretize, kernelize, quadrature_weights
 from algcpd.operators import DiffOperator, OperatorPolynomial, to_integral_form
 from algcpd.runtime import detect_samples
 
@@ -450,29 +450,113 @@ def test_discretize_raw_weights_are_float_image_of_reference(model, dt, window, 
         dd.window = window + 1
 
 
-def horner_taps(coeffs, window):
-    """sum_j coeffs[j] * i^j at each tap i in range(window), Horner at every tap."""
-    out = []
-    for i in range(window):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = acc * i + c
-        out.append(acc)
+# -- the double-double tap weights against float(Fraction) ------------------
+
+
+def fraction_taps(rows, window, dt, rule):
+    """float(Fraction) of q_i * A(i) / D at every tap i of every row (D, A),
+    A(i) by int Horner at each tap; OverflowError when one is past the floats."""
+    q = quadrature_weights(window, Fraction(dt), rule)
+    out = np.empty((len(rows), window), dtype=np.float64)
+    for r, (den, coeffs) in enumerate(rows):
+        for i in range(window):
+            acc = 0
+            for c in reversed(coeffs):
+                acc = acc * i + c
+            out[r, i] = float(Fraction(q[i].numerator * acc, q[i].denominator * den))
     return out
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def check_tap_weights(rows, window, dt, rule):
+    """The weight routine's rows are float(Fraction) of the exact taps, bit for
+    bit, or it raises OverflowError where one of them is past the floats."""
+    factors = kernels._quadrature_factors(window, rule)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            want = fraction_taps(rows, window, dt, rule)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                kernels._tap_weights(rows, window, Fraction(dt), factors)
+            return
+        assert_same_bits(kernels._tap_weights(rows, window, Fraction(dt), factors), want)
+
+
+TAP_DTS = (2**-7, 2.0, 0.01, 1 / 3, 1e-6)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
-    coeffs=st.lists(st.integers(min_value=-(2**900), max_value=2**900), max_size=14),
-    zero_lead=st.booleans(),
+    rows=st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=2**900),
+            st.lists(st.integers(min_value=-(2**900), max_value=2**900), max_size=14),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    dt=st.sampled_from(TAP_DTS),
+    rule=st.sampled_from(RULES),
 )
-def test_tap_numerators_match_horner(coeffs, zero_lead):
-    """The running sums of forward differences are P at every tap, for any
-    integer coefficients (the zero polynomial and a zero leading coefficient
-    too), at windows 1 to deg + 3 and 4096."""
-    if coeffs and zero_lead:
-        coeffs[-1] = 0
-    for window in [*range(1, len(coeffs) + 3), 4096]:
-        got = kernels._tap_numerators(coeffs, window)
-        assert got == horner_taps(coeffs, window)
-        assert all(type(x) is int for x in got)
+def test_tap_weights_match_fraction(rows, dt, rule):
+    """Random integer rows (coefficients up to 2^900 in size, a zero leading
+    coefficient, the zero row, rows of different degrees side by side) at
+    windows 2 to deg + 3 and 4096."""
+    rows = [(den, coeffs[:-1] + [0] if coeffs and zero_lead else coeffs)
+            for den, coeffs, zero_lead in rows]
+    deg = max(len(coeffs) for _, coeffs in rows) - 1
+    for window in [*range(2, deg + 4), 4096]:
+        if rule == "simpson":
+            window = max(3, window | 1)
+        check_tap_weights(rows, window, dt, rule)
+
+
+def midpoint_row(rule, sign):
+    """A row whose every tap at a power-of-two dt is a midpoint between two
+    floats: (2^53 + 1 + 2i) / 2^53 times a power of two, for the rule's
+    factors ({1, 2}/2 and {1, 4, 2}/3) times 3 for Simpson's."""
+    k = sign * (3 if rule == "simpson" else 1)
+    return (2**53, [k * (2**53 + 1), 2 * k])
+
+
+def test_tap_weights_decide_ties_and_extremes_on_the_exact_path(monkeypatch):
+    seen = []
+    exact_tap = kernels._exact_tap
+
+    def spy(coeffs, i, num, den):
+        seen.append(i)
+        return exact_tap(coeffs, i, num, den)
+
+    monkeypatch.setattr(kernels, "_exact_tap", spy)
+    big = 3**95  # 151 bits, so its double-double is not exact
+    for rule in RULES:
+        for dt in (2**-7, 2.0):
+            # exact midpoints, which float(Fraction) rounds to even; values
+            # below the normal floats and below the least subnormal
+            for row in (midpoint_row(rule, 1), midpoint_row(rule, -1),
+                        (2**1070, [7, -1, 3]), (2**1100, [1, 1])):
+                seen.clear()
+                check_tap_weights([row], 9, dt, rule)
+                assert sorted(seen) == list(range(9))
+            # (big * (i - 5) + 3) / 1000003: at tap 5 the terms cancel to
+            # 3 / 1000003, far below the error of their double-doubles
+            seen.clear()
+            check_tap_weights([(1000003, [3 - 5 * big, big])], 9, dt, rule)
+            assert 5 in seen
+    # exact zeros: the roots of (i - 3) * (i - 6) are decided exactly, while
+    # the zero row needs no exact tap
+    seen.clear()
+    check_tap_weights([(1, [18, -9, 1]), (1, [])], 9, 2.0, "trapezoid")
+    assert seen == [3, 6]
+    # past the floats: a coefficient that does not convert, and taps that
+    # overflow though every coefficient converts
+    check_tap_weights([(1, [2**1030, 1])], 9, 0.01, "trapezoid")
+    check_tap_weights([(1, [0, 0, 2**1020])], 9, 2.0, "trapezoid")
+
+
+def test_exact_path_alone_gives_the_same_weights(monkeypatch):
+    # above its tap limit every weight takes the exact path
+    det = oracle_detector("polynomial(3,2)")
+    want = discretize(det, window=385, dt=0.01)
+    monkeypatch.setattr(kernels, "_TAP_LIMIT", 1)
+    assert_same_bits(discretize(det, window=385, dt=0.01).weights, want.weights)

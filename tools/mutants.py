@@ -4,7 +4,8 @@ A mutant is a file of the tree, an exact text in it, the text that replaces
 it, and the ids of tests that must fail once it is replaced. The script copies
 ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary directory, checks
 that the named tests pass there unmutated, then applies one mutant at a time,
-runs its tests with pytest and restores the file. It reports
+runs its tests with pytest and restores the file. A conftest.py in the copy
+runs hypothesis without its shrink and explain phases. It reports
 
 * a survivor: a mutant whose tests all still pass;
 * a stale mutant: one whose old text is not in its file exactly once (the
@@ -34,6 +35,14 @@ from typing import Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "pyproject.toml")
+# written into the copy: any failing example kills a mutant, so its hypothesis
+# tests run without the shrink and explain phases, which only polish a failure
+CONFTEST = """\
+from hypothesis import Phase, settings
+
+settings.register_profile("mutants", phases=[Phase.explicit, Phase.reuse, Phase.generate])
+settings.load_profile("mutants")
+"""
 
 
 @dataclass(frozen=True)
@@ -144,10 +153,17 @@ MUTANTS = (
     ),
     # -- discretization -----------------------------------------------------------
     Mutant(
-        "discretize-no-factor-numerator",
+        "tap-weights-test-without-bound",
         "src/algcpd/kernels.py",
-        "if n == 1 else [n * s / d for s in taps[sl]]",
-        "if n == 1 else [s / d for s in taps[sl]]",
+        "        add(t, S, out=t)\n",
+        "",
+        ("tests/test_kernels.py::test_tap_weights_decide_ties_and_extremes_on_the_exact_path",),
+    ),
+    Mutant(
+        "tap-weights-no-factor-numerator",
+        "src/algcpd/kernels.py",
+        "powers[taps] = c.numerator * lc // c.denominator",
+        "powers[taps] = lc // c.denominator",
         ("tests/test_kernels.py::test_discretize_matches_fraction_horner",),
     ),
     Mutant(
@@ -203,6 +219,7 @@ def main(argv) -> int:
                 shutil.copytree(src, tree / name, ignore=shutil.ignore_patterns("__pycache__"))
             else:
                 shutil.copy2(src, tree / name)
+        (tree / "conftest.py").write_text(CONFTEST)
         tests = sorted({t for m in chosen for t in m.tests})
         code = run_tests(tree, tests)
         if code != 0:
