@@ -17,7 +17,8 @@ its reference setup gates with. The min_separation=0 stream cases pin pc5 at
 10 dB again under the trailing MAD with no merge distance, so a stream drains
 every few positions and the engine runs its smallest calls. The noisy samples
 are a case of their own, so a mismatch there reads as signal drift, not
-detector drift.
+detector drift. The noise cases pin apply_noise on pc5 at 10 dB, noise seed 0,
+once for each of NOISE_KINDS.
 
 The campaign cases pin run_campaign on three reference campaigns (pc5 normal
 at 0 dB, poly6 perlin at 20 dB, sine3 normal at 25 dB), with enough trials
@@ -77,7 +78,7 @@ from algcpd._exact import Polynomial, RationalFunction as RF  # noqa: E402
 from algcpd.bench import REFERENCE_SETUPS, DetectorSetup, reference_campaign, run_campaign  # noqa: E402
 from algcpd.builder import ModelSpec, build_detector, verify_detector  # noqa: E402
 from algcpd.kernels import discretize, kernelize  # noqa: E402
-from algcpd.noise import apply_noise  # noqa: E402
+from algcpd.noise import NOISE_KINDS, apply_noise  # noqa: E402
 from algcpd.runtime import DetectConfig, StreamDetector, detect, eval_windows  # noqa: E402
 from algcpd.signals import builtin_suite, render  # noqa: E402
 from test_acceptance import run_pipeline  # noqa: E402
@@ -158,6 +159,11 @@ def noisy(suite: str, snr_db: float, seed: int):
 
 def signal_digests(suite: str, snr_db: float, seed: int) -> dict:
     return {"samples": sha(noisy(suite, snr_db, seed)[1].tobytes())}
+
+
+def noise_digests(kind: str) -> dict:
+    _, clean = render(builtin_suite("pc5"))
+    return {"samples": sha(apply_noise(clean, kind, 10.0, 0).tobytes())}
 
 
 def stream_events(dd, y, cfg: DetectConfig, chunk: int) -> list:
@@ -270,6 +276,8 @@ def cases() -> dict:
             table[f"stream({label},W={STREAM_WINDOW}{tail})"] = partial(
                 stream_digests, suite, db, scales, sep, seed
             )
+    for kind in NOISE_KINDS:
+        table[f"noise(pc5,{kind},snr_db=10,seed=0)"] = partial(noise_digests, kind)
     for rows, npos in SHORT_CALLS:
         seeds = "seed=0" if rows == 1 else f"seeds=0-{rows - 1}"
         table[f"short(pc5,normal,snr_db=10,{seeds},W={STREAM_WINDOW},positions={npos})"] = partial(
