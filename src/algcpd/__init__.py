@@ -43,7 +43,7 @@ from .runtime import (
     eval_windows,
 )
 from .signals import SUITES, Carrier, Segment, SignalSpec, builtin_suite, render
-from .noise import NOISE_KINDS, PerlinParams, apply_noise, measured_snr_db
+from .noise import NOISE_KINDS, apply_noise, measured_snr_db
 
 __version__ = "0.1.0"
 
@@ -88,7 +88,6 @@ __all__ = [
     "builtin_suite",
     "render",
     "NOISE_KINDS",
-    "PerlinParams",
     "apply_noise",
     "measured_snr_db",
     "__version__",

@@ -110,14 +110,11 @@ class Polynomial:
         return _poly((c.numerator,), c.denominator)
 
     @staticmethod
-    def s_power(k: int, coeff=1) -> "Polynomial":
-        """coeff * s**k"""
+    def s_power(k: int) -> "Polynomial":
+        """s**k"""
         if k < 0:
             raise ValueError("s_power exponent must be >= 0")
-        if isinstance(coeff, int):
-            return _poly((0,) * k + (coeff,), 1)
-        c = _frac(coeff)
-        return _poly((0,) * k + (c.numerator,), c.denominator)
+        return _raw((0,) * k + (1,), 1)
 
     # -- structure --------------------------------------------------------
     @property
@@ -287,10 +284,10 @@ class Polynomial:
         return f"Polynomial({self.text()!r})"
 
     # -- rendering ------------------------------------------------------------
-    def text(self, var: str = "s") -> str:
+    def text(self) -> str:
         den = self.den
         return render_terms(
-            (c, den, ((var, k),)) for k, c in reversed(tuple(enumerate(self.nums))) if c
+            (c, den, (("s", k),)) for k, c in reversed(tuple(enumerate(self.nums))) if c
         )
 
     def term_count(self) -> int:
@@ -402,15 +399,11 @@ class RationalFunction:
         return RationalFunction(Polynomial.one())
 
     @staticmethod
-    def from_poly(p: Polynomial) -> "RationalFunction":
-        return RationalFunction(p)
-
-    @staticmethod
-    def s_power(k: int, coeff=1) -> "RationalFunction":
-        """coeff * s**k, any integer k (negative gives 1/s**-k)."""
+    def s_power(k: int) -> "RationalFunction":
+        """s**k, any integer k (negative gives 1/s**-k)."""
         if k >= 0:
-            return RationalFunction(Polynomial.s_power(k, coeff))
-        return RationalFunction(Polynomial.constant(coeff), Polynomial.s_power(-k))
+            return RationalFunction(Polynomial.s_power(k))
+        return RationalFunction(_ONE, Polynomial.s_power(-k))
 
     # -- predicates -----------------------------------------------------------
     def is_zero(self) -> bool:
@@ -504,11 +497,11 @@ class RationalFunction:
         return f"RationalFunction({self.text()!r})"
 
     # -- rendering --------------------------------------------------------------------
-    def text(self, var: str = "s") -> str:
+    def text(self) -> str:
         if self.den.degree == 0:
-            return self.num.text(var)
-        nt = self.num.text(var)
-        dt = self.den.text(var)
+            return self.num.text()
+        nt = self.num.text()
+        dt = self.den.text()
         if self.num.term_count() > 1:
             nt = f"({nt})"
         if self.den.term_count() > 1:

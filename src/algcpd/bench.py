@@ -122,6 +122,8 @@ class Campaign:
     def __post_init__(self) -> None:
         if self.noise_kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.noise_kind!r}; pick from {NOISE_KINDS}")
+        if isinstance(self.snr_db, bool):
+            raise ValueError(f"snr_db must be a number, got {self.snr_db!r}")
         noise_power_ratio(self.snr_db)
         if not _is_int(self.trials) or self.trials < 1:
             raise ValueError(f"trials must be an integer of at least 1, got {self.trials!r}")

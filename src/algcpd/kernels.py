@@ -369,14 +369,9 @@ def _orthonormal(ortho: Tuple[np.ndarray, ...], b: np.ndarray) -> Tuple[np.ndarr
     return ortho + (u / n,) if n > 0.0 else ortho
 
 
-def _project_out(
-    row: np.ndarray, basis: Sequence[np.ndarray] = (), ortho: Tuple[np.ndarray, ...] = ()
-) -> np.ndarray:
-    """Deflate row against span(ortho + basis) via twice-applied modified
-    Gram-Schmidt: ortho holds orthonormal vectors that _orthonormal made, and
-    basis is orthonormalized after them."""
-    for b in basis:
-        ortho = _orthonormal(ortho, b)
+def _project_out(row: np.ndarray, ortho: Tuple[np.ndarray, ...]) -> np.ndarray:
+    """Deflate row against span(ortho) via twice-applied modified
+    Gram-Schmidt: ortho holds orthonormal vectors that _orthonormal made."""
     out = row.copy()
     for _ in range(2):
         for o in ortho:
@@ -461,7 +456,7 @@ def discretize(
                             prefixes[moments[: k - 1]], grid ** moments[k - 1]
                         )
                 if moments:
-                    weights[vi] = _project_out(weights[vi], ortho=prefixes[moments])
+                    weights[vi] = _project_out(weights[vi], prefixes[moments])
         wnorm = _midpoint_norm(weights, t_mid) if project else raw_norm
     # Near the ends of the float range the raw rows' collapse overflows or
     # underflows to 0. The projected one may be 0 in range too: a window too

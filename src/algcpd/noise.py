@@ -1,11 +1,12 @@
 """Deterministic noise generation with exact SNR calibration.
 
 The uniform source is splitmix64 (public domain construction): draw i of
-stream `seed` mixes the counter state seed + i * GOLDEN, so any draw range
-can be produced independently and vectorized. Normal variates come from the
-Box-Muller transform over consecutive uniform pairs. Gradient noise is a
-one-dimensional Perlin lattice with the quintic fade, gradients hashed from
-(seed, octave, cell) so every sample is reproducible in isolation.
+stream `seed` mixes the counter state seed + i * GOLDEN, so it is a function
+of the seed and i alone, and a stream is drawn whole, vectorized, from draw 1.
+Normal variates come from the Box-Muller transform over consecutive uniform
+pairs. Gradient noise is a one-dimensional Perlin lattice with the quintic
+fade, gradients hashed from (seed, octave, cell) so every sample is
+reproducible in isolation.
 
 Additive noise is scaled so the realized noise power hits the SNR target
 exactly for every seed (not just in expectation); multiplicative noise
@@ -16,7 +17,6 @@ relation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +26,11 @@ _MIX2 = 0x94D049BB133111EB
 _MASK = (1 << 64) - 1
 
 NOISE_KINDS = ("none", "normal", "uniform", "perlin", "mult_uniform")
+# Perlin noise: samples per lattice cell at octave 0, octaves, and the
+# amplitude factor from one octave to the next
+_LATTICE_PERIOD = 6
+_OCTAVES = 2
+_PERSISTENCE = 0.5
 
 
 def _mix_u64(z: np.ndarray) -> np.ndarray:
@@ -41,25 +46,19 @@ def derive_seed(seed: int, tag: int) -> int:
     return int(_mix_u64(z)[0])
 
 
-def uniforms(seed: int, n: int, offset: int = 0) -> np.ndarray:
-    """Draws offset+1 .. offset+n of the stream, each in [0, 1)."""
+def uniforms(seed: int, n: int) -> np.ndarray:
+    """Draws 1 .. n of the stream, each in [0, 1)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    idx = np.arange(offset + 1, offset + n + 1, dtype=np.uint64)
+    idx = np.arange(1, n + 1, dtype=np.uint64)
     state = np.uint64(seed & _MASK) + idx * np.uint64(GOLDEN)
     return (_mix_u64(state) >> np.uint64(11)) * (2.0 ** -53)
 
 
-def normals(seed: int, n: int, offset: int = 0) -> np.ndarray:
-    """Box-Muller over consecutive uniform pairs; consumes 2*ceil(n/2) draws.
-
-    offset counts NORMAL variates (must be even across calls to continue a
-    stream).
-    """
-    if offset % 2:
-        raise ValueError("normals offset must be even")
+def normals(seed: int, n: int) -> np.ndarray:
+    """Box-Muller over consecutive uniform pairs; consumes 2*ceil(n/2) draws."""
     pairs = (n + 1) // 2
-    u = uniforms(seed, 2 * pairs, offset=offset)
+    u = uniforms(seed, 2 * pairs)
     u1 = u[0::2]
     u2 = u[1::2]
     r = np.sqrt(-2.0 * np.log1p(-u1))  # 1-u1 in (0,1], log finite
@@ -68,21 +67,6 @@ def normals(seed: int, n: int, offset: int = 0) -> np.ndarray:
     out[0::2] = r * np.cos(ang)
     out[1::2] = r * np.sin(ang)
     return out[:n]
-
-
-@dataclass(frozen=True)
-class PerlinParams:
-    lattice_period: int = 6  # samples per lattice cell at octave 0
-    octaves: int = 2
-    persistence: float = 0.5
-
-    def __post_init__(self):
-        if self.lattice_period < 2:
-            raise ValueError("lattice_period must be >= 2")
-        if self.octaves < 1:
-            raise ValueError("octaves must be >= 1")
-        if not (0.0 < self.persistence <= 1.0):
-            raise ValueError("persistence must be in (0, 1]")
 
 
 def _fade(u: np.ndarray) -> np.ndarray:
@@ -96,17 +80,17 @@ def _gradients(seed: int, octave: int, cells: np.ndarray) -> np.ndarray:
     return ((h >> np.uint64(11)) * (2.0 ** -53)) * 2.0 - 1.0
 
 
-def perlin(seed: int, n: int, params: PerlinParams = PerlinParams()) -> np.ndarray:
+def perlin(seed: int, n: int) -> np.ndarray:
     """1-D gradient noise over sample indices 0..n-1.
 
-    Zero at lattice points of a single octave; octaves stack with doubling
-    frequency and `persistence` amplitude decay.
+    Octaves stack with doubling frequency and _PERSISTENCE amplitude decay;
+    every octave is zero at the multiples of _LATTICE_PERIOD.
     """
     idx = np.arange(n, dtype=np.float64)
     out = np.zeros(n, dtype=np.float64)
     amp = 1.0
-    for o in range(params.octaves):
-        x = idx * (2.0 ** o) / params.lattice_period
+    for o in range(_OCTAVES):
+        x = idx * (2.0 ** o) / _LATTICE_PERIOD
         cell = np.floor(x)
         frac = x - cell
         cells = cell.astype(np.int64)
@@ -115,15 +99,18 @@ def perlin(seed: int, n: int, params: PerlinParams = PerlinParams()) -> np.ndarr
         left = g_left * frac
         right = g_right * (frac - 1.0)
         out += amp * (left + _fade(frac) * (right - left))
-        amp *= params.persistence
+        amp *= _PERSISTENCE
     return out
 
 
 def measured_snr_db(clean: np.ndarray, noisy: np.ndarray) -> float:
+    """The realized SNR in dB: inf with no noise, -inf with no signal."""
     p_sig = float(np.mean(np.square(clean)))
     p_noise = float(np.mean(np.square(noisy - clean)))
     if p_noise == 0.0:
         return math.inf
+    if p_sig == 0.0:
+        return -math.inf
     return 10.0 * math.log10(p_sig / p_noise)
 
 
@@ -140,13 +127,7 @@ def noise_power_ratio(snr_db: float) -> float:
     return ratio
 
 
-def apply_noise(
-    clean: np.ndarray,
-    kind: str,
-    snr_db: float,
-    seed: int,
-    perlin_params: PerlinParams = PerlinParams(),
-) -> np.ndarray:
+def apply_noise(clean: np.ndarray, kind: str, snr_db: float, seed: int) -> np.ndarray:
     """Corrupt `clean` at exactly `snr_db` (realized power, per seed)."""
     clean = np.asarray(clean, dtype=np.float64)
     ratio = noise_power_ratio(snr_db)
@@ -173,7 +154,7 @@ def apply_noise(
     elif kind == "uniform":
         raw = uniforms(derive_seed(seed, 2), n) * 2.0 - 1.0
     else:  # perlin
-        raw = perlin(derive_seed(seed, 4), n, perlin_params)
+        raw = perlin(derive_seed(seed, 4), n)
     p_raw = float(np.mean(np.square(raw)))
     if p_raw == 0.0:
         raise ValueError("noise realization has zero power; change the seed")

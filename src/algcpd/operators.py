@@ -25,6 +25,8 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 from ._exact import (
     Polynomial,
     RationalFunction,
+    _as_rf,
+    _s_power_degree,
     poly_lcm,
 )
 
@@ -32,13 +34,10 @@ RF = RationalFunction
 
 
 def _as_coeff(x) -> RF:
-    if isinstance(x, RF):
-        return x
-    if isinstance(x, Polynomial):
-        return RF(x)
-    if isinstance(x, (int, Fraction)):
-        return RF(Polynomial.constant(x))
-    raise TypeError(f"cannot use {type(x).__name__} as an operator coefficient")
+    c = _as_rf(x)
+    if c is NotImplemented:
+        raise TypeError(f"cannot use {type(x).__name__} as an operator coefficient")
+    return c
 
 
 class DiffOperator:
@@ -199,14 +198,15 @@ class DiffOperator:
         """
         out: List[Tuple[Fraction, int, int]] = []
         for a, c in self.items():
-            shift = c.den.trailing_zero_count()
-            if c.den.degree != shift:
+            # a canonical denominator is monic: s^shift itself
+            shift = _s_power_degree(c.den)
+            if shift is None:
                 raise ValueError(
                     "coefficient denominator is not a pure power of s: " + c.text()
                 )
             for k, coef in enumerate(c.num.coeffs):
                 if coef != 0:
-                    out.append((coef / c.den.leading(), k - shift, a))
+                    out.append((coef, k - shift, a))
         return out
 
 
@@ -345,9 +345,8 @@ def clear_polynomial_denominators(
     for c in op_poly.coeffs:
         for _, rf in c.terms.items():
             den = rf.den
-            shift = den.trailing_zero_count()
-            if den.degree != shift:
-                body = den // Polynomial.s_power(shift)
+            if _s_power_degree(den) is None:
+                body = den // Polynomial.s_power(den.trailing_zero_count())
                 m = poly_lcm(m, body)
     if m.degree == 0:
         return Polynomial.one(), op_poly

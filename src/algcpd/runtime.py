@@ -30,11 +30,11 @@ With an explicit cfg.scale batch and stream are bit-identical and chunk-size
 invariant; with cfg.scale=None batch uses the whole-trace MAD of d while the
 stream uses a trailing MAD at each crossing (a documented approximation, still
 chunk-size invariant). One sorted-row routine, _mads, takes both: the batch
-MAD is one row holding all of d, and a group of crossings copies its trailing
-windows into the rows of one array, sorts them to read the medians, then
-sorts the absolute deviations to read the MADs. A group's array holds at most
-_SCREEN_ELEMENTS values (21 windows at W=96), the bound the flank gather
-keeps to.
+MAD is one row holding all of d, and each step of the gate copies its
+crossings' trailing windows into the rows of one array, sorts them to read the
+medians, then sorts the absolute deviations to read the MADs. A step's array
+holds at most _SCREEN_ELEMENTS values (21 windows at W=96), the bound the
+flank gather keeps to.
 
 The engine is fed (feed) and drained (drain, finish) separately. Batch feeds
 the whole trace and finishes. The stream holds samples until the engine's
@@ -59,8 +59,8 @@ from .kernels import DiscreteDetector, _real
 
 MAD_FACTOR = 1.4826  # normal-consistency factor for median absolute deviation
 _MIN_SCALE_HISTORY = 16
-# flank values gathered per step of the crossing gate, and trailing-MAD
-# values sorted per group (128 kB): more costs peak memory and saves little time
+# flank values gathered, and trailing-MAD values sorted, per step of the
+# crossing gate (128 kB): more costs peak memory and saves little time
 _SCREEN_ELEMENTS = 1 << 14
 
 
@@ -266,12 +266,13 @@ class _GateEngine:
     trailing MAD over max(8W, 512) positions) and, per feed, the statistics
     the caller already holds: the collapsed window value v, the normalized d
     and the rms. One gate, _gate, resolves every ready crossing under either
-    scale; see it for the order in which its tests prune. Under the trailing
-    MAD, _thresholds takes a gate step's scales in groups of at most
-    max(1, _SCREEN_ELEMENTS // trailing) crossings, one sorted row of d per
-    crossing (_mads, the routine batch_mad_scale runs on one row): a group's
-    rows take at most 128 kB, or one window where that alone is more
-    (W > 2048).
+    scale; see it for the order in which its tests prune. It takes the
+    crossings in steps of at most
+    max(1, _SCREEN_ELEMENTS // max(W // 2 + 1, trailing)), and under the
+    trailing MAD _thresholds reads a step's scales from one _mads call, one
+    sorted row of d per crossing (the routine batch_mad_scale runs on one
+    row): a step's rows take at most 128 kB, or one window where that alone
+    is more (W > 2048).
 
     The history the gate reads is d, v and rms of positions base to end, as
     plain arrays. A feed to an empty history holds the arrays as
@@ -411,7 +412,7 @@ class _GateEngine:
         survivors, and |v| for the dust floor is gathered last."""
         f = self.flank
         out: List[Detection] = []
-        step = max(1, _SCREEN_ELEMENTS // (f + 1))
+        step = max(1, _SCREEN_ELEMENTS // max(f + 1, self.trailing))
         for lo in range(0, len(ks), step):
             col = np.array(ks[lo : lo + step], dtype=np.int64) - self.base
             threshold = self._thresholds(col)
@@ -439,14 +440,10 @@ class _GateEngine:
             return np.full(col.size, self.cfg.kappa * self.scale)
         ends = np.minimum(col + self.flank, self.d.size - 1) + 1
         counts = np.minimum(ends, self.trailing)  # positions in each window
-        scale = np.empty(col.size)
-        group = max(1, _SCREEN_ELEMENTS // self.trailing)
         # an overflowing middle pair or inf - inf yields inf or NaN, as in
         # Python floats; kappa 0 times an inf scale is NaN
         with np.errstate(over="ignore", invalid="ignore"):
-            for lo in range(0, col.size, group):
-                part = slice(lo, lo + group)
-                scale[part] = _mads(self.d, ends[part], counts[part])
+            scale = _mads(self.d, ends, counts)
             scale[counts < _MIN_SCALE_HISTORY] = np.inf
             return self.cfg.kappa * scale
 

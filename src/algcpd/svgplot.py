@@ -14,6 +14,8 @@ from typing import List, Sequence, Tuple
 
 __all__ = ["Series", "VLine", "HLine", "Panel", "render_svg"]
 
+_WIDTH = 960
+_PANEL_HEIGHT = 260
 _MARGIN_L = 64.0
 _MARGIN_R = 16.0
 _MARGIN_TOP = 28.0
@@ -75,7 +77,6 @@ class VLine:
 @dataclass
 class HLine:
     y: float
-    css: str = "href"
 
 
 @dataclass
@@ -133,7 +134,7 @@ def _panel_svg(p: Panel, x_range, top: float, plot_w: float, plot_h: float, is_l
     # reference lines and event markers under the data
     for h in p.hlines:
         yy = _fmt(py(h.y))
-        out.append(f'<line class="{h.css}" x1="{_fmt(_MARGIN_L)}" y1="{yy}" x2="{_fmt(_MARGIN_L + plot_w)}" y2="{yy}"/>')
+        out.append(f'<line class="href" x1="{_fmt(_MARGIN_L)}" y1="{yy}" x2="{_fmt(_MARGIN_L + plot_w)}" y2="{yy}"/>')
     for v in p.vlines:
         if x_lo <= v.x <= x_hi:
             xx = _fmt(px(v.x))
@@ -157,13 +158,7 @@ def _panel_svg(p: Panel, x_range, top: float, plot_w: float, plot_h: float, is_l
     return out
 
 
-def render_svg(
-    panels: Sequence[Panel],
-    title: str = "",
-    width: int = 960,
-    panel_height: int = 260,
-    xlabel: str = "time",
-) -> str:
+def render_svg(panels: Sequence[Panel], title: str = "") -> str:
     """Stacked panels sharing one x range (union over all series)."""
     if not panels:
         raise ValueError("need at least one panel")
@@ -178,11 +173,11 @@ def render_svg(
     if not xs:
         x_lo, x_hi = 0.0, 1.0
 
-    plot_w = width - _MARGIN_L - _MARGIN_R
-    total_h = _MARGIN_TOP + len(panels) * (panel_height + _MARGIN_BOT)
+    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
+    total_h = _MARGIN_TOP + len(panels) * (_PANEL_HEIGHT + _MARGIN_BOT)
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{_fmt(total_h)}" '
-        f'viewBox="0 0 {width} {_fmt(total_h)}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_fmt(total_h)}" '
+        f'viewBox="0 0 {_WIDTH} {_fmt(total_h)}">',
         f"<style>{_STYLE}</style>",
     ]
     if title:
@@ -190,13 +185,12 @@ def render_svg(
     top = _MARGIN_TOP
     for i, p in enumerate(panels):
         is_last = i == len(panels) - 1
-        out.extend(_panel_svg(p, (x_lo, x_hi), top, plot_w, float(panel_height), is_last))
-        top += panel_height + _MARGIN_BOT
-    if xlabel:
-        out.append(
-            f'<text x="{_fmt(_MARGIN_L + plot_w / 2)}" y="{_fmt(total_h - 6)}" '
-            f'text-anchor="middle">{_escape(xlabel)}</text>'
-        )
+        out.extend(_panel_svg(p, (x_lo, x_hi), top, plot_w, float(_PANEL_HEIGHT), is_last))
+        top += _PANEL_HEIGHT + _MARGIN_BOT
+    out.append(
+        f'<text x="{_fmt(_MARGIN_L + plot_w / 2)}" y="{_fmt(total_h - 6)}" '
+        f'text-anchor="middle">time</text>'
+    )
     out.append("</svg>")
     return "\n".join(out) + "\n"
 

@@ -174,6 +174,13 @@ def test_campaign_rejects_too_few_trials():
             dataclasses.replace(small_campaign(), base_seed=seed)
 
 
+def test_campaign_rejects_a_bool_snr():
+    """snr_db is a number, and a bool is not one, as for the JSON reader."""
+    for snr in (True, False):
+        with pytest.raises(ValueError, match="snr_db"):
+            small_campaign(snr_db=snr)
+
+
 @pytest.mark.parametrize("group", [1, 3, 7, 20])
 def test_campaign_trials_in_groups_match_one_at_a_time(monkeypatch, group):
     """run_campaign runs BLOCK // positions trials per engine call (never

@@ -7,6 +7,7 @@ A name listed in the module's `__all__` counts as used: that is how
 """
 
 import ast
+import math
 from pathlib import Path
 
 import pytest
@@ -144,3 +145,90 @@ def test_check_sees_an_unreferenced_private_member(tmp_path):
                  "    def _spin(self, n):\n        return self._spin(n - 1) if n else 0\n"
                  "def peek(box):\n    return box._seen\n")
     assert unreferenced_privates([a]) == [("a.py", 4, "Box._count"), ("a.py", 12, "Box._spin")]
+
+
+CALLERS = SRC + sorted((Path(__file__).resolve().parent.parent / "perfbench").glob("*.py"))
+# parameters with a default that no call in the package or perfbench passes,
+# kept on purpose: {"module.function.parameter": reason}
+UNSET_DEFAULTS_KEPT = {
+    "_exact.Polynomial.__init__.coeffs": "the public constructor; the package builds its own polynomials from integer numerators",
+    "builder.verify_detector.n_delays": "criterion 1 varies the number of delays checked",
+    "builder.verify_detector.seed": "criterion 1 varies the delays checked",
+    "cli.main.argv": "the console script reads sys.argv; tests pass the arguments",
+    "kernels.discretize.project": "project=False gives the raw kernel rows that criterion 2 compares against",
+    "runtime.StreamDetector.__init__.t0": "mirrors t0 of the batch detect(); tests check the two agree",
+}
+
+
+def _defaulted(fn, method: bool):
+    """(positional index or None, name) of each parameter of fn with a
+    default; the index counts what a call passes positionally, so self or
+    cls is left out of a method's."""
+    a = fn.args
+    positional = a.posonlyargs + a.args
+    skip = 1 if method and not any(
+        isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list) else 0
+    first = len(positional) - len(a.defaults)
+    out = [(i - skip, p.arg) for i, p in enumerate(positional) if i >= first]
+    out += [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return out
+
+
+def unset_defaults(paths, callers):
+    """module.function.parameter for each parameter with a default, of a
+    function or method defined in paths, that no call in callers passes.
+    Calls match by the called name alone (a class name calls its __init__);
+    a call with *args or **kwargs passes every parameter."""
+    calls = {}  # name: [(positional count, keyword names)]; None counts as all
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+            star = any(isinstance(x, ast.Starred) for x in node.args)
+            kwargs = any(k.arg is None for k in node.keywords)
+            calls.setdefault(name, []).append((
+                math.inf if star or kwargs else len(node.args),
+                None if kwargs else {k.arg for k in node.keywords},
+            ))
+    unset = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defs = [(n, None) for n in tree.body]
+        defs += [(n, c) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for n in c.body]
+        for fn, cls in defs:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            called = cls.name if cls is not None and fn.name == "__init__" else fn.name
+            qual = fn.name if cls is None else f"{cls.name}.{fn.name}"
+            for index, param in _defaulted(fn, cls is not None):
+                if not any(
+                    (index is not None and index < n) or keys is None or param in keys
+                    for n, keys in calls.get(called, ())
+                ):
+                    unset.append(f"{path.stem}.{qual}.{param}")
+    return sorted(unset)
+
+
+def test_every_default_is_set_by_some_caller():
+    """An option no caller sets is a constant: each parameter default in the
+    package is passed by some call in the package or perfbench, or is kept
+    in UNSET_DEFAULTS_KEPT with its reason."""
+    assert unset_defaults(SRC, CALLERS) == sorted(UNSET_DEFAULTS_KEPT)
+
+
+def test_check_sees_an_unset_default(tmp_path):
+    a = tmp_path / "a.py"
+    a.write_text("def f(x, y=1, *, z=2):\n    return x + y + z\n"
+                 "def g(x, y=1, z=2):\n    return x\n"
+                 "def h(x=0, y=1):\n    return x\n"
+                 "class Box:\n"
+                 "    def __init__(self, n=1, m=2):\n        self.n = n\n"
+                 "    def grow(self, k=1):\n        return k\n"
+                 "    @staticmethod\n    def make(n=1):\n        return Box(n)\n"
+                 "print(f(0, z=3), g(0, 1), h(*()), Box().grow(2))\n")
+    b = tmp_path / "b.py"
+    b.write_text("import a\nprint(a.Box.make(), a.f(1, **{}))\n")
+    assert unset_defaults([a], [a]) == ["a.Box.__init__.m", "a.Box.make.n", "a.f.y", "a.g.z"]
+    assert unset_defaults([a], [a, b]) == ["a.Box.__init__.m", "a.Box.make.n", "a.g.z"]

@@ -366,9 +366,10 @@ def reference_weights(det, exact_rows, dt, project):
         T = (window - 1) * Fraction(dt)
         grid = np.arange(window, dtype=np.float64) / (window - 1)
         for vi, ref in enumerate(reference_kernels(det)):
-            basis = [grid**m for m in reference_moments(ref, T)]
-            if basis:
-                weights[vi] = kernels._project_out(weights[vi], basis)
+            ortho = ()
+            for m in reference_moments(ref, T):
+                ortho = kernels._orthonormal(ortho, grid**m)
+            weights[vi] = kernels._project_out(weights[vi], ortho)
     return weights
 
 

@@ -87,7 +87,7 @@ def rand_laurent(rng):
     """A sum of up to three c*s^e, e in -4..1: the coefficients verify meets."""
     out = RF.zero()
     for _ in range(rng.randint(1, 3)):
-        out = out + RF.s_power(rng.randint(-4, 1), Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+        out = out + RF.s_power(rng.randint(-4, 1)) * Fraction(rng.randint(-5, 5), rng.randint(1, 3))
     return out
 
 

@@ -710,11 +710,12 @@ def mad_traces():
 @pytest.mark.parametrize("window", [16, 96])
 @pytest.mark.parametrize("kappa", [0.0, 3.0])
 def test_trailing_mad_thresholds_match_batch_mad_scale(case, window, kappa):
-    """The gate's trailing-MAD thresholds, taken from sorted rows in groups,
-    equal kappa times np.median's MAD of each crossing's window bit for bit. A
+    """The gate's trailing-MAD thresholds, taken from sorted rows, equal
+    kappa times np.median's MAD of each crossing's window bit for bit. A
     crossing at every position covers windows under 16 positions (W 16),
     short windows at the stream start, full ones, and more crossings than
-    one group; kappa 0 times an inf scale is NaN, as in Python floats."""
+    one gate step takes; kappa 0 times an inf scale is NaN, as in Python
+    floats."""
     d = mad_traces()[case]
     engine = trailing_engine(d, window, kappa)
     col = np.arange(1, d.size)
@@ -731,7 +732,7 @@ def test_trailing_mad_thresholds_match_batch_mad_scale(case, window, kappa):
 def test_trailing_mad_gate_temporaries_bounded():
     """One whole-trace push_chunk of a pc5 draw (W 96, trailing MAD, 3,200
     samples) adds a traced peak under 4 * _SCREEN_ELEMENTS float64 values.
-    The gate takes its trailing MADs in groups of at most _SCREEN_ELEMENTS
+    The gate takes its trailing MADs in steps of at most _SCREEN_ELEMENTS
     values; one array of all of a drain's windows would be several times
     that."""
     spec = builtin_suite("pc5")

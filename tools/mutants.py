@@ -147,8 +147,8 @@ MUTANTS = (
     Mutant(
         "mads-no-group-bound",
         "src/algcpd/runtime.py",
-        "group = max(1, _SCREEN_ELEMENTS // self.trailing)",
-        "group = max(1, col.size)",
+        "step = max(1, _SCREEN_ELEMENTS // max(f + 1, self.trailing))",
+        "step = max(1, _SCREEN_ELEMENTS // (f + 1))",
         ("tests/test_runtime.py::test_trailing_mad_gate_temporaries_bounded",),
     ),
     # -- discretization -----------------------------------------------------------
