@@ -1,6 +1,7 @@
 """Source hygiene: no module in the package imports a name it never uses,
-and no private helper goes unused: a module-level name, a method or an
-attribute a class sets on self.
+no private helper goes unused (a module-level name, a method or an
+attribute a class sets on self), and no parameter default is left to every
+caller: an option that no call sets is a constant.
 
 A name listed in the module's `__all__` counts as used: that is how
 `__init__.py` re-exports.
@@ -179,19 +180,18 @@ def unset_defaults(paths, callers):
     function or method defined in paths, that no call in callers passes.
     Calls match by the called name alone (a class name calls its __init__);
     a call with *args or **kwargs passes every parameter."""
-    calls = {}  # name: [(positional count, keyword names)]; None counts as all
+    calls = {}  # name: [(positional count, keyword names)]; (inf, None) passes all
     for path in callers:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if not isinstance(node, ast.Call):
                 continue
             f = node.func
             name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
-            star = any(isinstance(x, ast.Starred) for x in node.args)
-            kwargs = any(k.arg is None for k in node.keywords)
-            calls.setdefault(name, []).append((
-                math.inf if star or kwargs else len(node.args),
-                None if kwargs else {k.arg for k in node.keywords},
-            ))
+            if any(isinstance(x, ast.Starred) for x in node.args) or any(
+                    k.arg is None for k in node.keywords):
+                calls.setdefault(name, []).append((math.inf, None))
+            else:
+                calls.setdefault(name, []).append((len(node.args), {k.arg for k in node.keywords}))
     unset = []
     for path in paths:
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -204,7 +204,7 @@ def unset_defaults(paths, callers):
             qual = fn.name if cls is None else f"{cls.name}.{fn.name}"
             for index, param in _defaulted(fn, cls is not None):
                 if not any(
-                    (index is not None and index < n) or keys is None or param in keys
+                    keys is None or param in keys or (index is not None and index < n)
                     for n, keys in calls.get(called, ())
                 ):
                     unset.append(f"{path.stem}.{qual}.{param}")
