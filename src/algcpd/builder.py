@@ -238,6 +238,13 @@ def verify_detector(det: DetectorOperator, n_delays: int = 3, seed: int = 0) -> 
     applied to w. The operator is not rewritten for that: apply shifts the
     jump element, g_(a+1) = g_a' - t0 * g_a, with Omega(t0) taken once per
     delay for every element of the jump basis.
+
+    Omega's coefficients are over powers of s after _finalize, so every
+    check on a smooth element, and every check on a monomial or polynomial
+    jump element, runs apply and eval_at on integer Laurent triples; a
+    rational jump shape such as 1/(s + 1) takes RationalFunction arithmetic.
+    Each result is canonicalized once, so is_zero and the residual texts are
+    the same on either path.
     """
     rng = random.Random(seed)
     delays = [Fraction(1, 2)]

@@ -14,18 +14,26 @@ D corresponds to multiplication by -t in the original domain; an operator
 whose every monomial c*s^-m*D^a has m >= 1 therefore realizes a strictly
 finite integral (no unintegrated or differentiated samples), which is the
 form the kernelizer consumes.
+
+``apply`` and ``eval_at`` compute on Laurent triples when they can: when f
+and every coefficient have a pure-power-of-s denominator, each value is kept
+as integer numerators over one int denominator and one power of s, and the
+result is canonicalized once at the end (see ``_laurent_mac``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ._exact import (
     Polynomial,
     RationalFunction,
     _as_rf,
+    _frac,
+    _over_s_power,
+    _poly,
     _s_power_degree,
     poly_lcm,
 )
@@ -38,6 +46,58 @@ def _as_coeff(x) -> RF:
     if c is NotImplemented:
         raise TypeError(f"cannot use {type(x).__name__} as an operator coefficient")
     return c
+
+
+def _laurent(rf: RF):
+    """(nums, den, k) when rf's canonical denominator is s^k, else None: the
+    Laurent triple of rf = sum_i nums[i] * s^(i - k) / den."""
+    k = _s_power_degree(rf.den)
+    if k is None:
+        return None
+    return rf.num.nums, rf.num.den, k
+
+
+def _laurent_mac(acc, x, y):
+    """acc + x * y on Laurent triples; acc None is zero, and acc's list of
+    numerators is updated in place.
+
+    The product is an integer convolution over den_x * den_y and
+    s^(k_x + k_y). It is added into acc over the larger of the two powers of
+    s and the lcm of the two denominators. No gcd of the numerators is taken:
+    the caller canonicalizes the final triple once, by ``_canonical``.
+    """
+    xn, xd, xk = x
+    yn, yd, yk = y
+    den, k = xd * yd, xk + yk
+    scale = 1
+    if acc is None:
+        nums, acc_den, acc_k = [], den, k
+    else:
+        nums, acc_den, acc_k = acc
+        if acc_den != den:
+            g = gcd(acc_den, den)
+            up, scale = den // g, acc_den // g
+            nums = [c * up for c in nums]
+            acc_den *= up
+        if acc_k < k:
+            nums = [0] * (k - acc_k) + nums
+            acc_k = k
+    off = acc_k - k
+    short = off + len(xn) + len(yn) - 1 - len(nums)
+    if short > 0:
+        nums.extend([0] * short)
+    for j, b in enumerate(yn, off):
+        if b:
+            b *= scale
+            for i, a in enumerate(xn, j):
+                nums[i] += a * b
+    return nums, acc_den, acc_k
+
+
+def _canonical(triple) -> RF:
+    """The canonical RationalFunction of a Laurent triple."""
+    nums, den, k = triple
+    return _over_s_power(_poly(nums, den), k)
 
 
 class DiffOperator:
@@ -132,8 +192,37 @@ class DiffOperator:
         One chain g_0 = f, g_(a+1) = g_a' + shift * g_a gives every
         (D + shift)^a f; shift 0 gives sum_a rho_a * f^(a). This equals
         shift_d(shift).apply(f) without expanding any coefficient.
+
+        When f and every rho_a have a denominator s^k, the chain, the
+        products and their sum run on Laurent triples (integer numerators
+        over one int and one power of s) and the result is canonicalized
+        once; any other operand, such as 1/(s + 1), takes RationalFunction
+        arithmetic. Both give the one canonical form.
         """
         f = _as_coeff(f)
+        shift = _frac(shift)
+        g = _laurent(f)
+        rhos = {a: _laurent(rho) for a, rho in self.terms.items()}
+        if g is not None and None not in rhos.values():
+            p, q = shift.numerator, shift.denominator
+            acc = None
+            for a in range(self.order + 1):
+                nums, den, k = g
+                if not any(nums):
+                    break
+                if a:
+                    # g' + (p/q) * g over q * den and s^(k + 1): index i holds
+                    # q * (i - k) * n_i from g' and p * n_(i-1) from (p/q) * g
+                    step = [q * (i - k) * c for i, c in enumerate(nums)]
+                    if p:
+                        step.append(0)
+                        for i, c in enumerate(nums, 1):
+                            step[i] += p * c
+                    g = step, den * q, k + 1
+                rho = rhos.get(a)
+                if rho is not None:
+                    acc = _laurent_mac(acc, rho, g)
+            return RF.zero() if acc is None else _canonical(acc)
         out = RF.zero()
         g = f
         for a in range(self.order + 1):
@@ -255,8 +344,24 @@ class OperatorPolynomial:
         return OperatorPolynomial(tuple(c.scale(factor) for c in self.coeffs))
 
     def eval_at(self, delay) -> DiffOperator:
-        """Collapse at a numeric delay value (exact when delay is Fraction)."""
+        """Collapse at a numeric delay value (exact when delay is Fraction).
+
+        When every coefficient has a denominator s^k, the sum over j of
+        delay^j * rho_(j,a) runs on Laurent triples, as
+        sum_j p^j q^(J-j) rho_(j,a) / q^J for delay p/q and degree J, and each
+        order's coefficient is canonicalized once; otherwise it takes
+        RationalFunction arithmetic. Both give the one canonical form.
+        """
         delay = Fraction(delay) if not isinstance(delay, Fraction) else delay
+        rows = [[(a, _laurent(rho)) for a, rho in c.terms.items()] for c in self.coeffs]
+        if all(t is not None for row in rows for _, t in row):
+            p, q, J = delay.numerator, delay.denominator, self.degree
+            sums = {}
+            for j, row in enumerate(rows):
+                w = ((p**j * q ** (J - j),), q**J, 0)
+                for a, t in row:
+                    sums[a] = _laurent_mac(sums.get(a), t, w)
+            return DiffOperator({a: _canonical(t) for a, t in sums.items()})
         out = DiffOperator.zero()
         p = Fraction(1)
         for c in self.coeffs:

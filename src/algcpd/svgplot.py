@@ -28,7 +28,6 @@ _STYLE = """
   .grid { stroke: #ddd; stroke-width: 0.5; fill: none; }
   .s0 { stroke: #1f77b4; stroke-width: 1.2; fill: none; }
   .s1 { stroke: #ff7f0e; stroke-width: 1.2; fill: none; }
-  .s2 { stroke: #2ca02c; stroke-width: 1.2; fill: none; }
   .vmark { stroke: #d62728; stroke-width: 1.2; stroke-dasharray: 4 3; fill: none; }
   .vtruth { stroke: #7f7f7f; stroke-width: 1.0; stroke-dasharray: 1 3; fill: none; }
   .href { stroke: #9467bd; stroke-width: 1.0; stroke-dasharray: 6 3; fill: none; }

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from algcpd import operators
 from algcpd._exact import Polynomial, RationalFunction as RF
+from algcpd.builder import ModelSpec, build_detector, verify_detector
 from algcpd.operators import (
     DiffOperator,
     OperatorPolynomial,
@@ -91,6 +93,10 @@ def rand_laurent(rng):
     return out
 
 
+def rand_laurent_op(rng):
+    return DiffOperator({a: rand_laurent(rng) for a in range(rng.randint(0, 4)) if rng.random() < 0.7})
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(
     seed=st.integers(0, 2**32),
@@ -102,11 +108,62 @@ def test_shifted_apply_matches_shift_d(seed, laurent, c):
     D -> D + c and applied to f, for random or Laurent operators and f."""
     rng = random.Random(seed)
     if laurent:
-        op = DiffOperator({a: rand_laurent(rng) for a in range(rng.randint(0, 4)) if rng.random() < 0.7})
-        f = rand_laurent(rng)
+        op, f = rand_laurent_op(rng), rand_laurent(rng)
     else:
         op, f = rand_op(rng, 3), rand_rf(rng)
     assert op.apply(f, c) == op.shift_d(c).apply(f)
+
+
+def canonical(x):
+    """The integers of a RationalFunction's canonical form, or of each
+    coefficient of a DiffOperator by order."""
+    if isinstance(x, DiffOperator):
+        return {a: canonical(r) for a, r in x.terms.items()}
+    return x.num.nums, x.num.den, x.den.nums, x.den.den
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32),
+    c=st.one_of(st.just(Fraction(0)), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))),
+    kill=st.booleans(),
+)
+def test_laurent_apply_and_eval_at_match_rational_arithmetic(seed, c, kill):
+    """apply(f, c) and eval_at(c) on Laurent operands, computed on integer
+    triples, give the canonical nums/den that RationalFunction arithmetic
+    gives with the Laurent branch off. kill composes the operator with an
+    annihilator of a nonzero f, so apply(f) is zero."""
+    rng = random.Random(seed)
+    op, f = rand_laurent_op(rng), rand_laurent(rng)
+    if kill and not f.is_zero():
+        op = op.compose(annihilator_of_span([f]))
+        assert op.apply(f).is_zero()
+    poly = OperatorPolynomial(rand_laurent_op(rng) for _ in range(rng.randint(0, 4)))
+    fast = (op.apply(f), op.apply(f, c), poly.eval_at(c))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators, "_laurent", lambda rf: None)
+        slow = (op.apply(f), op.apply(f, c), poly.eval_at(c))
+    assert [canonical(x) for x in fast] == [canonical(x) for x in slow]
+
+
+def test_non_laurent_operand_takes_rational_arithmetic(monkeypatch):
+    """An operand over 1/(s + 1) takes RationalFunction arithmetic, and a
+    rational-jump detector, whose smooth checks take the Laurent branch and
+    whose jump checks do not, still verifies."""
+    calls = []
+    mac = operators._laurent_mac
+    monkeypatch.setattr(operators, "_laurent_mac", lambda *args: calls.append(args) or mac(*args))
+    inv = RF(Polynomial.one(), Polynomial([1, 1]))
+    # (D + 1) 1/(s + 1) = -1/(s + 1)^2 + 1/(s + 1) = s/(s + 1)^2
+    op = DiffOperator({1: RF.one(), 0: RF.one()})
+    assert op.apply(inv) == RF(Polynomial([0, 1]), Polynomial([1, 2, 1]))
+    # with D -> D - 1: the shift cancels the order-0 term, leaving -1/(s + 1)^2
+    assert op.apply(inv, -1) == RF(Polynomial([-1]), Polynomial([1, 2, 1]))
+    poly = OperatorPolynomial((DiffOperator.mul(inv), DiffOperator.identity()))
+    assert poly.eval_at(2) == DiffOperator.mul(inv + 2)
+    assert calls == []
+    assert verify_detector(build_detector(ModelSpec.rational(1, inv)), n_delays=3).ok
+    assert calls
 
 
 def test_conjugate_collapse_equals_shift():

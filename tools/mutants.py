@@ -183,6 +183,47 @@ MUTANTS = (
         "while len(chain) < top:",
         ("tests/test_operators.py::test_compose_matches_nested_apply",),
     ),
+    # -- apply and eval_at on Laurent triples ---------------------------------------
+    Mutant(
+        "laurent-chain-exponent-k",
+        "src/algcpd/operators.py",
+        "g = step, den * q, k + 1",
+        "g = step, den * q, k",
+        (
+            "tests/test_operators.py::test_laurent_apply_and_eval_at_match_rational_arithmetic",
+            "tests/test_builder.py::test_step_detector_verifies_exactly",
+        ),
+    ),
+    Mutant(
+        "laurent-chain-no-shift",
+        "src/algcpd/operators.py",
+        "                    if p:\n"
+        "                        step.append(0)\n"
+        "                        for i, c in enumerate(nums, 1):\n"
+        "                            step[i] += p * c\n",
+        "",
+        (
+            "tests/test_operators.py::test_laurent_apply_and_eval_at_match_rational_arithmetic",
+            "tests/test_builder.py::test_verify_reports_every_delay_and_jump_element",
+        ),
+    ),
+    Mutant(
+        "eval-at-scale-q-to-the-j",
+        "src/algcpd/operators.py",
+        "w = ((p**j * q ** (J - j),), q**J, 0)",
+        "w = ((p**j * q**j,), q**J, 0)",
+        (
+            "tests/test_operators.py::test_laurent_apply_and_eval_at_match_rational_arithmetic",
+            "tests/test_builder.py::test_verify_reports_every_delay_and_jump_element",
+        ),
+    ),
+    Mutant(
+        "laurent-mac-unscaled-product",
+        "src/algcpd/operators.py",
+        "            b *= scale\n",
+        "",
+        ("tests/test_operators.py::test_laurent_apply_and_eval_at_match_rational_arithmetic",),
+    ),
     # -- the sample bound -------------------------------------------------------------
     Mutant(
         "sample-bound-no-weight-term",
