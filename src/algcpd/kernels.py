@@ -143,11 +143,15 @@ class DiscreteDetector:
 
     window: samples per window, which the runtime and the stream slide.
     dt: the grid step, by which the runtime turns positions into times.
-    weights: (delay powers, window) float64 rows, what the window engine reads.
+    weights: (delay powers, window) float64 rows, one per power of the delay;
+    derive --emit-weights writes them and the tests check them.
     exact_rows: (D, A) per row, exactly sum_j A[j] * i^j / D at tap i before
     quadrature; the tests' exact reference for the float weights.
-    t_mid: the window midpoint T/2, where the runtime collapses the rows.
-    wnorm: the norm of the rows collapsed at t_mid, the runtime's noise scale.
+    t_mid: the window midpoint T/2, where the delay rows are collapsed.
+    w_mid: (window,) float64, sum_v weights[v] * t_mid^v, the delay rows
+    collapsed at t_mid: the one row the window engine slides for the runtime,
+    whose window sum is v.
+    wnorm: the Euclidean norm of w_mid, the runtime's noise scale.
     """
 
     window: int
@@ -155,17 +159,22 @@ class DiscreteDetector:
     weights: np.ndarray
     exact_rows: Tuple[Tuple[int, Tuple[int, ...]], ...]
     t_mid: float
+    w_mid: np.ndarray
     wnorm: float
 
 
-def _midpoint_norm(weights: np.ndarray, t_mid: float) -> float:
-    """The Euclidean norm of sum_v weights[v] * t_mid^v, the rows collapsed at t_mid."""
+def _midpoint_row(weights: np.ndarray, t_mid: float) -> np.ndarray:
+    """sum_v weights[v] * t_mid^v, the rows collapsed at t_mid."""
     w_mid = np.zeros(weights.shape[1], dtype=np.float64)
     p = 1.0
     for row in weights:
         w_mid += row * p
         p *= t_mid
-    return float(np.sqrt(np.dot(w_mid, w_mid)))
+    return w_mid
+
+
+def _norm(row: np.ndarray) -> float:
+    return float(np.sqrt(np.dot(row, row)))
 
 
 # Dekker's splitting constant for 53-bit floats: H * _SPLIT splits H into two
@@ -442,7 +451,8 @@ def discretize(
             t_mid = float(T) / 2.0
         except OverflowError:
             raise ValueError(out_of_range) from None
-        raw_norm = _midpoint_norm(weights, t_mid)
+        w_mid = _midpoint_row(weights, t_mid)
+        raw_norm = _norm(w_mid)
         if project:
             grid = np.arange(window, dtype=np.float64) / max(window - 1, 1)
             # vector k of the orthonormal basis depends on moments 0..k only, and
@@ -457,7 +467,8 @@ def discretize(
                         )
                 if moments:
                     weights[vi] = _project_out(weights[vi], prefixes[moments])
-        wnorm = _midpoint_norm(weights, t_mid) if project else raw_norm
+            w_mid = _midpoint_row(weights, t_mid)
+        wnorm = _norm(w_mid) if project else raw_norm
     # Near the ends of the float range the raw rows' collapse overflows or
     # underflows to 0. The projected one may be 0 in range too: a window too
     # short for the model projects to rounding dust (2 or 3 taps, say).
@@ -465,5 +476,6 @@ def discretize(
         raise ValueError(out_of_range)
 
     return DiscreteDetector(
-        window=window, dt=dt, weights=weights, exact_rows=rows, t_mid=t_mid, wnorm=wnorm
+        window=window, dt=dt, weights=weights, exact_rows=rows, t_mid=t_mid, w_mid=w_mid,
+        wnorm=wnorm,
     )

@@ -1,14 +1,16 @@
 """Batch and streaming detection runtime.
 
-The decision statistic at window position k is the collapsed window value
-v(k) (the delay polynomial evaluated at the window midpoint) normalized by
-the windowed noise scale:
+The decision statistic at window position k is the window value v(k)
+normalized by the windowed noise scale. v(k) is the window sum of one weight
+row, w_mid: the delay rows collapsed at the window midpoint t_mid, so v is the
+delay polynomial evaluated at t_mid, up to rounding. Then
 
     d(k) = v(k) / (wnorm * sqrt(W) * (sigma(k) + SIGMA_FLOOR * rms(k)) + EPSILON)
 
-sigma(k) and rms(k) being the sample deviation and RMS of window k. The
-three rounding floors are module constants, and _statistics is the only
-place d is made; see SIGMA_FLOOR for what each floor guards.
+sigma(k) and rms(k) being the sample deviation and RMS of window k, wnorm
+the norm of w_mid. The three rounding floors are module constants, and
+_statistics is the only place d is made; see SIGMA_FLOOR for what each floor
+guards.
 
 A change inside a window drives v through a sign change at the position
 where the hypothesized delay matches the true one, so detections are gated
@@ -97,8 +99,7 @@ class DecisionTrace:
     window: int
     t_mid: float
     wnorm: float
-    vnu: np.ndarray  # (degree+1, npos)
-    v: np.ndarray  # collapsed at t_mid
+    v: np.ndarray  # window sums of the row collapsed at t_mid
     d: np.ndarray  # normalized decision values
     sigma: np.ndarray
     rms: np.ndarray
@@ -113,14 +114,6 @@ class DecisionTrace:
 
     def times(self) -> np.ndarray:
         return self.t0 + np.arange(self.positions) * self.dt + self.t_mid
-
-
-def _collapse(vnu: np.ndarray, t_mid: float) -> np.ndarray:
-    """Horner evaluation of the delay polynomial at t_mid, elementwise."""
-    v = vnu[-1].copy()
-    for i in range(vnu.shape[0] - 2, -1, -1):
-        v = v * t_mid + vnu[i]
-    return v
 
 
 # The rounding floors of the decision statistic, all relative to one window.
@@ -138,14 +131,15 @@ DUST = 1e-9
 
 
 def _statistics(dd: DiscreteDetector, samples: np.ndarray):
-    """(vnu, v, d, sigma, rms) of every window position over samples.
+    """(v, d, sigma, rms) of every window position over samples: v is the
+    engine's window sum of the one row dd.w_mid.
 
     The engine is looked up in this module when called, so one bound to
     runtime.eval_windows_raw sees every batch and stream evaluation."""
-    vnu, sigma, rms = eval_windows_raw(dd.weights, samples)
-    v = _collapse(vnu, dd.t_mid)
+    sums, sigma, rms = eval_windows_raw(dd.w_mid[None], samples)
+    v = sums[0]
     d = v / (dd.wnorm * math.sqrt(dd.window) * (sigma + SIGMA_FLOOR * rms) + EPSILON)
-    return vnu, v, d, sigma, rms
+    return v, d, sigma, rms
 
 
 def _start_time(t0) -> float:
@@ -182,18 +176,21 @@ def _eval_rows(dd: DiscreteDetector, block: np.ndarray) -> List[DecisionTrace]:
 
 
 def _sample_bound(dd: DiscreteDetector) -> float:
-    """The largest |sample| whose window statistics stay in the float range:
-    sqrt(DBL_MAX / (2W)) keeps a window's sum of squares under DBL_MAX / 2,
-    unless the weights bind first through the bounds on v, the collapse
-    sum_r ||w_r||_1 max(1, t_mid)^r |y|, and on d's denominator, wnorm sqrt(W) |y|.
+    """The largest |sample| whose window statistics stay in the float range.
+
+    sqrt(DBL_MAX / (2W)) keeps a window's sum and its sum of squared
+    deviations from the mean (at most the sum of squares) under DBL_MAX / 2,
+    and var + mean^2, the mean square, under DBL_MAX / (2W). The weights bind
+    first where wnorm sqrt(W) |y| does, the bound on d's denominator. It
+    bounds v as well: v sums w_mid[i] * y[i], so its terms and partial sums
+    stay under ||w_mid||_1 |y|, and ||w_mid||_1 <= sqrt(W) ||w_mid||_2 =
+    sqrt(W) wnorm (Cauchy-Schwarz).
     Raises ValueError for a wnorm that is not positive: d would then divide v
     by EPSILON alone, and every window of noise would read as a change."""
     if not dd.wnorm > 0.0:  # NaN fails it too
         raise ValueError(f"the detector's midpoint norm wnorm is {dd.wnorm!r} at "
                          f"window={dd.window}: the window is too short for its model")
-    with np.errstate(over="ignore"):
-        collapsed = _collapse(np.abs(dd.weights).sum(axis=1), max(1.0, dd.t_mid))
-    gain = max(collapsed, dd.wnorm * math.sqrt(dd.window), 1.0)
+    gain = max(dd.wnorm * math.sqrt(dd.window), 1.0)
     big = sys.float_info.max
     return min(math.sqrt(big / (2 * dd.window)), float(big / 2 / gain))
 
@@ -577,7 +574,7 @@ class StreamDetector:
         if self._held < self.dd.window:
             return
         work = np.concatenate((self._tail, *self._chunks, self._singles))
-        _, v, d, _, rms = _statistics(self.dd, work)
+        v, d, _, rms = _statistics(self.dd, work)
         self._engine.feed(v, d, rms, self._engine.end)
         self._tail = work[1 - self.dd.window :].copy()
         self._chunks, self._singles = [], []

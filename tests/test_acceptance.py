@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from algcpd._engine import eval_windows_raw
 from algcpd._exact import Polynomial, RationalFunction as RF
 from algcpd.bench import reference_campaign, run_campaign
 from algcpd.builder import ModelSpec, build_detector, verify_detector
@@ -157,9 +158,11 @@ def test_criterion_3_closed_form_recovery():
             worst_det = max(worst_det, abs(d.time - tj))
             det_ok = det_ok and abs(d.time - tj) <= 2 * h
 
+        # nu_0 and nu_1, the window sums of the two delay rows
+        vnu = eval_windows_raw(dd.weights, y)[0]
         kstar = dets[0].position
         for k in (kstar - 1, kstar):
-            est = k * h + (-trace.vnu[0][k] / trace.vnu[1][k])
+            est = k * h + (-vnu[0][k] / vnu[1][k])
             worst_flank = max(worst_flank, abs(est - tj))
             flank_ok = flank_ok and abs(est - tj) <= h
 
@@ -167,8 +170,8 @@ def test_criterion_3_closed_form_recovery():
             r = tj - k * h
             if 2 * h < r < T - 2 * h:
                 dev = max(
-                    abs(trace.vnu[0][k] - r * r * (T - r)),
-                    abs(trace.vnu[1][k] - (-r * (T - r))),
+                    abs(vnu[0][k] - r * r * (T - r)),
+                    abs(vnu[1][k] - (-r * (T - r))),
                 )
                 worst_ident = max(worst_ident, dev)
                 ident_ok = ident_ok and dev <= tol_identity

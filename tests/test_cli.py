@@ -389,8 +389,8 @@ def test_cli_tables_round_trip_bit_for_bit(tmp_path):
 
     d = np.array(xs)
     trace = DecisionTrace(
-        t0=0.1, dt=0.01, window=8, t_mid=0.035, wnorm=1.0, vnu=np.zeros((1, d.size)),
-        v=np.ones(d.size), d=d, sigma=np.ones(d.size), rms=np.ones(d.size),
+        t0=0.1, dt=0.01, window=8, t_mid=0.035, wnorm=1.0, v=np.ones(d.size),
+        d=d, sigma=np.ones(d.size), rms=np.ones(d.size),
     )
     write_trace_csv(tra, trace)
     tt, dd = read_trace_csv(tra)

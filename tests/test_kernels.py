@@ -323,6 +323,7 @@ def test_midpoint_collapse():
     dd = discretize(det, window=16, dt=0.01)
     assert dd.t_mid == 15 * 0.01 / 2
     expect = dd.weights[0] + dd.t_mid * dd.weights[1]
+    assert dd.w_mid.tobytes() == expect.tobytes()
     assert dd.wnorm == float(np.sqrt(np.dot(expect, expect)))
 
 

@@ -297,7 +297,7 @@ def flank_trace(left_peak, right_peak, reach=0):
     ones = np.ones(200)
     return DecisionTrace(
         t0=0.0, dt=0.01, window=window, t_mid=0.075, wnorm=1.0,
-        vnu=v[None, :], v=v, d=v / 4.0, sigma=ones, rms=ones,
+        v=v, d=v / 4.0, sigma=ones, rms=ones,
     )
 
 
@@ -357,7 +357,7 @@ def test_trailing_mad_needs_16_positions(k, kept):
     ones = np.ones(200)
     trace = DecisionTrace(
         t0=0.0, dt=0.01, window=16, t_mid=0.075, wnorm=1.0,
-        vnu=v[None, :], v=v, d=v / 4.0, sigma=ones, rms=ones,
+        v=v, d=v / 4.0, sigma=ones, rms=ones,
     )
     cfg = DetectConfig(kappa=1.0, scale=None)
     got = gate_detect(trace, cfg)
@@ -825,7 +825,7 @@ def test_samples_within_the_bound_detect(a, scale):
 @pytest.mark.parametrize("scale", [None, 64 ** -0.5], ids=["mad", "fixed"])
 @pytest.mark.parametrize("a", [2e153, 1e154, 1e155, 1e300])
 def test_samples_past_the_bound_fail_loudly(a, scale):
-    """Past the bound a window's sum of squares can overflow, and the
+    """Past the bound a window's sums can overflow, and the
     detections were wrong or none; now batch, push_chunk and push raise,
     naming the bound and the window, and the stream keeps no bad sample."""
     dd = step_detector()
@@ -848,21 +848,22 @@ def test_samples_past_the_bound_fail_loudly(a, scale):
 
 
 def test_sample_bound_holds_heavy_weights_in_range():
-    """The general polynomial(3, 2) detector at W 64 and dt 4e15 has weights
-    large enough that its delay rows overflow at sqrt(DBL_MAX / (2W)), so the
-    bound is theirs. Samples at the bound with the signs of any row keep every
-    statistic finite (pytest makes an overflow warning an error); twice that
-    fails."""
+    """The general polynomial(3, 2) detector at W 64 and dt 4.4e15 has a
+    collapsed row w_mid heavy enough that wnorm sqrt(W) |y|, the bound on d's
+    denominator and on v, binds before sqrt(DBL_MAX / (2W)). (discretize
+    keeps wnorm under sqrt(DBL_MAX), so the weights can bind by at most a
+    factor of about 0.7.) Samples at the bound with the signs of w_mid keep
+    every statistic finite (pytest makes an overflow warning an error); twice
+    that fails."""
     det = build_detector(ModelSpec.polynomial(3, 2), method="general")
-    dd = discretize(det, window=64, dt=4e15)
+    dd = discretize(det, window=64, dt=4.4e15)
     bound = runtime._sample_bound(dd)
-    assert bound < math.sqrt(sys.float_info.max / (2 * 64)) / 10
-    for row in dd.weights:
-        y = bound * np.tile(np.where(row < 0, -1.0, 1.0), 3)
-        trace = eval_windows(dd, y)
-        assert all(np.isfinite(a).all() for a in (trace.vnu, trace.v, trace.d, trace.rms))
-        with pytest.raises(ValueError, match="samples must be finite"):
-            eval_windows(dd, 2 * y)
+    assert bound < math.sqrt(sys.float_info.max / (2 * 64)) * 0.8
+    y = bound * np.tile(np.where(dd.w_mid < 0, -1.0, 1.0), 3)
+    trace = eval_windows(dd, y)
+    assert all(np.isfinite(a).all() for a in (trace.v, trace.d, trace.sigma, trace.rms))
+    with pytest.raises(ValueError, match="samples must be finite"):
+        eval_windows(dd, 2 * y)
 
 
 def test_zero_wnorm_fails_loudly():
@@ -940,8 +941,7 @@ def test_trace_geometry():
     assert trace.time_at(0) == pytest.approx(10.0 + dd.t_mid)
     assert trace.time_at(3) == pytest.approx(10.0 + 3 * 0.5 + dd.t_mid)
     assert np.allclose(trace.times(), [trace.time_at(k) for k in range(trace.positions)])
-    assert trace.vnu.shape == (2, trace.positions)
-    assert trace.d.shape == (trace.positions,)
+    assert trace.v.shape == trace.d.shape == (trace.positions,)
 
 
 def test_detect_reuses_trace():

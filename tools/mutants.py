@@ -119,13 +119,38 @@ MUTANTS = (
             "tests/test_runtime.py::test_gate_matches_oracle_under_any_partition",
         ),
     ),
-    # -- the window engine's short path -----------------------------------------
+    # -- the window engine ------------------------------------------------------
+    # pass 2 of the short path reduces the squared deviations alone: a single
+    # position must keep its zero column, or NumPy sums it pairwise
     Mutant(
         "short-pass-2-pairwise",
         "src/algcpd/_engine.py",
-        "    acc = np.add.reduce(sq, axis=0, initial=0.0)\n",
-        "    acc = np.stack([np.add.reduce(sq[:, k].copy(), axis=0, initial=0.0) for k in (0, 1)])\n",
-        ("tests/test_golden.py::test_golden[short(pc5,normal,snr_db=10,seed=0,W=96,positions=1)]",),
+        "ssd = np.add.reduce(dev, axis=0, initial=0.0)[:m].reshape(npos, rows)",
+        "ssd = np.add.reduce(dev[:, :m].copy(), axis=0, initial=0.0).reshape(npos, rows)",
+        (
+            "tests/test_engine_oracle.py::test_engine_matches_scalar_loop",
+            "tests/test_golden.py::test_golden[short(pc5,normal,snr_db=10,seed=0,W=96,positions=1)]",
+        ),
+    ),
+    Mutant(
+        "short-one-accumulator-pairwise",
+        "src/algcpd/_engine.py",
+        "dev = terms.reshape(-1)[: window * max(m, 2)].reshape(window, -1)",
+        "dev = terms.reshape(-1)[: window * m].reshape(window, -1)",
+        (
+            "tests/test_engine_oracle.py::test_engine_matches_scalar_loop",
+            "tests/test_golden.py::test_golden[short(pc5,normal,snr_db=10,seed=0,W=96,positions=1)]",
+        ),
+    ),
+    Mutant(
+        "rms-without-mean-square",
+        "src/algcpd/_engine.py",
+        "np.add(var, np.multiply(mean, mean, out=out_rms), out=out_rms)",
+        "np.add(var, 0.0, out=out_rms)",
+        (
+            "tests/test_engine_oracle.py::test_engine_matches_scalar_loop",
+            "tests/test_engine_oracle.py::test_rms_is_within_gamma_of_the_exact_rms",
+        ),
     ),
     # -- the sorted-row MAD -------------------------------------------------------
     Mutant(
@@ -152,6 +177,16 @@ MUTANTS = (
         ("tests/test_runtime.py::test_trailing_mad_gate_temporaries_bounded",),
     ),
     # -- discretization -----------------------------------------------------------
+    Mutant(
+        "collapsed-row-power-off-by-one",
+        "src/algcpd/kernels.py",
+        "    p = 1.0\n    for row in weights:\n",
+        "    p = t_mid\n    for row in weights:\n",
+        (
+            "tests/test_kernels.py::test_midpoint_collapse",
+            "tests/test_engine_oracle.py::test_one_row_v_matches_the_horner_collapse",
+        ),
+    ),
     Mutant(
         "tap-weights-test-without-bound",
         "src/algcpd/kernels.py",
@@ -228,8 +263,8 @@ MUTANTS = (
     Mutant(
         "sample-bound-no-weight-term",
         "src/algcpd/runtime.py",
-        "gain = max(collapsed, dd.wnorm * math.sqrt(dd.window), 1.0)",
         "gain = max(dd.wnorm * math.sqrt(dd.window), 1.0)",
+        "gain = 1.0",
         ("tests/test_runtime.py::test_sample_bound_holds_heavy_weights_in_range",),
     ),
 )
