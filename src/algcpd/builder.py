@@ -13,14 +13,12 @@ coefficients such that
   * Omega(r0) kills the delayed jump exactly when r0 is the true change time,
 
 so the window value, as a polynomial in the delay hypothesis, has a root at
-the change time. Both properties are checked exactly by verify_detector.
+the change time. verify_detector checks both exactly, for every delay.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
 from ._exact import RationalFunction
@@ -223,34 +221,25 @@ def _finalize(model: ModelSpec, method: str, omega: OperatorPolynomial) -> Detec
 @dataclass(frozen=True)
 class VerifyReport:
     ok: bool
-    delays: Tuple[Fraction, ...]
     smooth_residuals: Tuple[str, ...]  # text of nonzero residuals, empty when ok
     jump_residuals: Tuple[str, ...]
 
 
-def verify_detector(det: DetectorOperator, n_delays: int = 3, seed: int = 0) -> VerifyReport:
-    """Exact nulling check, no tolerances.
+def verify_detector(det: DetectorOperator) -> VerifyReport:
+    """Exact nulling check for every delay, no tolerances.
 
-    Coefficientwise on the smooth basis (nulling identically in the delay)
-    and at random rational delays on the delayed jump basis. Residuals must
-    be the zero rational function. The delay exponential factors out of
-    Omega(t0) applied to w * exp(-t0 * s), leaving Omega(t0) with D -> D - t0
-    applied to w. The operator is not rewritten for that: apply shifts the
-    jump element, g_(a+1) = g_a' - t0 * g_a, with Omega(t0) taken once per
-    delay for every element of the jump basis.
+    Coefficientwise on the smooth basis (nulling identically in the delay),
+    and as a polynomial in the delay t0 on the delayed jump basis: the delay
+    exponential factors out of Omega(t0) applied to w * exp(-t0 * s), leaving
+    Omega(t0) with D -> D - t0 applied to w, that is sum_k t0^k R_k
+    (``OperatorPolynomial.delay_expansion``), zero for every t0 exactly when
+    every R_k is the zero rational function.
 
-    Omega's coefficients are over powers of s after _finalize, so every
-    check on a smooth element, and every check on a monomial or polynomial
-    jump element, runs apply and eval_at on integer Laurent triples; a
-    rational jump shape such as 1/(s + 1) takes RationalFunction arithmetic.
-    Each result is canonicalized once, so is_zero and the residual texts are
-    the same on either path.
+    Omega's coefficients are over powers of s after _finalize, so every check
+    runs on integer Laurent triples except on a rational jump shape such as
+    1/(s + 1), which takes RationalFunction arithmetic; either path gives the
+    canonical residuals, so is_zero and their texts do not depend on it.
     """
-    rng = random.Random(seed)
-    delays = [Fraction(1, 2)]
-    while len(delays) < max(1, n_delays):
-        delays.append(Fraction(rng.randint(1, 64), rng.randint(1, 16)))
-
     smooth_bad: List[str] = []
     for f in det.model.smooth_basis():
         for j, comp in enumerate(det.omega.coeffs):
@@ -259,16 +248,13 @@ def verify_detector(det: DetectorOperator, n_delays: int = 3, seed: int = 0) -> 
                 smooth_bad.append(f"coeff r^{j} on {f.text()}: {r.text()}")
 
     jump_bad: List[str] = []
-    for t0 in delays:
-        op = det.omega.eval_at(t0)
-        for w in det.model.jump_basis():
-            r = op.apply(w, -t0)
+    for w in det.model.jump_basis():
+        for k, r in enumerate(det.omega.delay_expansion(w)):
             if not r.is_zero():
-                jump_bad.append(f"delay {t0} on {w.text()}: {r.text()}")
+                jump_bad.append(f"t0^{k} on {w.text()}: {r.text()}")
 
     return VerifyReport(
         ok=not smooth_bad and not jump_bad,
-        delays=tuple(delays),
         smooth_residuals=tuple(smooth_bad),
         jump_residuals=tuple(jump_bad),
     )

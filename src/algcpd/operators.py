@@ -15,10 +15,11 @@ whose every monomial c*s^-m*D^a has m >= 1 therefore realizes a strictly
 finite integral (no unintegrated or differentiated samples), which is the
 form the kernelizer consumes.
 
-``apply`` and ``eval_at`` compute on Laurent triples when they can: when f
-and every coefficient have a pure-power-of-s denominator, each value is kept
-as integer numerators over one int denominator and one power of s, and the
-result is canonicalized once at the end (see ``_laurent_mac``).
+``DiffOperator.apply`` and ``OperatorPolynomial.delay_expansion`` compute on
+Laurent triples when they can: when f and every coefficient have a
+pure-power-of-s denominator, each value is kept as integer numerators over
+one int denominator and one power of s, and each result is canonicalized
+once at the end (see ``_laurent_mac``).
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from ._exact import (
     Polynomial,
     RationalFunction,
     _as_rf,
-    _frac,
     _over_s_power,
     _poly,
     _s_power_degree,
@@ -92,6 +92,12 @@ def _laurent_mac(acc, x, y):
             for i, a in enumerate(xn, j):
                 nums[i] += a * b
     return nums, acc_den, acc_k
+
+
+def _laurent_derivative(triple):
+    """The Laurent triple of the derivative: n_i s^(i - k) -> (i - k) n_i s^(i - k - 1)."""
+    nums, den, k = triple
+    return [(i - k) * c for i, c in enumerate(nums)], den, k + 1
 
 
 def _canonical(triple) -> RF:
@@ -185,40 +191,25 @@ class DiffOperator:
                     out[k] = out[k] + c if k in out else c
         return DiffOperator(out)
 
-    def apply(self, f, shift=0) -> RF:
-        """Apply to a rational function with D taken as D + shift:
-        sum_a rho_a * (D + shift)^a f, for an exact scalar shift.
+    def apply(self, f) -> RF:
+        """Apply to a rational function: sum_a rho_a * f^(a).
 
-        One chain g_0 = f, g_(a+1) = g_a' + shift * g_a gives every
-        (D + shift)^a f; shift 0 gives sum_a rho_a * f^(a). This equals
-        shift_d(shift).apply(f) without expanding any coefficient.
-
-        When f and every rho_a have a denominator s^k, the chain, the
-        products and their sum run on Laurent triples (integer numerators
+        When f and every rho_a have a denominator s^k, the derivative chain,
+        the products and their sum run on Laurent triples (integer numerators
         over one int and one power of s) and the result is canonicalized
         once; any other operand, such as 1/(s + 1), takes RationalFunction
         arithmetic. Both give the one canonical form.
         """
         f = _as_coeff(f)
-        shift = _frac(shift)
         g = _laurent(f)
         rhos = {a: _laurent(rho) for a, rho in self.terms.items()}
         if g is not None and None not in rhos.values():
-            p, q = shift.numerator, shift.denominator
             acc = None
             for a in range(self.order + 1):
-                nums, den, k = g
-                if not any(nums):
+                if not any(g[0]):
                     break
                 if a:
-                    # g' + (p/q) * g over q * den and s^(k + 1): index i holds
-                    # q * (i - k) * n_i from g' and p * n_(i-1) from (p/q) * g
-                    step = [q * (i - k) * c for i, c in enumerate(nums)]
-                    if p:
-                        step.append(0)
-                        for i, c in enumerate(nums, 1):
-                            step[i] += p * c
-                    g = step, den * q, k + 1
+                    g = _laurent_derivative(g)
                 rho = rhos.get(a)
                 if rho is not None:
                     acc = _laurent_mac(acc, rho, g)
@@ -229,7 +220,7 @@ class DiffOperator:
             if g.is_zero():
                 break
             if a:
-                g = g.derivative() + g * shift if shift else g.derivative()
+                g = g.derivative()
             rho = self.terms.get(a)
             if rho is not None:
                 out = out + rho * g
@@ -344,30 +335,48 @@ class OperatorPolynomial:
         return OperatorPolynomial(tuple(c.scale(factor) for c in self.coeffs))
 
     def eval_at(self, delay) -> DiffOperator:
-        """Collapse at a numeric delay value (exact when delay is Fraction).
-
-        When every coefficient has a denominator s^k, the sum over j of
-        delay^j * rho_(j,a) runs on Laurent triples, as
-        sum_j p^j q^(J-j) rho_(j,a) / q^J for delay p/q and degree J, and each
-        order's coefficient is canonicalized once; otherwise it takes
-        RationalFunction arithmetic. Both give the one canonical form.
-        """
+        """Collapse at a numeric delay value (exact when delay is Fraction)."""
         delay = Fraction(delay) if not isinstance(delay, Fraction) else delay
-        rows = [[(a, _laurent(rho)) for a, rho in c.terms.items()] for c in self.coeffs]
-        if all(t is not None for row in rows for _, t in row):
-            p, q, J = delay.numerator, delay.denominator, self.degree
-            sums = {}
-            for j, row in enumerate(rows):
-                w = ((p**j * q ** (J - j),), q**J, 0)
-                for a, t in row:
-                    sums[a] = _laurent_mac(sums.get(a), t, w)
-            return DiffOperator({a: _canonical(t) for a, t in sums.items()})
         out = DiffOperator.zero()
         p = Fraction(1)
         for c in self.coeffs:
             out = out + c.scale(p)
             p *= delay
         return out
+
+    def delay_expansion(self, f) -> Tuple[RF, ...]:
+        """(R_0, ..., R_K), K the largest j + a over the terms, such that
+        sum_k t0^k R_k = eval_at(t0).shift_d(-t0).apply(f) for every delay t0.
+
+        With P_j = sum_a rho_(j,a) D^a and (D - t0)^a expanded binomially,
+        R_k = sum_(j+m=k) sum_a (-1)^m C(a, m) rho_(j,a) f^(a-m): the
+        derivatives of f are taken once and no operator is expanded. Laurent
+        operands are summed on triples and each R_k is canonicalized once;
+        any other operand, such as 1/(s + 1), takes RationalFunction
+        arithmetic. Both give the one canonical form.
+        """
+        f = _as_coeff(f)
+        rows = [(j, a, rho, _laurent(rho))
+                for j, c in enumerate(self.coeffs) for a, rho in c.terms.items()]
+        g = _laurent(f)
+        laurent = g is not None and all(t is not None for *_, t in rows)
+        chain = [g] if laurent else [f]
+        step = _laurent_derivative if laurent else RF.derivative
+        for _ in range(self.max_deriv_order()):
+            chain.append(step(chain[-1]))
+        acc = [None] * (max((j + a for j, a, _, _ in rows), default=-1) + 1)
+        for j, a, rho, t in rows:
+            for m in range(a + 1):
+                k, c = j + m, (-1) ** m * comb(a, m)
+                if laurent:
+                    nums, den, e = chain[a - m]
+                    acc[k] = _laurent_mac(acc[k], t, ([c * n for n in nums], den, e))
+                else:
+                    term = rho * chain[a - m] * c
+                    acc[k] = term if acc[k] is None else acc[k] + term
+        if laurent:
+            acc = [None if r is None else _canonical(r) for r in acc]
+        return tuple(RF.zero() if r is None else r for r in acc)
 
     def max_deriv_order(self) -> int:
         return max((c.order for c in self.coeffs), default=-1)

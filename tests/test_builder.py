@@ -18,7 +18,7 @@ from algcpd.builder import (
     verify_detector,
 )
 from algcpd.kernels import discretize
-from algcpd.operators import DiffOperator, OperatorPolynomial
+from algcpd.operators import DiffOperator, OperatorPolynomial, annihilator_of_span
 from algcpd.runtime import DetectConfig, detect_samples, eval_windows
 
 
@@ -37,11 +37,10 @@ def test_step_detector_golden():
 
 def test_step_detector_verifies_exactly():
     det = build_detector(ModelSpec.monomial(0, 0))
-    rep = verify_detector(det, n_delays=4, seed=3)
+    rep = verify_detector(det)
     assert rep.ok
     assert rep.smooth_residuals == ()
     assert rep.jump_residuals == ()
-    assert len(rep.delays) == 4
 
 
 def test_ramp_model_shape():
@@ -49,7 +48,7 @@ def test_ramp_model_shape():
     assert det.depth == 4
     assert det.degree == 1
     assert det.max_deriv == 4
-    assert verify_detector(det, n_delays=2).ok
+    assert verify_detector(det).ok
 
 
 def test_methods_agree_on_verification():
@@ -57,22 +56,22 @@ def test_methods_agree_on_verification():
     model = ModelSpec.monomial(0, 0)
     lin = build_detector_linear(model)
     gen = build_detector_general(model)
-    assert verify_detector(lin, n_delays=2, seed=7).ok
-    assert verify_detector(gen, n_delays=2, seed=7).ok
+    assert verify_detector(lin).ok
+    assert verify_detector(gen).ok
 
 
 def test_polynomial_jump_uses_general():
     det = build_detector(ModelSpec.polynomial(0, 1))
     assert det.method == "general"
     assert det.degree == 3
-    assert verify_detector(det, n_delays=2).ok
+    assert verify_detector(det).ok
 
 
 def test_rational_jump():
     shape = RF(Polynomial.one(), Polynomial([Fraction(1), Fraction(1)]))  # 1/(s+1)
     det = build_detector(ModelSpec.rational(1, shape))
     assert det.method == "linear"
-    assert verify_detector(det, n_delays=2).ok
+    assert verify_detector(det).ok
 
 
 # criterion 1's model grid (tests/test_acceptance.py)
@@ -120,14 +119,15 @@ def test_verify_catches_broken_operator():
     det = build_detector(ModelSpec.monomial(0, 0))
     junk = OperatorPolynomial((DiffOperator.mul(RF.s_power(-5)),))
     broken = dataclasses.replace(det, omega=det.omega + junk)
-    rep = verify_detector(broken, n_delays=2)
+    rep = verify_detector(broken)
     assert not rep.ok
     assert rep.smooth_residuals or rep.jump_residuals
 
 
 def test_verify_reports_every_delay_and_jump_element(monkeypatch):
     # r * P_0 added to omega keeps every coefficient a smooth annihilator but
-    # breaks the jump nulling, so each (delay, element) pair leaves a residual
+    # breaks the jump nulling: each jump element leaves a residual polynomial
+    # in the delay t0, reported one nonzero coefficient at a time
     det = build_detector(ModelSpec.polynomial(3, 2))
     extra = OperatorPolynomial((DiffOperator(), det.omega.coeffs[0]))
     broken = dataclasses.replace(det, omega=det.omega + extra)
@@ -139,25 +139,49 @@ def test_verify_reports_every_delay_and_jump_element(monkeypatch):
         return shift_d(self, c)
 
     monkeypatch.setattr(DiffOperator, "shift_d", counted)
-    rep = verify_detector(broken, n_delays=3)
+    rep = verify_detector(broken)
     assert not rep.ok
-    assert rep.delays == (Fraction(1, 2), Fraction(25, 7), Fraction(2, 3))
     assert rep.smooth_residuals == ()
     assert rep.jump_residuals == (
-        "delay 1/2 on 1/s: (1/512*s^3 - 3/32*s^2 + 21/16*s - 21/4)/s^5",
-        "delay 1/2 on 1/s^2: (1/512*s^2 - 1/16*s + 7/16)/s^5",
-        "delay 1/2 on 1/s^3: (1/512*s - 1/32)/s^5",
-        "delay 25/7 on 1/s: (3814697265625/40353607*s^3 - 3662109375000/5764801*s^2"
-        " + 146484375000/117649*s - 11718750000/16807)/s^5",
-        "delay 25/7 on 1/s^2: (3814697265625/40353607*s^2 - 2441406250000/5764801*s"
-        " + 48828125000/117649)/s^5",
-        "delay 25/7 on 1/s^3: (3814697265625/40353607*s - 1220703125000/5764801)/s^5",
-        "delay 2/3 on 1/s: (512/19683*s^3 - 2048/2187*s^2 + 7168/729*s - 7168/243)/s^5",
-        "delay 2/3 on 1/s^2: (512/19683*s^2 - 4096/6561*s + 7168/2187)/s^5",
-        "delay 2/3 on 1/s^3: (512/19683*s - 2048/6561)/s^5",
+        "t0^6 on 1/s: -336/s^5",
+        "t0^7 on 1/s: 168/s^4",
+        "t0^8 on 1/s: -24/s^3",
+        "t0^9 on 1/s: 1/s^2",
+        "t0^7 on 1/s^2: 56/s^5",
+        "t0^8 on 1/s^2: -16/s^4",
+        "t0^9 on 1/s^2: 1/s^3",
+        "t0^8 on 1/s^3: -8/s^5",
+        "t0^9 on 1/s^3: 1/s^4",
     )
-    # the jump element is shifted (apply's shift), the operator never is
+    # the jump element's derivatives are expanded in t0, the operator never is
     assert shifts == []
+
+
+# the three delays the sampled check read: 1/2 and two drawn from random.Random(0)
+OLD_DELAYS = (Fraction(1, 2), Fraction(25, 7), Fraction(2, 3))
+
+
+@pytest.mark.parametrize("model", [ModelSpec.monomial(0, 0), ModelSpec.monomial(1, 0),
+                                   ModelSpec.polynomial(2, 1)], ids=ModelSpec.label)
+def test_verify_rejects_a_detector_broken_between_sampled_delays(model):
+    """omega + q(r) * pi1, with pi1 the smooth annihilator and q vanishing at
+    the three delays a sampled check read, nulls the smooth part identically
+    and the jump at those delays, and nowhere else. A check at those delays
+    alone (the default of the sampled verify_detector it replaced) passes it;
+    the expansion in t0 does not."""
+    det = build_detector(model)
+    pi1 = annihilator_of_span(model.smooth_basis())
+    q = Polynomial.one()
+    for t0 in OLD_DELAYS:
+        q = q * Polynomial([-t0, 1])
+    planted = dataclasses.replace(
+        det, omega=det.omega + OperatorPolynomial(pi1.scale(c) for c in q.coeffs))
+    for t0 in OLD_DELAYS:
+        shifted = planted.omega.eval_at(t0).shift_d(-t0)
+        assert all(shifted.apply(w).is_zero() for w in model.jump_basis())
+    rep = verify_detector(planted)
+    assert rep.smooth_residuals == ()
+    assert rep.jump_residuals and not rep.ok
 
 
 def test_model_validation():

@@ -153,8 +153,6 @@ CALLERS = SRC + sorted((Path(__file__).resolve().parent.parent / "perfbench").gl
 # kept on purpose: {"module.function.parameter": reason}
 UNSET_DEFAULTS_KEPT = {
     "_exact.Polynomial.__init__.coeffs": "the public constructor; the package builds its own polynomials from integer numerators",
-    "builder.verify_detector.n_delays": "criterion 1 varies the number of delays checked",
-    "builder.verify_detector.seed": "criterion 1 varies the delays checked",
     "cli.main.argv": "the console script reads sys.argv; tests pass the arguments",
     "kernels.discretize.project": "project=False gives the raw kernel rows that criterion 2 compares against",
     "runtime.StreamDetector.__init__.t0": "mirrors t0 of the batch detect(); tests check the two agree",

@@ -97,21 +97,30 @@ def rand_laurent_op(rng):
     return DiffOperator({a: rand_laurent(rng) for a in range(rng.randint(0, 4)) if rng.random() < 0.7})
 
 
+INV = RF(Polynomial.one(), Polynomial([1, 1]))  # 1/(s + 1), a rational jump shape
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(
     seed=st.integers(0, 2**32),
-    laurent=st.booleans(),
-    c=st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5)),
+    operand=st.sampled_from(("laurent", "inv", "random")),
+    t0=st.builds(Fraction, st.integers(-12, 12), st.integers(1, 7)),
 )
-def test_shifted_apply_matches_shift_d(seed, laurent, c):
-    """apply(f, c), the chain g' + c*g on f, equals the operator expanded under
-    D -> D + c and applied to f, for random or Laurent operators and f."""
+def test_delay_expansion_matches_shifted_apply(seed, operand, t0):
+    """sum_k t0^k R_k equals the operator polynomial collapsed at t0, expanded
+    under D -> D - t0 and applied to f, on Laurent operands, on 1/(s + 1) and
+    on random rational operands."""
     rng = random.Random(seed)
-    if laurent:
-        op, f = rand_laurent_op(rng), rand_laurent(rng)
+    if operand == "laurent":
+        poly = OperatorPolynomial(rand_laurent_op(rng) for _ in range(rng.randint(0, 4)))
+        f = rand_laurent(rng)
     else:
-        op, f = rand_op(rng, 3), rand_rf(rng)
-    assert op.apply(f, c) == op.shift_d(c).apply(f)
+        poly = OperatorPolynomial(rand_op(rng, 3) for _ in range(rng.randint(0, 3)))
+        f = INV if operand == "inv" else rand_rf(rng)
+    total = RF.zero()
+    for k, r in enumerate(poly.delay_expansion(f)):
+        total = total + r * t0**k
+    assert total == poly.eval_at(t0).shift_d(-t0).apply(f)
 
 
 def canonical(x):
@@ -123,26 +132,22 @@ def canonical(x):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(
-    seed=st.integers(0, 2**32),
-    c=st.one_of(st.just(Fraction(0)), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))),
-    kill=st.booleans(),
-)
-def test_laurent_apply_and_eval_at_match_rational_arithmetic(seed, c, kill):
-    """apply(f, c) and eval_at(c) on Laurent operands, computed on integer
-    triples, give the canonical nums/den that RationalFunction arithmetic
-    gives with the Laurent branch off. kill composes the operator with an
-    annihilator of a nonzero f, so apply(f) is zero."""
+@given(seed=st.integers(0, 2**32), kill=st.booleans())
+def test_laurent_apply_and_delay_expansion_match_rational_arithmetic(seed, kill):
+    """apply(f) and delay_expansion(f) on Laurent operands, computed on
+    integer triples, give the canonical nums/den that RationalFunction
+    arithmetic gives with the Laurent branch off. kill composes the operator
+    with an annihilator of a nonzero f, so apply(f) is zero."""
     rng = random.Random(seed)
     op, f = rand_laurent_op(rng), rand_laurent(rng)
     if kill and not f.is_zero():
         op = op.compose(annihilator_of_span([f]))
         assert op.apply(f).is_zero()
     poly = OperatorPolynomial(rand_laurent_op(rng) for _ in range(rng.randint(0, 4)))
-    fast = (op.apply(f), op.apply(f, c), poly.eval_at(c))
+    fast = (op.apply(f), *poly.delay_expansion(f))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(operators, "_laurent", lambda rf: None)
-        slow = (op.apply(f), op.apply(f, c), poly.eval_at(c))
+        slow = (op.apply(f), *poly.delay_expansion(f))
     assert [canonical(x) for x in fast] == [canonical(x) for x in slow]
 
 
@@ -153,16 +158,15 @@ def test_non_laurent_operand_takes_rational_arithmetic(monkeypatch):
     calls = []
     mac = operators._laurent_mac
     monkeypatch.setattr(operators, "_laurent_mac", lambda *args: calls.append(args) or mac(*args))
-    inv = RF(Polynomial.one(), Polynomial([1, 1]))
     # (D + 1) 1/(s + 1) = -1/(s + 1)^2 + 1/(s + 1) = s/(s + 1)^2
     op = DiffOperator({1: RF.one(), 0: RF.one()})
-    assert op.apply(inv) == RF(Polynomial([0, 1]), Polynomial([1, 2, 1]))
-    # with D -> D - 1: the shift cancels the order-0 term, leaving -1/(s + 1)^2
-    assert op.apply(inv, -1) == RF(Polynomial([-1]), Polynomial([1, 2, 1]))
-    poly = OperatorPolynomial((DiffOperator.mul(inv), DiffOperator.identity()))
-    assert poly.eval_at(2) == DiffOperator.mul(inv + 2)
+    assert op.apply(INV) == RF(Polynomial([0, 1]), Polynomial([1, 2, 1]))
+    # with D -> D - t0 the order-1 term leaves -t0/(s + 1), so at t0 = 1 the
+    # shift cancels the order-0 term
+    poly = OperatorPolynomial((op,))
+    assert poly.delay_expansion(INV) == (RF(Polynomial([0, 1]), Polynomial([1, 2, 1])), -1 * INV)
     assert calls == []
-    assert verify_detector(build_detector(ModelSpec.rational(1, inv)), n_delays=3).ok
+    assert verify_detector(build_detector(ModelSpec.rational(1, INV))).ok
     assert calls
 
 

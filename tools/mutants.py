@@ -80,26 +80,13 @@ MUTANTS = (
         "for v in range(self.n1)]",
         ("tests/test_builder.py::test_smooth_family_nulled_under_any_shift",),
     ),
-    # -- the delay shift of verify_detector -----------------------------------
+    # -- the jump check of verify_detector ---------------------------------------
     Mutant(
-        "verify-apply-plus-t0",
+        "verify-drops-the-top-power",
         "src/algcpd/builder.py",
-        "r = op.apply(w, -t0)",
-        "r = op.apply(w, t0)",
-        (
-            "tests/test_builder.py::test_step_detector_verifies_exactly",
-            "tests/test_builder.py::test_verify_reports_every_delay_and_jump_element",
-        ),
-    ),
-    Mutant(
-        "verify-no-delay-shift",
-        "src/algcpd/builder.py",
-        "r = op.apply(w, -t0)",
-        "r = op.apply(w)",
-        (
-            "tests/test_builder.py::test_step_detector_verifies_exactly",
-            "tests/test_builder.py::test_verify_reports_every_delay_and_jump_element",
-        ),
+        "for k, r in enumerate(det.omega.delay_expansion(w)):",
+        "for k, r in enumerate(det.omega.delay_expansion(w)[:-1]):",
+        ("tests/test_builder.py::test_verify_reports_every_delay_and_jump_element",),
     ),
     # -- the crossing rule and the gate's direction ---------------------------
     Mutant(
@@ -218,38 +205,45 @@ MUTANTS = (
         "while len(chain) < top:",
         ("tests/test_operators.py::test_compose_matches_nested_apply",),
     ),
-    # -- apply and eval_at on Laurent triples ---------------------------------------
+    # -- apply and the delay expansion on Laurent triples ---------------------------
     Mutant(
-        "laurent-chain-exponent-k",
+        "laurent-derivative-chain-exponent-k",
         "src/algcpd/operators.py",
-        "g = step, den * q, k + 1",
-        "g = step, den * q, k",
+        "return [(i - k) * c for i, c in enumerate(nums)], den, k + 1",
+        "return [(i - k) * c for i, c in enumerate(nums)], den, k",
         (
-            "tests/test_operators.py::test_laurent_apply_and_eval_at_match_rational_arithmetic",
+            "tests/test_operators.py::test_laurent_apply_and_delay_expansion_match_rational_arithmetic",
             "tests/test_builder.py::test_step_detector_verifies_exactly",
         ),
     ),
     Mutant(
-        "laurent-chain-no-shift",
+        "delay-expansion-no-sign",
         "src/algcpd/operators.py",
-        "                    if p:\n"
-        "                        step.append(0)\n"
-        "                        for i, c in enumerate(nums, 1):\n"
-        "                            step[i] += p * c\n",
-        "",
+        "k, c = j + m, (-1) ** m * comb(a, m)",
+        "k, c = j + m, comb(a, m)",
         (
-            "tests/test_operators.py::test_laurent_apply_and_eval_at_match_rational_arithmetic",
-            "tests/test_builder.py::test_verify_reports_every_delay_and_jump_element",
+            "tests/test_operators.py::test_delay_expansion_matches_shifted_apply",
+            "tests/test_builder.py::test_step_detector_verifies_exactly",
         ),
     ),
     Mutant(
-        "eval-at-scale-q-to-the-j",
+        "delay-expansion-power-j",
         "src/algcpd/operators.py",
-        "w = ((p**j * q ** (J - j),), q**J, 0)",
-        "w = ((p**j * q**j,), q**J, 0)",
+        "k, c = j + m, (-1) ** m * comb(a, m)",
+        "k, c = j, (-1) ** m * comb(a, m)",
         (
-            "tests/test_operators.py::test_laurent_apply_and_eval_at_match_rational_arithmetic",
-            "tests/test_builder.py::test_verify_reports_every_delay_and_jump_element",
+            "tests/test_operators.py::test_delay_expansion_matches_shifted_apply",
+            "tests/test_builder.py::test_step_detector_verifies_exactly",
+        ),
+    ),
+    Mutant(
+        "delay-expansion-no-binomial",
+        "src/algcpd/operators.py",
+        "k, c = j + m, (-1) ** m * comb(a, m)",
+        "k, c = j + m, (-1) ** m",
+        (
+            "tests/test_operators.py::test_delay_expansion_matches_shifted_apply",
+            "tests/test_builder.py::test_step_detector_verifies_exactly",
         ),
     ),
     Mutant(
@@ -257,7 +251,7 @@ MUTANTS = (
         "src/algcpd/operators.py",
         "            b *= scale\n",
         "",
-        ("tests/test_operators.py::test_laurent_apply_and_eval_at_match_rational_arithmetic",),
+        ("tests/test_operators.py::test_laurent_apply_and_delay_expansion_match_rational_arithmetic",),
     ),
     # -- the sample bound -------------------------------------------------------------
     Mutant(
