@@ -26,12 +26,12 @@ other denominator takes the Euclid path (``poly_gcd``). Both paths give the
 one canonical form, so equality and zero tests do not depend on the path
 taken.
 
-``DiffOperator.apply`` and ``OperatorPolynomial.delay_expansion``
-(``operators``) go one step further when f and every operator coefficient are
-over a power of s: each intermediate value is a Laurent triple (integer
-numerators, one int denominator, one power of s) that is never reduced, and
-only the result is canonicalized, once, by ``_over_s_power(_poly(nums, den),
-k)``. That is the same canonical object these paths build, so equality,
+The one routine behind ``DiffOperator.apply``, ``OperatorPolynomial.apply``
+and ``OperatorPolynomial.delay_expansion`` (``operators._apply_terms``) goes
+one step further when f and every operator coefficient are over a power of s:
+each intermediate value is a Laurent triple (integer numerators, one int
+denominator, one power of s) that is never reduced, and each result is
+canonicalized once, by ``_over_s_power(_poly(nums, den), k)``. That is the same canonical object these paths build, so equality,
 ``is_zero`` and ``text`` do not depend on which path an operator took either.
 """
 

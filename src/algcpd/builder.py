@@ -19,6 +19,7 @@ the change time. verify_detector checks both exactly, for every delay.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Tuple, Union
 
 from ._exact import RationalFunction
@@ -137,6 +138,14 @@ class DetectorOperator:
         """Highest derivative order in omega."""
         return self.omega.max_deriv_order()
 
+    @cached_property
+    def kernels(self) -> tuple:
+        """The exact window kernels of omega (``kernels.kernelize``), derived
+        once per detector; a copy made by dataclasses.replace derives its own."""
+        from .kernels import _kernel  # kernels imports this module
+
+        return tuple(_kernel(c) for c in self.omega.coeffs)
+
     def text(self) -> str:
         return self.omega.text()
 
@@ -194,13 +203,8 @@ def build_detector_general(model: ModelSpec) -> DetectorOperator:
     time (the exact verifier catches this).
     """
     pi1 = annihilator_of_span(model.smooth_basis())
-    components = conjugate_by_delay(pi1).coeffs
-    images: List[RF] = []
-    for comp in components:
-        for b in model.jump_basis():
-            img = comp.apply(b)
-            if not img.is_zero():
-                images.append(img)
+    components = conjugate_by_delay(pi1)
+    images = [img for b in model.jump_basis() for img in components.apply(b) if not img.is_zero()]
     if not images:
         # smooth annihilator already kills the jump family at any delay
         pi2 = DiffOperator.d(1)
@@ -242,8 +246,7 @@ def verify_detector(det: DetectorOperator) -> VerifyReport:
     """
     smooth_bad: List[str] = []
     for f in det.model.smooth_basis():
-        for j, comp in enumerate(det.omega.coeffs):
-            r = comp.apply(f)
+        for j, r in enumerate(det.omega.apply(f)):
             if not r.is_zero():
                 smooth_bad.append(f"coeff r^{j} on {f.text()}: {r.text()}")
 

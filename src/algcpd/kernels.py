@@ -105,8 +105,9 @@ def _kernel(comp: DiffOperator) -> BivariatePoly:
 def kernelize(det: DetectorOperator) -> Tuple[BivariatePoly, ...]:
     """The exact window kernels of det, K_v(T, tau) for each delay power v in
     order, one per coefficient of det.omega; raises ValueError unless each
-    coefficient is in strict integral form."""
-    return tuple(_kernel(c) for c in det.omega.coeffs)
+    coefficient is in strict integral form. They are derived once per
+    detector (``DetectorOperator.kernels``)."""
+    return det.kernels
 
 
 def _quadrature_factors(window: int, rule: str) -> List[Tuple[Fraction, slice]]:
@@ -367,21 +368,17 @@ def _annihilated_moments(kv: BivariatePoly, row: Polynomial, T: Fraction) -> Lis
 
 def _orthonormal(ortho: Tuple[np.ndarray, ...], b: np.ndarray) -> Tuple[np.ndarray, ...]:
     """The orthonormal vectors ortho, extended by b made orthogonal to them by
-    twice-applied modified Gram-Schmidt and normalized; ortho itself when
-    nothing of b is left."""
-    u = b.astype(np.float64)
-    for o in ortho:
-        u -= np.dot(o, u) * o
-    for o in ortho:  # second pass for orthogonality at the eps level
-        u -= np.dot(o, u) * o
+    _project_out and normalized; ortho itself when nothing of b is left."""
+    u = _project_out(b, ortho)
     n = float(np.sqrt(np.dot(u, u)))
     return ortho + (u / n,) if n > 0.0 else ortho
 
 
 def _project_out(row: np.ndarray, ortho: Tuple[np.ndarray, ...]) -> np.ndarray:
-    """Deflate row against span(ortho) via twice-applied modified
-    Gram-Schmidt: ortho holds orthonormal vectors that _orthonormal made."""
-    out = row.copy()
+    """A float64 copy of row deflated against span(ortho) by twice-applied
+    modified Gram-Schmidt (the second pass for orthogonality at the eps
+    level): ortho holds orthonormal vectors that _orthonormal made."""
+    out = row.astype(np.float64)
     for _ in range(2):
         for o in ortho:
             out -= np.dot(o, out) * o

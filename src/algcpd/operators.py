@@ -15,11 +15,12 @@ whose every monomial c*s^-m*D^a has m >= 1 therefore realizes a strictly
 finite integral (no unintegrated or differentiated samples), which is the
 form the kernelizer consumes.
 
-``DiffOperator.apply`` and ``OperatorPolynomial.delay_expansion`` compute on
-Laurent triples when they can: when f and every coefficient have a
-pure-power-of-s denominator, each value is kept as integer numerators over
-one int denominator and one power of s, and each result is canonicalized
-once at the end (see ``_laurent_mac``).
+``DiffOperator.apply``, ``OperatorPolynomial.apply`` and
+``OperatorPolynomial.delay_expansion`` are one routine, ``_apply_terms``,
+over different terms. It takes f's derivatives once and, when f and every
+coefficient have a pure-power-of-s denominator, keeps each value as integer
+numerators over one int denominator and one power of s (see ``_laurent_mac``)
+and canonicalizes each result once.
 """
 
 from __future__ import annotations
@@ -57,9 +58,9 @@ def _laurent(rf: RF):
     return rf.num.nums, rf.num.den, k
 
 
-def _laurent_mac(acc, x, y):
-    """acc + x * y on Laurent triples; acc None is zero, and acc's list of
-    numerators is updated in place.
+def _laurent_mac(acc, x, y, c: int):
+    """acc + c * x * y on Laurent triples, c an integer; acc None is zero, and
+    acc's list of numerators is updated in place.
 
     The product is an integer convolution over den_x * den_y and
     s^(k_x + k_y). It is added into acc over the larger of the two powers of
@@ -69,15 +70,15 @@ def _laurent_mac(acc, x, y):
     xn, xd, xk = x
     yn, yd, yk = y
     den, k = xd * yd, xk + yk
-    scale = 1
+    scale = c
     if acc is None:
         nums, acc_den, acc_k = [], den, k
     else:
         nums, acc_den, acc_k = acc
         if acc_den != den:
             g = gcd(acc_den, den)
-            up, scale = den // g, acc_den // g
-            nums = [c * up for c in nums]
+            up, scale = den // g, c * (acc_den // g)
+            nums = [n * up for n in nums]
             acc_den *= up
         if acc_k < k:
             nums = [0] * (k - acc_k) + nums
@@ -104,6 +105,39 @@ def _canonical(triple) -> RF:
     """The canonical RationalFunction of a Laurent triple."""
     nums, den, k = triple
     return _over_s_power(_poly(nums, den), k)
+
+
+def _apply_terms(f, rows, slots: int) -> Tuple[RF, ...]:
+    """(R_0, ..., R_(slots-1)), R_k the sum of c * rho * f^(d) over the terms
+    (k, d, c) of every row (rho, terms), c an integer.
+
+    When f and every rho have a denominator s^k, f's derivative chain, the
+    products and their sums run on Laurent triples (integer numerators over
+    one int and one power of s), and each R_k is canonicalized once, by
+    ``_canonical``. Any other operand, such as 1/(s + 1), takes
+    RationalFunction arithmetic. Both give the one canonical form. Each rho
+    is lifted to a triple once, and f's derivatives are taken once for all
+    the rows.
+    """
+    f = _as_coeff(f)
+    g = _laurent(f)
+    lifted = [_laurent(rho) for rho, _ in rows]
+    laurent = g is not None and None not in lifted
+    chain = [g] if laurent else [f]
+    step = _laurent_derivative if laurent else RF.derivative
+    for _ in range(max((d for _, ts in rows for _, d, _ in ts), default=0)):
+        chain.append(step(chain[-1]))
+    acc = [None] * slots
+    for (rho, terms), t in zip(rows, lifted):
+        for k, d, c in terms:
+            if laurent:
+                acc[k] = _laurent_mac(acc[k], t, chain[d], c)
+            else:
+                term = rho * chain[d] * c
+                acc[k] = term if acc[k] is None else acc[k] + term
+    if laurent:
+        acc = [None if r is None else _canonical(r) for r in acc]
+    return tuple(RF.zero() if r is None else r for r in acc)
 
 
 class DiffOperator:
@@ -192,56 +226,8 @@ class DiffOperator:
         return DiffOperator(out)
 
     def apply(self, f) -> RF:
-        """Apply to a rational function: sum_a rho_a * f^(a).
-
-        When f and every rho_a have a denominator s^k, the derivative chain,
-        the products and their sum run on Laurent triples (integer numerators
-        over one int and one power of s) and the result is canonicalized
-        once; any other operand, such as 1/(s + 1), takes RationalFunction
-        arithmetic. Both give the one canonical form.
-        """
-        f = _as_coeff(f)
-        g = _laurent(f)
-        rhos = {a: _laurent(rho) for a, rho in self.terms.items()}
-        if g is not None and None not in rhos.values():
-            acc = None
-            for a in range(self.order + 1):
-                if not any(g[0]):
-                    break
-                if a:
-                    g = _laurent_derivative(g)
-                rho = rhos.get(a)
-                if rho is not None:
-                    acc = _laurent_mac(acc, rho, g)
-            return RF.zero() if acc is None else _canonical(acc)
-        out = RF.zero()
-        g = f
-        for a in range(self.order + 1):
-            if g.is_zero():
-                break
-            if a:
-                g = g.derivative()
-            rho = self.terms.get(a)
-            if rho is not None:
-                out = out + rho * g
-        return out
-
-    def shift_d(self, c) -> "DiffOperator":
-        """Substitute D -> D + c for a scalar c (delay conjugation at a point).
-
-        (D + c)^a expands binomially because c commutes with D.
-        """
-        c = Fraction(c) if not isinstance(c, Fraction) else c
-        out: Dict[int, RF] = {}
-        for a, rho in self.terms.items():
-            cj = Fraction(1)
-            for j in range(a + 1):
-                w = rho * (comb(a, j) * cj)
-                if not w.is_zero():
-                    k = a - j
-                    out[k] = out[k] + w if k in out else w
-                cj *= c
-        return DiffOperator(out)
+        """Apply to a rational function: sum_a rho_a * f^(a)."""
+        return _apply_terms(f, [(rho, [(0, a, 1)]) for a, rho in self.terms.items()], 1)[0]
 
     # -- comparison ---------------------------------------------------------------
     def __eq__(self, other) -> bool:
@@ -344,39 +330,24 @@ class OperatorPolynomial:
             p *= delay
         return out
 
+    def apply(self, f) -> Tuple[RF, ...]:
+        """(P_0 f, ..., P_J f), each coefficient applied to f, with f's
+        derivatives taken once for all of them."""
+        rows = [(rho, [(j, a, 1)]) for j, c in enumerate(self.coeffs) for a, rho in c.terms.items()]
+        return _apply_terms(f, rows, len(self.coeffs))
+
     def delay_expansion(self, f) -> Tuple[RF, ...]:
         """(R_0, ..., R_K), K the largest j + a over the terms, such that
-        sum_k t0^k R_k = eval_at(t0).shift_d(-t0).apply(f) for every delay t0.
+        sum_k t0^k R_k = conjugate_by_delay(eval_at(t0)).eval_at(-t0).apply(f)
+        for every delay t0.
 
         With P_j = sum_a rho_(j,a) D^a and (D - t0)^a expanded binomially,
         R_k = sum_(j+m=k) sum_a (-1)^m C(a, m) rho_(j,a) f^(a-m): the
-        derivatives of f are taken once and no operator is expanded. Laurent
-        operands are summed on triples and each R_k is canonicalized once;
-        any other operand, such as 1/(s + 1), takes RationalFunction
-        arithmetic. Both give the one canonical form.
+        derivatives of f are taken once and no operator is expanded.
         """
-        f = _as_coeff(f)
-        rows = [(j, a, rho, _laurent(rho))
+        rows = [(rho, [(j + m, a - m, (-1) ** m * comb(a, m)) for m in range(a + 1)])
                 for j, c in enumerate(self.coeffs) for a, rho in c.terms.items()]
-        g = _laurent(f)
-        laurent = g is not None and all(t is not None for *_, t in rows)
-        chain = [g] if laurent else [f]
-        step = _laurent_derivative if laurent else RF.derivative
-        for _ in range(self.max_deriv_order()):
-            chain.append(step(chain[-1]))
-        acc = [None] * (max((j + a for j, a, _, _ in rows), default=-1) + 1)
-        for j, a, rho, t in rows:
-            for m in range(a + 1):
-                k, c = j + m, (-1) ** m * comb(a, m)
-                if laurent:
-                    nums, den, e = chain[a - m]
-                    acc[k] = _laurent_mac(acc[k], t, ([c * n for n in nums], den, e))
-                else:
-                    term = rho * chain[a - m] * c
-                    acc[k] = term if acc[k] is None else acc[k] + term
-        if laurent:
-            acc = [None if r is None else _canonical(r) for r in acc]
-        return tuple(RF.zero() if r is None else r for r in acc)
+        return _apply_terms(f, rows, 1 + max((k for _, ts in rows for k, _, _ in ts), default=-1))
 
     def max_deriv_order(self) -> int:
         return max((c.order for c in self.coeffs), default=-1)
@@ -409,8 +380,8 @@ def conjugate_by_delay(op: DiffOperator) -> OperatorPolynomial:
     """Substitute D -> D + r with r the (symbolic) delay.
 
     Returns the operator polynomial sum_j r^j * P_j where
-    P_j = sum_a C(a, j) rho_a D^(a-j). P_0 is the original operator. The
-    collapse at a numeric delay equals shift_d at that value.
+    P_j = sum_a C(a, j) rho_a D^(a-j). P_0 is the original operator, and the
+    collapse at a numeric delay c is the operator with D -> D + c.
     """
     if op.is_zero():
         return OperatorPolynomial()

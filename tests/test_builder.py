@@ -18,7 +18,7 @@ from algcpd.builder import (
     verify_detector,
 )
 from algcpd.kernels import discretize
-from algcpd.operators import DiffOperator, OperatorPolynomial, annihilator_of_span
+from algcpd.operators import DiffOperator, OperatorPolynomial, annihilator_of_span, conjugate_by_delay
 from algcpd.runtime import DetectConfig, detect_samples, eval_windows
 
 
@@ -132,13 +132,13 @@ def test_verify_reports_every_delay_and_jump_element(monkeypatch):
     extra = OperatorPolynomial((DiffOperator(), det.omega.coeffs[0]))
     broken = dataclasses.replace(det, omega=det.omega + extra)
     shifts = []
-    shift_d = DiffOperator.shift_d
+    eval_at = OperatorPolynomial.eval_at
 
     def counted(self, c):
         shifts.append(c)
-        return shift_d(self, c)
+        return eval_at(self, c)
 
-    monkeypatch.setattr(DiffOperator, "shift_d", counted)
+    monkeypatch.setattr(OperatorPolynomial, "eval_at", counted)
     rep = verify_detector(broken)
     assert not rep.ok
     assert rep.smooth_residuals == ()
@@ -177,7 +177,7 @@ def test_verify_rejects_a_detector_broken_between_sampled_delays(model):
     planted = dataclasses.replace(
         det, omega=det.omega + OperatorPolynomial(pi1.scale(c) for c in q.coeffs))
     for t0 in OLD_DELAYS:
-        shifted = planted.omega.eval_at(t0).shift_d(-t0)
+        shifted = conjugate_by_delay(planted.omega.eval_at(t0)).eval_at(-t0)
         assert all(shifted.apply(w).is_zero() for w in model.jump_basis())
     rep = verify_detector(planted)
     assert rep.smooth_residuals == ()

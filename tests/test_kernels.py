@@ -162,6 +162,8 @@ def test_kernel_moments_grow_with_model():
 
 def test_kernelize_rejects_non_integral():
     det = build_detector(ModelSpec.monomial(0, 0))
+    # derived once per detector, and not carried to a copy with another omega
+    assert kernelize(det) is kernelize(det)
     # D alone: an s^0 monomial, not a finite integral
     bad = dataclasses.replace(det, omega=OperatorPolynomial((DiffOperator.d(),)))
     assert not bad.omega.is_strict_integral()

@@ -74,15 +74,20 @@ def test_compose_not_commutative():
     assert d.compose(mul_s) != mul_s.compose(d)
 
 
+def shift_d(op, c):
+    """op with D -> D + c for a scalar c: the delay conjugation collapsed at c."""
+    return conjugate_by_delay(op).eval_at(c)
+
+
 def test_shift_d_is_homomorphism():
     rng = random.Random(13)
     for _ in range(40):
         a = rand_op(rng, 2)
         b = rand_op(rng, 2)
         c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        assert a.compose(b).shift_d(c) == a.shift_d(c).compose(b.shift_d(c))
-        assert (a + b).shift_d(c) == a.shift_d(c) + b.shift_d(c)
-        assert a.shift_d(c).shift_d(-c) == a
+        assert shift_d(a.compose(b), c) == shift_d(a, c).compose(shift_d(b, c))
+        assert shift_d(a + b, c) == shift_d(a, c) + shift_d(b, c)
+        assert shift_d(shift_d(a, c), -c) == a
 
 
 def rand_laurent(rng):
@@ -109,7 +114,8 @@ INV = RF(Polynomial.one(), Polynomial([1, 1]))  # 1/(s + 1), a rational jump sha
 def test_delay_expansion_matches_shifted_apply(seed, operand, t0):
     """sum_k t0^k R_k equals the operator polynomial collapsed at t0, expanded
     under D -> D - t0 and applied to f, on Laurent operands, on 1/(s + 1) and
-    on random rational operands."""
+    on random rational operands; the coefficientwise apply equals each
+    coefficient applied on its own."""
     rng = random.Random(seed)
     if operand == "laurent":
         poly = OperatorPolynomial(rand_laurent_op(rng) for _ in range(rng.randint(0, 4)))
@@ -120,7 +126,8 @@ def test_delay_expansion_matches_shifted_apply(seed, operand, t0):
     total = RF.zero()
     for k, r in enumerate(poly.delay_expansion(f)):
         total = total + r * t0**k
-    assert total == poly.eval_at(t0).shift_d(-t0).apply(f)
+    assert total == shift_d(poly.eval_at(t0), -t0).apply(f)
+    assert poly.apply(f) == tuple(c.apply(f) for c in poly.coeffs)
 
 
 def canonical(x):
@@ -134,8 +141,8 @@ def canonical(x):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32), kill=st.booleans())
 def test_laurent_apply_and_delay_expansion_match_rational_arithmetic(seed, kill):
-    """apply(f) and delay_expansion(f) on Laurent operands, computed on
-    integer triples, give the canonical nums/den that RationalFunction
+    """apply(f), delay_expansion(f) and the coefficientwise apply(f) on
+    Laurent operands, computed on integer triples, give the canonical nums/den that RationalFunction
     arithmetic gives with the Laurent branch off. kill composes the operator
     with an annihilator of a nonzero f, so apply(f) is zero."""
     rng = random.Random(seed)
@@ -144,10 +151,10 @@ def test_laurent_apply_and_delay_expansion_match_rational_arithmetic(seed, kill)
         op = op.compose(annihilator_of_span([f]))
         assert op.apply(f).is_zero()
     poly = OperatorPolynomial(rand_laurent_op(rng) for _ in range(rng.randint(0, 4)))
-    fast = (op.apply(f), *poly.delay_expansion(f))
+    fast = (op.apply(f), *poly.delay_expansion(f), *poly.apply(f))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(operators, "_laurent", lambda rf: None)
-        slow = (op.apply(f), *poly.delay_expansion(f))
+        slow = (op.apply(f), *poly.delay_expansion(f), *poly.apply(f))
     assert [canonical(x) for x in fast] == [canonical(x) for x in slow]
 
 
@@ -165,18 +172,29 @@ def test_non_laurent_operand_takes_rational_arithmetic(monkeypatch):
     # shift cancels the order-0 term
     poly = OperatorPolynomial((op,))
     assert poly.delay_expansion(INV) == (RF(Polynomial([0, 1]), Polynomial([1, 2, 1])), -1 * INV)
+    poly = OperatorPolynomial((op, DiffOperator.identity()))
+    assert poly.apply(INV) == (RF(Polynomial([0, 1]), Polynomial([1, 2, 1])), INV)
     assert calls == []
     assert verify_detector(build_detector(ModelSpec.rational(1, INV))).ok
     assert calls
 
 
 def test_conjugate_collapse_equals_shift():
+    """The collapse at r equals sum_a rho_a o (D + r)^a, the powers of D + r
+    made by compose."""
     rng = random.Random(14)
     for _ in range(40):
         op = rand_op(rng, 3)
         r = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
         poly = conjugate_by_delay(op)
-        assert poly.eval_at(r) == op.shift_d(r)
+        d_plus_r = DiffOperator({1: RF.one(), 0: r})
+        shifted = DiffOperator.zero()
+        for a, rho in op.terms.items():
+            power = DiffOperator.identity()
+            for _ in range(a):
+                power = power.compose(d_plus_r)
+            shifted = shifted + DiffOperator.mul(rho).compose(power)
+        assert poly.eval_at(r) == shifted
         assert poly.coeff(0) == op
 
 

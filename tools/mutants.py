@@ -205,7 +205,7 @@ MUTANTS = (
         "while len(chain) < top:",
         ("tests/test_operators.py::test_compose_matches_nested_apply",),
     ),
-    # -- apply and the delay expansion on Laurent triples ---------------------------
+    # -- the one routine behind apply and the delay expansion -----------------------
     Mutant(
         "laurent-derivative-chain-exponent-k",
         "src/algcpd/operators.py",
@@ -219,8 +219,8 @@ MUTANTS = (
     Mutant(
         "delay-expansion-no-sign",
         "src/algcpd/operators.py",
-        "k, c = j + m, (-1) ** m * comb(a, m)",
-        "k, c = j + m, comb(a, m)",
+        "(j + m, a - m, (-1) ** m * comb(a, m))",
+        "(j + m, a - m, comb(a, m))",
         (
             "tests/test_operators.py::test_delay_expansion_matches_shifted_apply",
             "tests/test_builder.py::test_step_detector_verifies_exactly",
@@ -229,8 +229,8 @@ MUTANTS = (
     Mutant(
         "delay-expansion-power-j",
         "src/algcpd/operators.py",
-        "k, c = j + m, (-1) ** m * comb(a, m)",
-        "k, c = j, (-1) ** m * comb(a, m)",
+        "(j + m, a - m, (-1) ** m * comb(a, m))",
+        "(j, a - m, (-1) ** m * comb(a, m))",
         (
             "tests/test_operators.py::test_delay_expansion_matches_shifted_apply",
             "tests/test_builder.py::test_step_detector_verifies_exactly",
@@ -239,11 +239,23 @@ MUTANTS = (
     Mutant(
         "delay-expansion-no-binomial",
         "src/algcpd/operators.py",
-        "k, c = j + m, (-1) ** m * comb(a, m)",
-        "k, c = j + m, (-1) ** m",
+        "(j + m, a - m, (-1) ** m * comb(a, m))",
+        "(j + m, a - m, (-1) ** m)",
         (
             "tests/test_operators.py::test_delay_expansion_matches_shifted_apply",
             "tests/test_builder.py::test_step_detector_verifies_exactly",
+        ),
+    ),
+    # the one derivative chain that apply, the coefficientwise apply and the
+    # delay expansion share
+    Mutant(
+        "apply-chain-one-short",
+        "src/algcpd/operators.py",
+        "for _ in range(max((d for _, ts in rows for _, d, _ in ts), default=0)):",
+        "for _ in range(max((d for _, ts in rows for _, d, _ in ts), default=0) - 1):",
+        (
+            "tests/test_builder.py::test_step_detector_verifies_exactly",
+            "tests/test_builder.py::test_verify_reports_every_delay_and_jump_element",
         ),
     ),
     Mutant(
