@@ -18,21 +18,22 @@ bivariate window kernels built from them.
 
 Operational images of polynomial pieces are Laurent polynomials in s
 (t^n/n! <-> s^-(n+1)), so almost every denominator the builder and the
-verifier meet is c*s^k. ``RationalFunction`` canonicalizes those by slicing
-numerator tuples, adds two of them over s^max(i, j), multiplies two over
-s^(i+j) and differentiates n/s^k as (s*n' - k*n)/s^(k+1) in one pass over
-the numerators, with no denominator product and no quotient rule; every
-other denominator takes the Euclid path (``poly_gcd``). Both paths give the
-one canonical form, so equality and zero tests do not depend on the path
-taken.
+verifier meet is c*s^k. ``RationalFunction``'s constructor canonicalizes those
+by slicing numerator tuples; every other denominator takes the Euclid path
+(``poly_gcd``). Both paths give the one canonical form, so equality and zero
+tests do not depend on the path taken. Sums, products and derivatives build
+the plain numerator and denominator and leave the cancelling to the
+constructor.
 
-The one routine behind ``DiffOperator.apply``, ``OperatorPolynomial.apply``
-and ``OperatorPolynomial.delay_expansion`` (``operators._apply_terms``) goes
-one step further when f and every operator coefficient are over a power of s:
-each intermediate value is a Laurent triple (integer numerators, one int
+The one Laurent path is elsewhere: the routine behind ``DiffOperator.apply``,
+``DiffOperator.compose``, ``OperatorPolynomial.apply`` and
+``OperatorPolynomial.delay_expansion`` (``operators._apply_terms``). When
+every operand and operator coefficient is over a power of s, each
+intermediate value is a Laurent triple (integer numerators, one int
 denominator, one power of s) that is never reduced, and each result is
-canonicalized once, by ``_over_s_power(_poly(nums, den), k)``. That is the same canonical object these paths build, so equality,
-``is_zero`` and ``text`` do not depend on which path an operator took either.
+canonicalized once, by ``_over_s_power(_poly(nums, den), k)``. That is the
+canonical object the constructor builds, so equality, ``is_zero`` and
+``text`` do not depend on which path an operator took either.
 """
 
 from __future__ import annotations
@@ -356,9 +357,10 @@ class RationalFunction:
     Either way the denominator is then made monic by dividing by its leading
     coefficient, which rescales one integer denominator of each polynomial.
 
-    Sums, products and derivatives of canonical c/s^k operands stay on the
-    first path: they build the numerator over s^max(i, j), s^(i+j) or
-    s^(k+1) and cancel the common s-power by the same slice.
+    Sums, products and derivatives take the quotient rules over the product
+    of the denominators; for c/s^k operands that product is again a power of
+    s, which the first path cancels by the slice. Hot Laurent arithmetic does
+    not come here: ``operators._apply_terms`` runs it on integer triples.
     """
 
     __slots__ = ("num", "den")
@@ -422,11 +424,6 @@ class RationalFunction:
         other = _as_rf(other)
         if other is NotImplemented:
             return NotImplemented
-        i, j = _s_power_degree(self.den), _s_power_degree(other.den)
-        if i is not None and j is not None:
-            # n1/s^i + n2/s^j = (n1*s^(m-i) + n2*s^(m-j)) / s^m, m = max(i, j)
-            m = max(i, j)
-            return _over_s_power(_shift(self.num, m - i) + _shift(other.num, m - j), m)
         return RationalFunction(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
@@ -457,10 +454,6 @@ class RationalFunction:
         other = _as_rf(other)
         if other is NotImplemented:
             return NotImplemented
-        i, j = _s_power_degree(self.den), _s_power_degree(other.den)
-        if i is not None and j is not None:
-            # (n1/s^i) * (n2/s^j) = n1*n2 / s^(i+j)
-            return _over_s_power(self.num * other.num, i + j)
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -480,11 +473,6 @@ class RationalFunction:
 
     # -- calculus ---------------------------------------------------------------
     def derivative(self) -> "RationalFunction":
-        k = _s_power_degree(self.den)
-        if k is not None:
-            # (n/s^k)' = (s*n' - k*n)/s^(k+1): (j - k)*c_j at s^j
-            n = self.num
-            return _over_s_power(_poly([(j - k) * c for j, c in enumerate(n.nums)], n.den), k + 1)
         # (n/d)' = (n'd - nd')/d^2
         return RationalFunction(
             self.num.derivative() * self.den - self.num * self.den.derivative(),
@@ -538,13 +526,6 @@ def _over_s_power(num: Polynomial, k: int) -> RationalFunction:
     r.num = _raw(num.nums[z:], num.den) if z else num
     r.den = _raw((0,) * (k - z) + (1,), 1)
     return r
-
-
-def _shift(p: Polynomial, k: int) -> Polynomial:
-    """p * s**k for k >= 0, without a multiplication."""
-    if not k:
-        return p
-    return _raw((0,) * k + p.nums, p.den)
 
 
 def _as_rf(x):

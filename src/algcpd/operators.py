@@ -15,12 +15,15 @@ whose every monomial c*s^-m*D^a has m >= 1 therefore realizes a strictly
 finite integral (no unintegrated or differentiated samples), which is the
 form the kernelizer consumes.
 
-``DiffOperator.apply``, ``OperatorPolynomial.apply`` and
-``OperatorPolynomial.delay_expansion`` are one routine, ``_apply_terms``,
-over different terms. It takes f's derivatives once and, when f and every
-coefficient have a pure-power-of-s denominator, keeps each value as integer
-numerators over one int denominator and one power of s (see ``_laurent_mac``)
-and canonicalizes each result once.
+``DiffOperator.apply``, ``DiffOperator.compose``, ``OperatorPolynomial.apply``
+and ``OperatorPolynomial.delay_expansion`` are one routine, ``_apply_terms``,
+over different terms: compose applies the rows of the left operand to each
+coefficient sigma_b of the right one, D^a o sigma_b contributing
+C(a, j) sigma_b^(j) to the slot of D^(a-j+b). The routine takes each
+operand's derivatives once and, when every operand and coefficient has a
+pure-power-of-s denominator, keeps each value as integer numerators over one
+int denominator and one power of s (see ``_laurent_mac``) and canonicalizes
+each result once. It is the one Laurent path of the symbolic layer.
 """
 
 from __future__ import annotations
@@ -107,34 +110,34 @@ def _canonical(triple) -> RF:
     return _over_s_power(_poly(nums, den), k)
 
 
-def _apply_terms(f, rows, slots: int) -> Tuple[RF, ...]:
+def _apply_terms(parts, slots: int) -> Tuple[RF, ...]:
     """(R_0, ..., R_(slots-1)), R_k the sum of c * rho * f^(d) over the terms
-    (k, d, c) of every row (rho, terms), c an integer.
+    (k, d, c) of every row (rho, terms) of every part (f, rows), c an integer.
 
-    When f and every rho have a denominator s^k, f's derivative chain, the
-    products and their sums run on Laurent triples (integer numerators over
-    one int and one power of s), and each R_k is canonicalized once, by
+    When every f and every rho have a denominator s^k, the derivative chains,
+    the products and their sums run on Laurent triples (integer numerators
+    over one int and one power of s), and each R_k is canonicalized once, by
     ``_canonical``. Any other operand, such as 1/(s + 1), takes
-    RationalFunction arithmetic. Both give the one canonical form. Each rho
-    is lifted to a triple once, and f's derivatives are taken once for all
-    the rows.
+    RationalFunction arithmetic for the whole call. Both give the one
+    canonical form. Each rho is lifted to a triple once, and each f's
+    derivatives are taken once for all of its rows.
     """
-    f = _as_coeff(f)
-    g = _laurent(f)
-    lifted = [_laurent(rho) for rho, _ in rows]
-    laurent = g is not None and None not in lifted
-    chain = [g] if laurent else [f]
+    parts = [(_as_coeff(f), rows) for f, rows in parts]
+    lifted = [([_laurent(rho) for rho, _ in rows], _laurent(f)) for f, rows in parts]
+    laurent = all(g is not None and None not in ts for ts, g in lifted)
     step = _laurent_derivative if laurent else RF.derivative
-    for _ in range(max((d for _, ts in rows for _, d, _ in ts), default=0)):
-        chain.append(step(chain[-1]))
     acc = [None] * slots
-    for (rho, terms), t in zip(rows, lifted):
-        for k, d, c in terms:
-            if laurent:
-                acc[k] = _laurent_mac(acc[k], t, chain[d], c)
-            else:
-                term = rho * chain[d] * c
-                acc[k] = term if acc[k] is None else acc[k] + term
+    for (f, rows), (ts, g) in zip(parts, lifted):
+        chain = [g if laurent else f]
+        for _ in range(max((d for _, terms in rows for _, d, _ in terms), default=0)):
+            chain.append(step(chain[-1]))
+        for (rho, terms), t in zip(rows, ts):
+            for k, d, c in terms:
+                if laurent:
+                    acc[k] = _laurent_mac(acc[k], t, chain[d], c)
+                else:
+                    term = rho * chain[d] * c
+                    acc[k] = term if acc[k] is None else acc[k] + term
     if laurent:
         acc = [None if r is None else _canonical(r) for r in acc]
     return tuple(RF.zero() if r is None else r for r in acc)
@@ -206,28 +209,16 @@ class DiffOperator:
         return DiffOperator({a: f * c for a, c in self.terms.items()})
 
     def compose(self, other: "DiffOperator") -> "DiffOperator":
-        """self o other, normalized by the commutation rule."""
-        out: Dict[int, RF] = {}
-        top = self.order
-        for b, sigma in other.terms.items():
-            # D^a o sigma = sum_j C(a,j) sigma^(j) D^(a-j); sigma's nonzero
-            # derivatives up to self's top order, built once for every a
-            chain = [sigma]
-            while len(chain) <= top:
-                deriv = chain[-1].derivative()
-                if deriv.is_zero():
-                    break
-                chain.append(deriv)
-            for a, rho in self.terms.items():
-                for j, sig_j in enumerate(chain[: a + 1]):
-                    c = rho * sig_j * comb(a, j)
-                    k = a - j + b
-                    out[k] = out[k] + c if k in out else c
-        return DiffOperator(out)
+        """self o other, normalized by the commutation rule: the term
+        C(a, j) rho_a sigma_b^(j) D^(a-j+b) of D^a o sigma_b for every j <= a."""
+        parts = [(sigma, [(rho, [(a - j + b, j, comb(a, j)) for j in range(a + 1)])
+                          for a, rho in self.terms.items()])
+                 for b, sigma in other.terms.items()]
+        return DiffOperator(dict(enumerate(_apply_terms(parts, self.order + other.order + 1))))
 
     def apply(self, f) -> RF:
         """Apply to a rational function: sum_a rho_a * f^(a)."""
-        return _apply_terms(f, [(rho, [(0, a, 1)]) for a, rho in self.terms.items()], 1)[0]
+        return _apply_terms([(f, [(rho, [(0, a, 1)]) for a, rho in self.terms.items()])], 1)[0]
 
     # -- comparison ---------------------------------------------------------------
     def __eq__(self, other) -> bool:
@@ -334,7 +325,7 @@ class OperatorPolynomial:
         """(P_0 f, ..., P_J f), each coefficient applied to f, with f's
         derivatives taken once for all of them."""
         rows = [(rho, [(j, a, 1)]) for j, c in enumerate(self.coeffs) for a, rho in c.terms.items()]
-        return _apply_terms(f, rows, len(self.coeffs))
+        return _apply_terms([(f, rows)], len(self.coeffs))
 
     def delay_expansion(self, f) -> Tuple[RF, ...]:
         """(R_0, ..., R_K), K the largest j + a over the terms, such that
@@ -347,7 +338,7 @@ class OperatorPolynomial:
         """
         rows = [(rho, [(j + m, a - m, (-1) ** m * comb(a, m)) for m in range(a + 1)])
                 for j, c in enumerate(self.coeffs) for a, rho in c.terms.items()]
-        return _apply_terms(f, rows, 1 + max((k for _, ts in rows for k, _, _ in ts), default=-1))
+        return _apply_terms([(f, rows)], 1 + max((k for _, ts in rows for k, _, _ in ts), default=-1))
 
     def max_deriv_order(self) -> int:
         return max((c.order for c in self.coeffs), default=-1)

@@ -282,7 +282,7 @@ def test_rational_text():
     assert RationalFunction.s_power(-2).text() == "1/s^2"
 
 
-# -- Laurent fast paths against the Euclid oracle --------------------------------
+# -- the constructor's c*s^k slicing against the Euclid oracle ---------------------
 
 nonzero = coeff.filter(lambda c: c != 0)
 not_one = nonzero.filter(lambda c: c != 1)
@@ -361,16 +361,16 @@ S_PLUS_1 = Polynomial([1, 1])
 
 
 def euclid_copy(r):
-    """(num, den) of r, both times (s + 1): a den the Laurent paths never read."""
+    """(num, den) of r, both times (s + 1): a den the slicing path never reads."""
     return r.num * S_PLUS_1, r.den * S_PLUS_1
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(a=laurent, b=laurent, c=st.one_of(coeff, st.integers(-3, 3)))
 def test_laurent_product_matches_euclid(a, b, c):
-    """n1/s^i * n2/s^j over s^(i+j), and a scalar product, against the same
-    products built over the (s + 1) copies, which the constructor reduces by
-    poly_gcd."""
+    """n1/s^i * n2/s^j over s^(i+j), reduced by slicing, and a scalar
+    product, against the same products built over the (s + 1) copies, which
+    the constructor reduces by poly_gcd."""
     (an, ad), (bn, bd) = euclid_copy(a), euclid_copy(b)
     for got, want in ((a * b, RationalFunction(an * bn, ad * bd)), (a * c, RationalFunction(an * c, ad))):
         assert_canonical_rf(got)
@@ -380,8 +380,8 @@ def test_laurent_product_matches_euclid(a, b, c):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(a=laurent)
 def test_laurent_derivative_matches_euclid(a):
-    """(n/s^k)' = (s*n' - k*n)/s^(k+1) against the quotient rule on the
-    (s + 1) copy, reduced by poly_gcd."""
+    """The quotient rule over s^(2k), reduced by slicing, against the
+    quotient rule on the (s + 1) copy, reduced by poly_gcd."""
     n, d = euclid_copy(a)
     want = RationalFunction(n.derivative() * d - n * d.derivative(), d * d)
     got = a.derivative()

@@ -141,27 +141,30 @@ def canonical(x):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32), kill=st.booleans())
 def test_laurent_apply_and_delay_expansion_match_rational_arithmetic(seed, kill):
-    """apply(f), delay_expansion(f) and the coefficientwise apply(f) on
-    Laurent operands, computed on integer triples, give the canonical nums/den that RationalFunction
-    arithmetic gives with the Laurent branch off. kill composes the operator
-    with an annihilator of a nonzero f, so apply(f) is zero."""
+    """apply(f), delay_expansion(f), the coefficientwise apply(f) and
+    compose on Laurent operands, computed on integer triples, give the
+    canonical nums/den that RationalFunction arithmetic gives with the Laurent
+    branch off. kill composes the operator with an annihilator of a nonzero f,
+    so apply(f) is zero."""
     rng = random.Random(seed)
     op, f = rand_laurent_op(rng), rand_laurent(rng)
     if kill and not f.is_zero():
         op = op.compose(annihilator_of_span([f]))
         assert op.apply(f).is_zero()
     poly = OperatorPolynomial(rand_laurent_op(rng) for _ in range(rng.randint(0, 4)))
-    fast = (op.apply(f), *poly.delay_expansion(f), *poly.apply(f))
+    op2 = rand_laurent_op(rng)
+    fast = (op.apply(f), *poly.delay_expansion(f), *poly.apply(f), op.compose(op2))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(operators, "_laurent", lambda rf: None)
-        slow = (op.apply(f), *poly.delay_expansion(f), *poly.apply(f))
+        slow = (op.apply(f), *poly.delay_expansion(f), *poly.apply(f), op.compose(op2))
     assert [canonical(x) for x in fast] == [canonical(x) for x in slow]
 
 
 def test_non_laurent_operand_takes_rational_arithmetic(monkeypatch):
     """An operand over 1/(s + 1) takes RationalFunction arithmetic, and a
     rational-jump detector, whose smooth checks take the Laurent branch and
-    whose jump checks do not, still verifies."""
+    whose jump checks do not, still verifies. The build composes on Laurent
+    triples too, so the calls are counted from verify_detector on."""
     calls = []
     mac = operators._laurent_mac
     monkeypatch.setattr(operators, "_laurent_mac", lambda *args: calls.append(args) or mac(*args))
@@ -175,8 +178,21 @@ def test_non_laurent_operand_takes_rational_arithmetic(monkeypatch):
     poly = OperatorPolynomial((op, DiffOperator.identity()))
     assert poly.apply(INV) == (RF(Polynomial([0, 1]), Polynomial([1, 2, 1])), INV)
     assert calls == []
-    assert verify_detector(build_detector(ModelSpec.rational(1, INV))).ok
+    det = build_detector(ModelSpec.rational(1, INV))
+    calls.clear()
+    assert verify_detector(det).ok
     assert calls
+
+
+@pytest.mark.parametrize("coeff", [RF.s_power(-2) * 3 + RF.s_power(1), INV], ids=["laurent", "inv"])
+def test_compose_with_zero_and_identity(coeff):
+    """a o 0 = 0 o a = 0 and 1 o a = a o 1 = a; the zero operator has order
+    -1, so a product with it has no slot."""
+    a = DiffOperator({0: RF.s_power(-1), 2: coeff})
+    zero, one = DiffOperator.zero(), DiffOperator.identity()
+    assert a.compose(zero) == zero.compose(a) == zero.compose(zero) == zero
+    assert one.compose(a) == a.compose(one) == a
+    assert one.compose(one) == one
 
 
 def test_conjugate_collapse_equals_shift():

@@ -55,21 +55,6 @@ class Mutant:
 
 
 MUTANTS = (
-    # -- Laurent fast paths in the exact field --------------------------------
-    Mutant(
-        "laurent-derivative-exponent-k",
-        "src/algcpd/_exact.py",
-        "for j, c in enumerate(n.nums)], n.den), k + 1)",
-        "for j, c in enumerate(n.nums)], n.den), k)",
-        ("tests/test_exact.py::test_laurent_derivative_matches_euclid",),
-    ),
-    Mutant(
-        "laurent-product-exponent-minus-one",
-        "src/algcpd/_exact.py",
-        "return _over_s_power(self.num * other.num, i + j)",
-        "return _over_s_power(self.num * other.num, i + j - 1)",
-        ("tests/test_exact.py::test_laurent_product_matches_euclid",),
-    ),
     # -- the model's smooth basis ---------------------------------------------
     # verify_detector reads the same basis, so only the sliding-window property
     # test sees a basis one power short
@@ -199,13 +184,16 @@ MUTANTS = (
     ),
     # -- operator composition -------------------------------------------------------
     Mutant(
-        "compose-chain-one-short",
+        "compose-slot-without-b",
         "src/algcpd/operators.py",
-        "while len(chain) <= top:",
-        "while len(chain) < top:",
-        ("tests/test_operators.py::test_compose_matches_nested_apply",),
+        "(a - j + b, j, comb(a, j))",
+        "(a - j, j, comb(a, j))",
+        (
+            "tests/test_operators.py::test_compose_matches_nested_apply",
+            "tests/test_operators.py::test_commutation_rule",
+        ),
     ),
-    # -- the one routine behind apply and the delay expansion -----------------------
+    # -- the one routine behind apply, compose and the delay expansion ----------------
     Mutant(
         "laurent-derivative-chain-exponent-k",
         "src/algcpd/operators.py",
@@ -246,16 +234,27 @@ MUTANTS = (
             "tests/test_builder.py::test_step_detector_verifies_exactly",
         ),
     ),
-    # the one derivative chain that apply, the coefficientwise apply and the
-    # delay expansion share
+    # the one derivative chain of each operand that every row of apply, the
+    # coefficientwise apply, the delay expansion and compose shares
     Mutant(
         "apply-chain-one-short",
         "src/algcpd/operators.py",
-        "for _ in range(max((d for _, ts in rows for _, d, _ in ts), default=0)):",
-        "for _ in range(max((d for _, ts in rows for _, d, _ in ts), default=0) - 1):",
+        "for _ in range(max((d for _, terms in rows for _, d, _ in terms), default=0)):",
+        "for _ in range(max((d for _, terms in rows for _, d, _ in terms), default=0) - 1):",
         (
             "tests/test_builder.py::test_step_detector_verifies_exactly",
             "tests/test_builder.py::test_verify_reports_every_delay_and_jump_element",
+        ),
+    ),
+    # compose has one part per coefficient of the right operand: each needs its own chain
+    Mutant(
+        "compose-shares-the-first-chain",
+        "src/algcpd/operators.py",
+        "chain = [g if laurent else f]",
+        "chain = [lifted[0][1] if laurent else parts[0][0]]",
+        (
+            "tests/test_operators.py::test_compose_matches_nested_apply",
+            "tests/test_builder.py::test_step_detector_verifies_exactly",
         ),
     ),
     Mutant(
