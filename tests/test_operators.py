@@ -186,8 +186,9 @@ def test_non_laurent_operand_takes_rational_arithmetic(monkeypatch):
 
 @pytest.mark.parametrize("coeff", [RF.s_power(-2) * 3 + RF.s_power(1), INV], ids=["laurent", "inv"])
 def test_compose_with_zero_and_identity(coeff):
-    """a o 0 = 0 o a = 0 and 1 o a = a o 1 = a; the zero operator has order
-    -1, so a product with it has no slot."""
+    """a o 0 = 0 o a = 0 and 1 o a = a o 1 = a. The zero operator has order
+    -1 and no terms, so a product with it has no term to sum, and 0 o 0 has
+    no slot."""
     a = DiffOperator({0: RF.s_power(-1), 2: coeff})
     zero, one = DiffOperator.zero(), DiffOperator.identity()
     assert a.compose(zero) == zero.compose(a) == zero.compose(zero) == zero
