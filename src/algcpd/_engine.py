@@ -44,20 +44,38 @@ window sum; the deviation pass takes a subtract, a multiply and an add.
 Separate np.multiply and np.add calls round each step exactly as the scalar
 loop does; only the loop nesting changes. That is 6 * W NumPy calls per
 block however few the positions, while the short path's arrays grow with the
-positions times W. Measured on a 2-CPU VM (NumPy 2.4.6, best of 7; a repeat
-moved single entries by up to 0.17), the short path takes this share of the
+positions times W.
+
+The block path writes into arrays whose data starts on a 64-byte boundary
+(_aligned): sums, sigma, rms and the block's term scratch. NumPy aligns its
+allocations to 16 bytes only, and glibc's mmapped chunks start 16 bytes past
+a page, so where np.empty put them used to decide the block time. With 512-bit
+vectors each store off that boundary splits over two cache lines: one row of
+65,536 positions at W 128 took 13.5 ms with the four arrays on the boundary,
+15.7 ms at 32 bytes past it and 18.1-18.6 ms at 16 or 48 bytes past it (2-CPU
+Xeon VM with AVX-512, NumPy 2.4.6, best of 9, same bits in every case). The
+four stay separate allocations (one buffer for all of them, once freed, moves
+glibc's dynamic mmap threshold). The short path keeps np.empty: _aligned
+takes about 2 us per array against 0.26 us, a cost its short calls repay
+least.
+
+Measured on the same VM (best of 7, the median of 4 such tables; single
+tables moved entries by up to 0.13), the short path takes this share of the
 block time:
     positions        10    128    256    320    512
-    W 96,  nv 1    0.07   0.13   0.28   0.34   0.42
-    W 96,  nv 5    0.12   0.29   0.45   0.54   0.71
-    W 384, nv 1    0.04   0.16   0.29   0.37   0.52
-    W 384, nv 5    0.06   0.30   0.59   0.62   0.77
-so the short path is the faster up to 512 positions at least. SHORT stays at
-256: no caller makes calls of 256-512 positions, and the short path's array
-of W * (nv + 1) * npos floats would grow with it at large W (W 4096, say).
+    W 96,  nv 1    0.07   0.19   0.28   0.35   0.42
+    W 96,  nv 5    0.10   0.34   0.54   0.69   0.86
+    W 384, nv 1    0.04   0.16   0.32   0.41   0.58
+    W 384, nv 5    0.07   0.40   0.73   0.81   1.08
+so the short path is the faster up to 320 positions at least, and level with
+the block path at 512 positions, W 384 and 5 rows. SHORT stays at 256: no
+caller makes calls of 256-512 positions, and the short path's array of
+W * (nv + 1) * npos floats would grow with it at large W (W 4096, say).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -85,10 +103,12 @@ def eval_windows_raw(weights, signal):
     nv, window = weights.shape
     n, rows = cols.shape
     npos = max(0, n - window + 1)
-    sums = np.empty((nv, npos, rows))
-    sigma = np.empty((npos, rows))
-    rms = np.empty((npos, rows))
-    if rows * npos < SHORT:
+    short = rows * npos < SHORT
+    alloc = np.empty if short else _aligned
+    sums = alloc((nv, npos, rows))
+    sigma = alloc((npos, rows))
+    rms = alloc((npos, rows))
+    if short:
         _eval_short(weights, cols, sums, sigma, rms)
     else:
         wcols = np.ascontiguousarray(weights.T)[:, :, None, None]  # offset i: (nv, 1, 1)
@@ -101,6 +121,15 @@ def eval_windows_raw(weights, signal):
         return sums[..., 0], sigma[:, 0], rms[:, 0]
     # row-major again
     return tuple(np.ascontiguousarray(a) for a in (sums.transpose(0, 2, 1), sigma.T, rms.T))
+
+
+def _aligned(shape):
+    """An uninitialized float64 array of `shape` whose data starts on a
+    64-byte boundary: 8 doubles more than it needs, sliced."""
+    n = math.prod(shape)
+    buf = np.empty(n + 8)
+    skip = (-buf.ctypes.data % 64) // 8
+    return buf[skip : skip + n].reshape(shape)
 
 
 def _moments(mean, ssd, window, out_sigma, out_rms):
@@ -123,7 +152,7 @@ def _eval_block(wcols, seg, out_sums, out_sigma, out_rms):
     out_sums[...] = 0.0
     ssum = out_rms
     ssum[...] = 0.0
-    term = np.empty(out_sums.shape)
+    term = _aligned(out_sums.shape)
     for i in range(window):
         x = seg[i : i + n]
         np.multiply(x, wcols[i], out=term)

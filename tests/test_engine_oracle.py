@@ -179,6 +179,24 @@ def test_engine_rows_match_scalar_loop(rows, nv, monkeypatch, calls):
         assert calls == want_calls
 
 
+def test_block_outputs_start_on_a_cache_line(monkeypatch):
+    """Every output view the block path writes starts on a 64-byte boundary:
+    one row over three blocks (the runtime's call) and one block of 4 rows
+    (a campaign group, which run_campaign sizes to one block)."""
+    starts = []
+
+    def spy(wcols, seg, *outs, _real=_engine._eval_block):
+        starts.extend(out.ctypes.data % 64 for out in outs)
+        return _real(wcols, seg, *outs)
+
+    monkeypatch.setattr(_engine, "_eval_block", spy)
+    for rows, npos, window, blocks in ((1, 2 * _engine.BLOCK + 5, 128, 3), (4, 3000, 384, 1)):
+        starts.clear()
+        y = np.random.default_rng(rows).standard_normal((rows, npos + window - 1))
+        eval_windows_raw(weights_for(1, window), y[0] if rows == 1 else y)
+        assert starts == [0] * 3 * blocks
+
+
 @pytest.mark.parametrize("k", [2, 3, 6])
 @pytest.mark.parametrize("npos", [1, 2, 10])
 @pytest.mark.parametrize("rows", [1, 3])
