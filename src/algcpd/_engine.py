@@ -48,16 +48,18 @@ positions times W.
 
 The block path writes into arrays whose data starts on a 64-byte boundary
 (_aligned): sums, sigma, rms and the block's term scratch. NumPy aligns its
-allocations to 16 bytes only, and glibc's mmapped chunks start 16 bytes past
-a page, so where np.empty put them used to decide the block time. With 512-bit
-vectors each store off that boundary splits over two cache lines: one row of
+allocations to 16 bytes only, and glibc's mmapped chunks start 16 bytes past a
+page, so under np.empty the allocator's choice would set the block time. With
+512-bit vectors each store off the boundary spans two cache lines: one row of
 65,536 positions at W 128 took 13.5 ms with the four arrays on the boundary,
 15.7 ms at 32 bytes past it and 18.1-18.6 ms at 16 or 48 bytes past it (2-CPU
 Xeon VM with AVX-512, NumPy 2.4.6, best of 9, same bits in every case). The
-four stay separate allocations (one buffer for all of them, once freed, moves
-glibc's dynamic mmap threshold). The short path keeps np.empty: _aligned
-takes about 2 us per array against 0.26 us, a cost its short calls repay
-least.
+four stay separate allocations: one large buffer for all of them, freed after
+each call, would raise glibc's dynamic mmap threshold, as one did for the
+double-double Horner's work arrays in kernels. The short path keeps np.empty:
+_aligned takes about 2 us per array against 0.26 us, and on the short path it
+made calls of 1 to 255 positions at W 96 slower by 8-10 us each (medians of
+30).
 
 Measured on the same VM (best of 7, the median of 4 such tables; single
 tables moved entries by up to 0.13), the short path takes this share of the
