@@ -31,7 +31,6 @@ from .operators import (
 from .kernels import (
     DiscreteDetector,
     discretize,
-    kernelize,
 )
 from .runtime import (
     DecisionTrace,
@@ -73,7 +72,6 @@ __all__ = [
     "verify_detector",
     "DiscreteDetector",
     "discretize",
-    "kernelize",
     "DecisionTrace",
     "DetectConfig",
     "Detection",

@@ -140,8 +140,10 @@ class DetectorOperator:
 
     @cached_property
     def kernels(self) -> tuple:
-        """The exact window kernels of omega (``kernels.kernelize``), derived
-        once per detector; a copy made by dataclasses.replace derives its own."""
+        """The exact window kernels of omega, K_v(T, tau) for each delay power v
+        in order (``kernels._kernel``); raises ValueError unless each
+        coefficient is in strict integral form. Derived once per detector; a
+        copy made by dataclasses.replace derives its own."""
         from .kernels import _kernel  # kernels imports this module
 
         return tuple(_kernel(c) for c in self.omega.coeffs)

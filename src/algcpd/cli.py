@@ -26,7 +26,7 @@ from . import __version__
 from . import bench as bench_mod
 from ._csv import read_table, write_table
 from .builder import METHODS, ModelSpec, build_detector
-from .kernels import RULES, discretize, kernelize
+from .kernels import RULES, discretize
 from .noise import NOISE_KINDS, apply_noise
 from .runtime import DetectConfig, Detection, detect_samples
 from .signals import SUITES, Carrier, Segment, SignalSpec, builtin_suite, render
@@ -210,7 +210,7 @@ def cmd_derive(args) -> int:
     print(f"delay degree: {det.degree}")
     print(f"max derivative: {det.max_deriv}")
     print("kernels (T = window span, u = offset into window):")
-    for nu, k in enumerate(kernelize(det)):
+    for nu, k in enumerate(det.kernels):
         print(f"K{nu}: {k.text()}")
     if args.emit_weights:
         dd = discretize(det, window=args.window, dt=args.dt, rule=args.rule)

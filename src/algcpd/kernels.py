@@ -102,14 +102,6 @@ def _kernel(comp: DiffOperator) -> BivariatePoly:
     return BivariatePoly(_poly(col, L) for col in cols)
 
 
-def kernelize(det: DetectorOperator) -> Tuple[BivariatePoly, ...]:
-    """The exact window kernels of det, K_v(T, tau) for each delay power v in
-    order, one per coefficient of det.omega; raises ValueError unless each
-    coefficient is in strict integral form. They are derived once per
-    detector (``DetectorOperator.kernels``)."""
-    return det.kernels
-
-
 def _quadrature_factors(window: int, rule: str) -> List[Tuple[Fraction, slice]]:
     """The rule as (c, taps) pairs, q_i = c * dt at each tap i the slice picks;
     the slices partition range(window). Raises ValueError unless rule is one
@@ -147,7 +139,11 @@ class DiscreteDetector:
     weights: (delay powers, window) float64 rows, one per power of the delay;
     derive --emit-weights writes them and the tests check them.
     exact_rows: (D, A) per row, exactly sum_j A[j] * i^j / D at tap i before
-    quadrature; the tests' exact reference for the float weights.
+    quadrature; the tests' exact reference for the float weights. The raw
+    quadrature image, the rows before projection, is
+    _tap_weights(exact_rows, window, Fraction(dt), _quadrature_factors(window,
+    rule)) for the rule discretize was given, run under
+    np.errstate(over="ignore", invalid="ignore").
     t_mid: the window midpoint T/2, where the delay rows are collapsed.
     w_mid: (window,) float64, sum_v weights[v] * t_mid^v, the delay rows
     collapsed at t_mid: the one row the window engine slides for the runtime,
@@ -408,24 +404,20 @@ def discretize(
     window: int = 64,
     dt: float = 0.01,
     rule: str = "trapezoid",
-    project: bool = True,
 ) -> DiscreteDetector:
     """Evaluate the symbolic kernels on a uniform window grid.
 
-    With project=True (the default) each float weight row is deflated against
-    the sampled monomials its exact kernel annihilates, so windows holding a
-    pure model-family signal produce values at rounding level instead of
-    quadrature-bias level. project=False keeps the raw quadrature weights,
-    each the correctly rounded float of its exact weight q_i * K_v(T, i * dt).
-    dt is read once as a Python float, the step the runtime reads back from
-    dd.dt, so a NumPy or Fraction dt gives the detector of float(dt). Raises
-    ValueError for a dt that is not a real number, one whose float is not
-    finite and positive, and one that takes the raw weights, or their norm
-    collapsed at the window midpoint, out of the float range, and for a
-    project that is not a bool.
+    Each row starts as the raw quadrature image, the correctly rounded float
+    of each exact weight q_i * K_v(T, i * dt) (_tap_weights over exact_rows),
+    and is deflated against the sampled monomials its exact kernel
+    annihilates, so windows holding a pure model-family signal produce values
+    at rounding level instead of quadrature-bias level. dt is read once as a
+    Python float, the step the runtime reads back from dd.dt, so a NumPy or
+    Fraction dt gives the detector of float(dt). Raises ValueError for a dt
+    that is not a real number, one whose float is not finite and positive,
+    and one that takes the raw weights, or their norm collapsed at the window
+    midpoint, out of the float range.
     """
-    if not isinstance(project, bool):
-        raise ValueError(f"project must be a bool, got {project!r}")
     if isinstance(window, bool) or not isinstance(window, numbers.Integral):
         raise ValueError(f"window must be an integer, got {window!r}")
     window = int(window)
@@ -434,7 +426,7 @@ def discretize(
     dt = _grid_step(dt)
     out_of_range = f"dt={dt!r} takes the weights or their norm out of the float range"
     factors = _quadrature_factors(window, rule)
-    kernels = kernelize(det)
+    kernels = det.kernels
     h = Fraction(dt)
     T = (window - 1) * h
 
@@ -450,22 +442,21 @@ def discretize(
             raise ValueError(out_of_range) from None
         w_mid = _midpoint_row(weights, t_mid)
         raw_norm = _norm(w_mid)
-        if project:
-            grid = np.arange(window, dtype=np.float64) / max(window - 1, 1)
-            # vector k of the orthonormal basis depends on moments 0..k only, and
-            # the rows share or nest their moment sets: one basis per prefix
-            prefixes = {(): ()}
-            for vi, (kv, row) in enumerate(zip(kernels, tau_rows)):
-                moments = tuple(_annihilated_moments(kv, row, T))
-                for k in range(1, len(moments) + 1):
-                    if moments[:k] not in prefixes:
-                        prefixes[moments[:k]] = _orthonormal(
-                            prefixes[moments[: k - 1]], grid ** moments[k - 1]
-                        )
-                if moments:
-                    weights[vi] = _project_out(weights[vi], prefixes[moments])
-            w_mid = _midpoint_row(weights, t_mid)
-        wnorm = _norm(w_mid) if project else raw_norm
+        grid = np.arange(window, dtype=np.float64) / max(window - 1, 1)
+        # vector k of the orthonormal basis depends on moments 0..k only, and
+        # the rows share or nest their moment sets: one basis per prefix
+        prefixes = {(): ()}
+        for vi, (kv, row) in enumerate(zip(kernels, tau_rows)):
+            moments = tuple(_annihilated_moments(kv, row, T))
+            for k in range(1, len(moments) + 1):
+                if moments[:k] not in prefixes:
+                    prefixes[moments[:k]] = _orthonormal(
+                        prefixes[moments[: k - 1]], grid ** moments[k - 1]
+                    )
+            if moments:
+                weights[vi] = _project_out(weights[vi], prefixes[moments])
+        w_mid = _midpoint_row(weights, t_mid)
+        wnorm = _norm(w_mid)
     # Near the ends of the float range the raw rows' collapse overflows or
     # underflows to 0. The projected one may be 0 in range too: a window too
     # short for the model projects to rounding dust (2 or 3 taps, say).

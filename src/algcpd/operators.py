@@ -15,12 +15,12 @@ whose every monomial c*s^-m*D^a has m >= 1 therefore realizes a strictly
 finite integral (no unintegrated or differentiated samples), which is the
 form the kernelizer consumes.
 
-``DiffOperator.apply``, ``DiffOperator.compose``, ``OperatorPolynomial.apply``
-and ``OperatorPolynomial.delay_expansion`` are one routine, ``_apply_terms``,
-over different terms: compose applies the rows of the left operand to each
-coefficient sigma_b of the right one, D^a o sigma_b contributing
-C(a, j) sigma_b^(j) to the slot of D^(a-j+b). The routine takes each
-operand's derivatives once and, when every operand and coefficient has a
+``DiffOperator.apply``, ``DiffOperator.compose``, ``DiffOperator.scale``,
+``OperatorPolynomial.apply`` and ``OperatorPolynomial.delay_expansion`` are one
+routine, ``_apply_terms``, over different terms: compose applies the rows of
+the left operand to each coefficient sigma_b of the right one, D^a o sigma_b
+contributing C(a, j) sigma_b^(j) to the slot of D^(a-j+b). The routine takes
+each operand's derivatives once and, when every operand and coefficient has a
 pure-power-of-s denominator, keeps each value as integer numerators over one
 int denominator and one power of s (see ``_laurent_mac``) and canonicalizes
 each result once. It is the one Laurent path of the symbolic layer.
@@ -203,10 +203,8 @@ class DiffOperator:
 
     def scale(self, factor) -> "DiffOperator":
         """Left-multiply every coefficient by a rational function."""
-        f = _as_coeff(factor)
-        if f.is_zero():
-            return DiffOperator()
-        return DiffOperator({a: f * c for a, c in self.terms.items()})
+        rows = [(rho, [(a, 0, 1)]) for a, rho in self.terms.items()]
+        return DiffOperator(dict(enumerate(_apply_terms([(factor, rows)], self.order + 1))))
 
     def compose(self, other: "DiffOperator") -> "DiffOperator":
         """self o other, normalized by the commutation rule: the term
@@ -379,10 +377,7 @@ def conjugate_by_delay(op: DiffOperator) -> OperatorPolynomial:
     coeffs: List[Dict[int, RF]] = [dict() for _ in range(op.order + 1)]
     for a, rho in op.terms.items():
         for j in range(a + 1):
-            w = rho * comb(a, j)
-            slot = coeffs[j]
-            k = a - j
-            slot[k] = slot[k] + w if k in slot else w
+            coeffs[j][a - j] = rho * comb(a, j)
     return OperatorPolynomial(tuple(DiffOperator(d) for d in coeffs))
 
 

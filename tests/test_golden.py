@@ -3,9 +3,9 @@
 Each model of the grid below is one case. Its digests cover the built
 operator's text, the verification report, the symbolic kernels and, at two
 windows, the float weight rows and the exact integer rows they come from, plus
-the weight rows of the Simpson rule at W 385 and of the unprojected
-(``project=False``) trapezoid rule at W 64. A change that moves any of them
-fails under the model's label and names the fields that moved.
+the weight rows of the Simpson rule at W 385 and the raw trapezoid rows at W 64,
+before projection (``test_kernels.raw_weights``). A change that moves any of
+them fails under the model's label and names the fields that moved.
 
 The stream cases pin what a StreamDetector emits on pc5 at 10 dB normal noise
 (W 96, step detector, kappa 3), noise seeds 0-3: the event list of every call
@@ -77,12 +77,13 @@ from algcpd._engine import SHORT, eval_windows_raw  # noqa: E402
 from algcpd._exact import Polynomial, RationalFunction as RF  # noqa: E402
 from algcpd.bench import REFERENCE_SETUPS, DetectorSetup, reference_campaign, run_campaign  # noqa: E402
 from algcpd.builder import ModelSpec, build_detector, verify_detector  # noqa: E402
-from algcpd.kernels import discretize, kernelize  # noqa: E402
+from algcpd.kernels import discretize  # noqa: E402
 from algcpd.noise import NOISE_KINDS, apply_noise  # noqa: E402
 from algcpd.runtime import DetectConfig, StreamDetector, detect, eval_windows  # noqa: E402
 from algcpd.signals import builtin_suite, render  # noqa: E402
 from test_acceptance import run_pipeline  # noqa: E402
 from test_engine_oracle import hard_signal  # noqa: E402
+from test_kernels import raw_weights  # noqa: E402
 
 WINDOWS = (64, 385)
 STREAM_SEEDS = range(4)
@@ -140,14 +141,14 @@ def digests(model: ModelSpec) -> dict:
     out = {
         "text": sha(det.text()),
         "verify": sha(repr(verify_detector(det))),
-        "kernel": sha("\n".join(f"K_{v}(T,u): {k.text()}" for v, k in enumerate(kernelize(det)))),
+        "kernel": sha("\n".join(f"K_{v}(T,u): {k.text()}" for v, k in enumerate(det.kernels))),
     }
-    for w in WINDOWS:
-        dd = discretize(det, window=w)
+    dds = {w: discretize(det, window=w) for w in WINDOWS}
+    for w, dd in dds.items():
         out[f"weights_W{w}"] = sha(dd.weights.tobytes())
         out[f"rows_W{w}"] = sha(repr(dd.exact_rows))
     out["weights_simpson_W385"] = sha(discretize(det, window=385, rule="simpson").weights.tobytes())
-    out["weights_unprojected_W64"] = sha(discretize(det, window=64, project=False).weights.tobytes())
+    out["weights_unprojected_W64"] = sha(raw_weights(dds[64]).tobytes())
     return out
 
 

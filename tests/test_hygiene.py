@@ -154,7 +154,6 @@ CALLERS = SRC + sorted((Path(__file__).resolve().parent.parent / "perfbench").gl
 UNSET_DEFAULTS_KEPT = {
     "_exact.Polynomial.__init__.coeffs": "the public constructor; the package builds its own polynomials from integer numerators",
     "cli.main.argv": "the console script reads sys.argv; tests pass the arguments",
-    "kernels.discretize.project": "project=False gives the raw kernel rows that criterion 2 compares against",
     "runtime.StreamDetector.__init__.t0": "mirrors t0 of the batch detect(); tests check the two agree",
 }
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from algcpd import kernels
 from algcpd._exact import Polynomial, RationalFunction as RF
 from algcpd.builder import ModelSpec, build_detector
-from algcpd.kernels import RULES, BivariatePoly, discretize, kernelize, quadrature_weights
+from algcpd.kernels import RULES, BivariatePoly, discretize, quadrature_weights
 from algcpd.operators import DiffOperator, OperatorPolynomial, to_integral_form
 from algcpd.runtime import detect_samples
 
@@ -32,7 +32,7 @@ def _smooth_samples(rng, n, dt):
 
 def test_step_kernel_golden():
     det = build_detector(ModelSpec.monomial(0, 0))
-    k0, k1 = kernelize(det)
+    k0, k1 = det.kernels
     assert k0.text() == "3*u^2 - 2*T*u"
     assert k1.text() == "-2*u + T"
 
@@ -153,7 +153,7 @@ def test_kernel_moments_grow_with_model():
     tops = []
     for model in (ModelSpec.monomial(2, 0), ModelSpec.polynomial(0, 3)):
         det = build_detector(model)
-        for kv, ref in zip(kernelize(det), reference_kernels(det)):
+        for kv, ref in zip(det.kernels, reference_kernels(det)):
             want = reference_moments(ref, T)
             assert kernels._annihilated_moments(kv, kv.at(T), T) == want
             tops.append(max(j for _, j in ref) + 1 in want)
@@ -163,19 +163,19 @@ def test_kernel_moments_grow_with_model():
 def test_kernelize_rejects_non_integral():
     det = build_detector(ModelSpec.monomial(0, 0))
     # derived once per detector, and not carried to a copy with another omega
-    assert kernelize(det) is kernelize(det)
+    assert det.kernels is det.kernels
     # D alone: an s^0 monomial, not a finite integral
     bad = dataclasses.replace(det, omega=OperatorPolynomial((DiffOperator.d(),)))
     assert not bad.omega.is_strict_integral()
     with pytest.raises(ValueError):
-        kernelize(bad)
+        bad.kernels
     # 1/(s+1): a denominator that is not a power of s has no Laurent monomials
     shifted = RF(Polynomial.one(), Polynomial([Fraction(1), Fraction(1)]))
     omega = OperatorPolynomial((DiffOperator.mul(shifted), DiffOperator.identity()))
     bad = dataclasses.replace(det, omega=omega)
     assert not omega.is_strict_integral()
     with pytest.raises(ValueError):
-        kernelize(bad)
+        bad.kernels
     with pytest.raises(ValueError):
         to_integral_form(omega)
 
@@ -208,10 +208,11 @@ def test_quadrature_exactness():
 
 def test_raw_weights_are_float_image_of_exact():
     det = build_detector(ModelSpec.monomial(0, 0))
-    dd = discretize(det, window=16, dt=0.01, project=False)
+    dd = discretize(det, window=16, dt=0.01)
+    raw = raw_weights(dd)
     for v, row in enumerate(fraction_horner_rows(det, 16, 0.01, "trapezoid")):
         for i, w in enumerate(row):
-            assert dd.weights[v, i] == float(w)
+            assert raw[v, i] == float(w)
     assert dd.weights.dtype == np.float64
     assert dd.weights.flags["C_CONTIGUOUS"]
     assert dd.weights.shape == (2, 16)
@@ -244,10 +245,6 @@ def test_discretize_validation():
         assert np.isfinite(dd.weights).all() and 0.0 < dd.wnorm < math.inf
     with pytest.raises(ValueError):
         discretize(det, window=8, rule="gauss")
-    # project="no" is truthy and used to project anyway
-    for project in ("no", 0, 1, None, np.bool_(True)):
-        with pytest.raises(ValueError, match="project must be a bool"):
-            discretize(det, window=8, project=project)
 
 
 def test_discretize_reads_dt_as_a_python_float():
@@ -276,14 +273,14 @@ def test_discretize_reads_dt_as_a_python_float():
 
 def test_projection_kills_quadrature_bias():
     det = build_detector(ModelSpec.monomial(0, 0))
-    raw = discretize(det, window=64, dt=0.01, project=False)
-    prj = discretize(det, window=64, dt=0.01, project=True)
+    prj = discretize(det, window=64, dt=0.01)
+    raw = raw_weights(prj)
     # raw trapezoid rows carry O(h^2) bias on constants; projected rows do not
-    assert abs(raw.weights[0].sum()) > 1e-6
+    assert abs(raw[0].sum()) > 1e-6
     assert abs(prj.weights[0].sum()) < 1e-16
     # the deflation is a small correction, not a rewrite
-    scale = np.abs(raw.weights).max()
-    assert np.abs(prj.weights - raw.weights).max() < 1e-4 * scale
+    scale = np.abs(raw).max()
+    assert np.abs(prj.weights - raw).max() < 1e-4 * scale
 
 
 def test_projection_annihilates_in_model_windows():
@@ -299,22 +296,22 @@ def test_projection_annihilates_in_model_windows():
 
 def test_oracle_matches_kernel_path():
     det = build_detector(ModelSpec.monomial(0, 0))
-    dd = discretize(det, window=32, dt=0.01, project=False)
+    raw = raw_weights(discretize(det, window=32, dt=0.01))
     rng = np.random.default_rng(5)
     y = _smooth_samples(rng, 32, 0.01)
-    direct = dd.weights @ y
+    direct = raw @ y
     oracle = oracle_window_values(det, y, 0.01, "trapezoid")
-    assert len(oracle) == dd.weights.shape[0]
+    assert len(oracle) == raw.shape[0]
     for a, b in zip(direct, oracle):
         assert math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-15)
 
 
 def test_oracle_simpson_rule():
     det = build_detector(ModelSpec.monomial(1, 0))
-    dd = discretize(det, window=33, dt=0.02, rule="simpson", project=False)
+    raw = raw_weights(discretize(det, window=33, dt=0.02, rule="simpson"), "simpson")
     rng = np.random.default_rng(6)
     y = _smooth_samples(rng, 33, 0.02)
-    direct = dd.weights @ y
+    direct = raw @ y
     oracle = oracle_window_values(det, y, 0.02, "simpson")
     for a, b in zip(direct, oracle):
         assert math.isclose(a, b, rel_tol=1e-11, abs_tol=1e-15)
@@ -381,6 +378,14 @@ def assert_same_bits(got, want):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def raw_weights(dd, rule="trapezoid"):
+    """The raw quadrature image of dd, its rows before projection: the weight
+    routine discretize runs, over dd.exact_rows."""
+    factors = kernels._quadrature_factors(dd.window, rule)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return kernels._tap_weights(dd.exact_rows, dd.window, Fraction(dd.dt), factors)
+
+
 ORACLE_MODELS = {
     "monomial(0,0)": (ModelSpec.monomial(0, 0), None),
     "monomial(4,0)": (ModelSpec.monomial(4, 0), None),
@@ -407,7 +412,7 @@ def oracle_detector(name):
 def test_kernelize_matches_cauchy_reference(model):
     det = oracle_detector(model)
     T = Fraction(63, 100)
-    for kv, ref in zip(kernelize(det), reference_kernels(det), strict=True):
+    for kv, ref in zip(det.kernels, reference_kernels(det), strict=True):
         got = {(i, j): c for i, p in enumerate(kv) for j, c in enumerate(p.coeffs) if c}
         assert got == ref
         assert kv.at(T).coeffs == tuple(tau_coeffs_at(ref, T))
@@ -415,9 +420,9 @@ def test_kernelize_matches_cauchy_reference(model):
 
 def check_against_reference(det, window, dt, rule):
     want_exact = fraction_horner_rows(det, window, dt, rule)
-    for project in (False, True):
-        dd = discretize(det, window=window, dt=dt, rule=rule, project=project)
-        assert_same_bits(dd.weights, reference_weights(det, want_exact, dt, project))
+    dd = discretize(det, window=window, dt=dt, rule=rule)
+    assert_same_bits(raw_weights(dd, rule), reference_weights(det, want_exact, dt, False))
+    assert_same_bits(dd.weights, reference_weights(det, want_exact, dt, True))
 
 
 @pytest.mark.parametrize(
@@ -448,8 +453,8 @@ def test_discretize_raw_weights_are_float_image_of_reference(model, dt, window, 
         window = max(3, window | 1)
     det = oracle_detector(model)
     want_exact = fraction_horner_rows(det, window, dt, rule)
-    dd = discretize(det, window=window, dt=dt, rule=rule, project=False)
-    assert_same_bits(dd.weights, reference_weights(det, want_exact, dt, False))
+    dd = discretize(det, window=window, dt=dt, rule=rule)
+    assert_same_bits(raw_weights(dd, rule), reference_weights(det, want_exact, dt, False))
     with pytest.raises(dataclasses.FrozenInstanceError):
         dd.window = window + 1
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algcpd import runtime
+from algcpd import kernels, runtime
 from algcpd.bench import REFERENCE_SETUPS, Campaign, DetectorSetup, run_campaign
 from algcpd.builder import ModelSpec, build_detector
 from algcpd.kernels import discretize
@@ -27,6 +27,7 @@ from algcpd.runtime import (
     eval_windows,
 )
 from algcpd.signals import builtin_suite, render
+from test_kernels import raw_weights
 
 
 def step_detector(window=64, dt=0.01):
@@ -884,8 +885,11 @@ def test_zero_wnorm_fails_loudly():
     for scale in (None, 2 ** -0.5):
         with pytest.raises(ValueError, match=message):
             StreamDetector(dd, DetectConfig(scale=scale))
-    # a detector with a positive norm at the same window still runs
-    raw = discretize(build_detector(ModelSpec.monomial(0, 0)), window=2, project=False)
+    # a detector with a positive norm at the same window still runs: the
+    # raw quadrature rows, unprojected
+    weights = raw_weights(dd)
+    w_mid = kernels._midpoint_row(weights, dd.t_mid)
+    raw = dataclasses.replace(dd, weights=weights, w_mid=w_mid, wnorm=kernels._norm(w_mid))
     assert raw.wnorm > 0.0
     eval_windows(raw, y)
 

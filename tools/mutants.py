@@ -182,6 +182,18 @@ MUTANTS = (
         "powers[taps] = lc // c.denominator",
         ("tests/test_kernels.py::test_discretize_matches_fraction_horner",),
     ),
+    # every delay row is deflated against its annihilated moments, the delay
+    # rows as well as row 0
+    Mutant(
+        "discretize-delay-row-unprojected",
+        "src/algcpd/kernels.py",
+        "            if moments:\n",
+        "            if moments and vi == 0:\n",
+        (
+            "tests/test_kernels.py::test_projection_annihilates_in_model_windows",
+            "tests/test_kernels.py::test_discretize_matches_fraction_horner_at_4096",
+        ),
+    ),
     Mutant(
         "discretize-simpson-slices-swapped",
         "src/algcpd/kernels.py",
@@ -264,6 +276,19 @@ MUTANTS = (
         (
             "tests/test_operators.py::test_compose_matches_nested_apply",
             "tests/test_builder.py::test_step_detector_verifies_exactly",
+        ),
+    ),
+    # scale is one more set of terms: factor times each coefficient, underived.
+    # A derived factor is still a left multiple, which annihilates the model as
+    # well, so verify_detector passes it; the operator's text does not
+    Mutant(
+        "scale-term-derived",
+        "src/algcpd/operators.py",
+        "rows = [(rho, [(a, 0, 1)]) for a, rho in self.terms.items()]",
+        "rows = [(rho, [(a, 1, 1)]) for a, rho in self.terms.items()]",
+        (
+            "tests/test_operators.py::test_to_integral_form",
+            "tests/test_golden.py::test_golden[monomial(n1=0,n2=0,order=0)]",
         ),
     ),
     Mutant(
