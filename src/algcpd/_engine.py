@@ -17,9 +17,9 @@ window; sigma = sqrt(var) and rms = sqrt(var + mean * mean), each sqrt
 correctly rounded. rms equals the root mean square in exact arithmetic, so
 no sum of squares is taken. The results are bit-identical to that loop.
 
-Calls with fewer than SHORT positions over all rows (a drain of a stream, say)
-take the short path, _eval_short: the terms of every accumulator of every
-position sit in one C-contiguous (window, k, npos, rows) array, window offset
+A call on one signal with fewer than SHORT positions (a drain of a stream,
+say) takes the short path, _eval_short: the terms of every accumulator of
+every position sit in one C-contiguous (window, k, npos) array, window offset
 first, and np.add.reduce(..., axis=0, initial=0.0) sums the leading axis. When
 the reduced axis is the outer one and the trailing block holds at least 2
 elements, NumPy fills the output with 0.0 and adds whole rows to it element by
@@ -30,17 +30,21 @@ reduction into NumPy's pairwise inner-loop sum. The first reduction carries
 k = nv + 1 >= 2 accumulators (the weight rows and the window sum); the second
 sums the squared deviations alone, so a call of one position pads it with a
 column of zeros it then drops. It costs about a dozen NumPy calls whatever
-the window, each over window * k * npos * rows terms.
+the window, each over window * k * npos terms. It reads the signal itself
+through a (window, npos) view and returns the reductions' own arrays, with no
+row axis to add, drop or transpose. A block of signals takes the block path
+however few its positions: blocks come from campaigns, and every trial of the
+reference grid has at least 1155 positions.
 
-Longer calls keep the order while vectorizing across positions and rows. The
-samples are laid out position-major (sample p of every row side by side), so
-window offset i of a block of positions is one contiguous slab; a block holds
-BLOCK // rows positions of every row, so its arrays are the same size however
-the positions divide into rows. A block shares one accumulator array per
-statistic, and window offset i adds its terms to all of them at once, offsets
-in increasing order: one broadcast multiply of the slab by the offset's
-(nv, 1, 1) weight column and one add for all nv rows, then one add for the
-window sum; the deviation pass takes a subtract, a multiply and an add.
+Longer calls and blocks keep the order, vectorized across positions and rows.
+The samples are laid out position-major (sample p of every row side by side),
+so window offset i of a block of positions is one contiguous slab; a block
+holds BLOCK // rows positions of every row, so its arrays are the same size
+however the positions divide into rows. A block shares one accumulator array
+per statistic, and window offset i adds its terms to all of them at once,
+offsets in increasing order: one broadcast multiply of the slab by the
+offset's (nv, 1, 1) weight column and one add for all nv rows, then one add
+for the window sum; the deviation pass takes a subtract, a multiply and an add.
 Separate np.multiply and np.add calls round each step exactly as the scalar
 loop does; only the loop nesting changes. That is 6 * W NumPy calls per
 block however few the positions, while the short path's arrays grow with the
@@ -56,10 +60,12 @@ page, so under np.empty the allocator's choice would set the block time. With
 Xeon VM with AVX-512, NumPy 2.4.6, best of 9, same bits in every case). The
 four stay separate allocations: one large buffer for all of them, freed after
 each call, would raise glibc's dynamic mmap threshold, as one did for the
-double-double Horner's work arrays in kernels. The short path keeps np.empty:
-_aligned takes about 2 us per array against 0.26 us, and on the short path it
-made calls of 1 to 255 positions at W 96 slower by 8-10 us each (medians of
-30).
+double-double Horner's work arrays in kernels. The short path takes its one
+term array from np.empty: _aligned takes about 2 us per array against 0.26 us,
+and it made short calls of 1 to 255 positions at W 96 slower by 8-10 us each
+(medians of 30). With no row axis a short call takes 1-5 us less: at W 96,
+21.4 -> 20.2 us at 1 position and 26.5 -> 24.0 us at 10; at W 384, 42.0 ->
+38.6 us at 1 (medians of 41 interleaved timings of 200 calls).
 
 Measured on the same VM (best of 7, the median of 4 such tables; single
 tables moved entries by up to 0.13), the short path takes this share of the
@@ -83,7 +89,7 @@ import numpy as np
 
 #: positions per block of the vectorized form, over all rows (its arrays stay in L2)
 BLOCK = 16384
-#: calls with fewer positions than this, over all rows, take the one-reduction short path
+#: one-signal calls with fewer positions than this take the one-reduction short path
 SHORT = 256
 
 
@@ -99,26 +105,23 @@ def eval_windows_raw(weights, signal):
     """
     weights = np.ascontiguousarray(weights, dtype=np.float64)
     signal = np.asarray(signal, dtype=np.float64)
+    nv, window = weights.shape
+    npos = max(0, signal.shape[-1] - window + 1)
+    if signal.ndim == 1 and npos < SHORT:
+        return _eval_short(weights, np.ascontiguousarray(signal))
     # position-major: cols[p] holds sample p of every row, so window offset
     # i of a block of positions is one contiguous slab (one row: no copy)
     cols = np.ascontiguousarray(signal[:, None] if signal.ndim == 1 else signal.T)
-    nv, window = weights.shape
-    n, rows = cols.shape
-    npos = max(0, n - window + 1)
-    short = rows * npos < SHORT
-    alloc = np.empty if short else _aligned
-    sums = alloc((nv, npos, rows))
-    sigma = alloc((npos, rows))
-    rms = alloc((npos, rows))
-    if short:
-        _eval_short(weights, cols, sums, sigma, rms)
-    else:
-        wcols = np.ascontiguousarray(weights.T)[:, :, None, None]  # offset i: (nv, 1, 1)
-        step = max(1, BLOCK // rows)
-        for lo in range(0, npos, step):
-            hi = min(npos, lo + step)
-            _eval_block(wcols, cols[lo : hi + window - 1], sums[:, lo:hi],
-                        sigma[lo:hi], rms[lo:hi])
+    rows = cols.shape[1]
+    sums = _aligned((nv, npos, rows))
+    sigma = _aligned((npos, rows))
+    rms = _aligned((npos, rows))
+    wcols = np.ascontiguousarray(weights.T)[:, :, None, None]  # offset i: (nv, 1, 1)
+    step = max(1, BLOCK // rows)
+    for lo in range(0, npos, step):
+        hi = min(npos, lo + step)
+        _eval_block(wcols, cols[lo : hi + window - 1], sums[:, lo:hi],
+                    sigma[lo:hi], rms[lo:hi])
     if signal.ndim == 1:
         return sums[..., 0], sigma[:, 0], rms[:, 0]
     # row-major again
@@ -171,32 +174,30 @@ def _eval_block(wcols, seg, out_sums, out_sigma, out_rms):
     _moments(mean, ssd, window, out_sigma, out_rms)
 
 
-def _eval_short(weights, cols, out_sums, out_sigma, out_rms):
-    """Every position of every row at once, the terms laid out window offset
-    first as one C-contiguous array, each accumulator one np.add.reduce over
-    the leading axis from initial 0.0. Reducing the outer axis of a trailing
-    block of at least 2 elements, NumPy adds whole rows element by element,
-    offset 0 first: the scalar loop's order from the same 0.0 start (which
-    turns an all -0.0 sum into +0.0). Pass 1 sums w*x of each weight row and
-    x, (window, nv + 1, npos, rows); pass 2 the squared deviations,
-    (window, m) for the m = npos * rows positions, with a zero column more
-    where m is 1, since one accumulator alone would be summed pairwise."""
+def _eval_short(weights, y):
+    """(sums, sigma, rms) at every position of the contiguous signal y at
+    once, the terms laid out window offset first as one C-contiguous array,
+    each accumulator one np.add.reduce over the leading axis from initial
+    0.0. Reducing the outer axis of a trailing block of at least 2 elements,
+    NumPy adds whole rows element by element, offset 0 first: the scalar
+    loop's order from the same 0.0 start (which turns an all -0.0 sum into
+    +0.0). Pass 1 sums w*x of each weight row and x, (window, nv + 1, npos);
+    pass 2 the squared deviations, (window, npos), with a zero column more
+    where npos is 1, since one accumulator alone would be summed pairwise."""
     nv, window = weights.shape
-    npos, rows = out_sigma.shape
-    step = cols.strides[0]
-    # window offset i of every position and row, no copy: (window, npos, rows)
-    x = np.ndarray((window, npos, rows), np.float64, cols, 0, (step, step, cols.itemsize))
-    terms = np.empty((window, nv + 1, npos, rows))
-    np.multiply(weights.T[:, :, None, None], x[:, None], out=terms[:, :nv])
+    npos = max(0, y.size - window + 1)
+    # window offset i of every position, no copy: (window, npos)
+    x = np.ndarray((window, npos), np.float64, y, 0, (y.itemsize, y.itemsize))
+    terms = np.empty((window, nv + 1, npos))
+    np.multiply(weights.T[:, :, None], x[:, None], out=terms[:, :nv])
     terms[:, nv] = x
     acc = np.add.reduce(terms, axis=0, initial=0.0)
-    out_sums[...] = acc[:nv]
     mean = np.divide(acc[nv], window)
     # pass 2 reuses the front of the same buffer, again C-contiguous
-    m = npos * rows
-    dev = terms.reshape(-1)[: window * max(m, 2)].reshape(window, -1)
-    dev[:, m:] = 0.0
-    np.subtract(x.reshape(window, m), mean.reshape(m), out=dev[:, :m])
+    dev = terms.reshape(-1)[: window * max(npos, 2)].reshape(window, -1)
+    dev[:, npos:] = 0.0
+    np.subtract(x, mean, out=dev[:, :npos])
     np.multiply(dev, dev, out=dev)
-    ssd = np.add.reduce(dev, axis=0, initial=0.0)[:m].reshape(npos, rows)
-    _moments(mean, ssd, window, out_sigma, out_rms)
+    ssd = np.add.reduce(dev, axis=0, initial=0.0)[:npos]
+    _moments(mean, ssd, window, ssd, mean)  # in place: ssd becomes sigma, mean rms
+    return acc[:nv], ssd, mean

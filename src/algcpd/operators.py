@@ -15,12 +15,12 @@ whose every monomial c*s^-m*D^a has m >= 1 therefore realizes a strictly
 finite integral (no unintegrated or differentiated samples), which is the
 form the kernelizer consumes.
 
-``DiffOperator.apply``, ``DiffOperator.compose``, ``DiffOperator.scale``,
-``OperatorPolynomial.apply`` and ``OperatorPolynomial.delay_expansion`` are one
-routine, ``_apply_terms``, over different terms: compose applies the rows of
-the left operand to each coefficient sigma_b of the right one, D^a o sigma_b
-contributing C(a, j) sigma_b^(j) to the slot of D^(a-j+b). The routine takes
-each operand's derivatives once and, when every operand and coefficient has a
+``DiffOperator.apply``, ``DiffOperator.compose``, ``OperatorPolynomial.apply``
+and ``OperatorPolynomial.delay_expansion`` are one routine, ``_apply_terms``,
+over different terms: compose applies the rows of the left operand to each
+coefficient sigma_b of the right one, D^a o sigma_b contributing
+C(a, j) sigma_b^(j) to the slot of D^(a-j+b). The routine takes each
+operand's derivatives once and, when every operand and coefficient has a
 pure-power-of-s denominator, keeps each value as integer numerators over one
 int denominator and one power of s (see ``_laurent_mac``) and canonicalizes
 each result once. It is the one Laurent path of the symbolic layer.
@@ -201,11 +201,6 @@ class DiffOperator:
             out[a] = out[a] + c if a in out else c
         return DiffOperator(out)
 
-    def scale(self, factor) -> "DiffOperator":
-        """Left-multiply every coefficient by a rational function."""
-        rows = [(rho, [(a, 0, 1)]) for a, rho in self.terms.items()]
-        return DiffOperator(dict(enumerate(_apply_terms([(factor, rows)], self.order + 1))))
-
     def compose(self, other: "DiffOperator") -> "DiffOperator":
         """self o other, normalized by the commutation rule: the term
         C(a, j) rho_a sigma_b^(j) D^(a-j+b) of D^a o sigma_b for every j <= a."""
@@ -306,16 +301,13 @@ class OperatorPolynomial:
         """self o op, coefficientwise (op is delay-free)."""
         return OperatorPolynomial(tuple(c.compose(op) for c in self.coeffs))
 
-    def scale(self, factor) -> "OperatorPolynomial":
-        return OperatorPolynomial(tuple(c.scale(factor) for c in self.coeffs))
-
     def eval_at(self, delay) -> DiffOperator:
         """Collapse at a numeric delay value (exact when delay is Fraction)."""
         delay = Fraction(delay) if not isinstance(delay, Fraction) else delay
         out = DiffOperator.zero()
         p = Fraction(1)
         for c in self.coeffs:
-            out = out + c.scale(p)
+            out = out + DiffOperator.mul(p).compose(c)
             p *= delay
         return out
 
@@ -426,11 +418,17 @@ def clear_polynomial_denominators(
 
 
 def to_integral_form(op_poly: OperatorPolynomial) -> Tuple[int, OperatorPolynomial]:
-    """Left-compose with s^-N for the smallest N >= 0 making the result strictly
+    """Multiply by s^-N for the smallest N >= 0 making the result strictly
     finite-integral: N = 1 + the largest Laurent exponent, or 0 when that is
-    negative. Returns (N, transformed); N == 0 leaves it unchanged.
+    negative. laurent_terms checked that each coefficient is num / s^k, and
+    it becomes num / s^(k + N): no operator product is taken. Returns
+    (N, transformed); N == 0 leaves it unchanged.
     """
     hi = max((e for c in op_poly.coeffs for _, e, _ in c.laurent_terms()), default=-1)
     if hi < 0:
         return 0, op_poly
-    return hi + 1, op_poly.scale(RF.s_power(-(hi + 1)))
+    n = hi + 1
+    return n, OperatorPolynomial(
+        DiffOperator({a: _over_s_power(rho.num, rho.den.degree + n) for a, rho in c.items()})
+        for c in op_poly.coeffs
+    )

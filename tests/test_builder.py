@@ -175,7 +175,7 @@ def test_verify_rejects_a_detector_broken_between_sampled_delays(model):
     for t0 in OLD_DELAYS:
         q = q * Polynomial([-t0, 1])
     planted = dataclasses.replace(
-        det, omega=det.omega + OperatorPolynomial(pi1.scale(c) for c in q.coeffs))
+        det, omega=det.omega + OperatorPolynomial(DiffOperator.mul(c).compose(pi1) for c in q.coeffs))
     for t0 in OLD_DELAYS:
         shifted = conjugate_by_delay(planted.omega.eval_at(t0)).eval_at(-t0)
         assert all(shifted.apply(w).is_zero() for w in model.jump_basis())

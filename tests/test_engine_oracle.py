@@ -153,17 +153,17 @@ def test_engine_matches_scalar_loop_across_block_edge(nv, window):
 @pytest.mark.parametrize("rows", [1, 2, 5])
 def test_engine_rows_match_scalar_loop(rows, nv, monkeypatch, calls):
     """Each row of a (rows, n) block is the scalar loop over that row alone,
-    bit for bit: on the short path (fewer than SHORT positions over all
-    rows, and one position per row), on the block path in one block, and
-    with a small BLOCK, so that a block holds BLOCK // rows positions of
-    every row and each row's positions split across blocks. The spies check
-    the path taken."""
+    bit for bit. A block takes the block path however few its positions:
+    fewer than SHORT over all rows, one position per row, 300 in one block,
+    and 300 under a small BLOCK, so that a block holds BLOCK // rows
+    positions of every row and each row's positions split across blocks.
+    The spies check the path taken."""
     window = 64
     w = weights_for(nv, window)
     few = max(1, (_engine.SHORT - 1) // rows)
     cases = [  # (positions per row, BLOCK, calls of each path)
-        (few, _engine.BLOCK, {"_eval_short": 1}),
-        (1, _engine.BLOCK, {"_eval_short": 1}),
+        (few, _engine.BLOCK, {"_eval_block": 1}),
+        (1, _engine.BLOCK, {"_eval_block": 1}),
         (300, _engine.BLOCK, {"_eval_block": 1}),
         (300, 100, {"_eval_block": -(-300 // (100 // rows))}),
     ]
@@ -205,9 +205,10 @@ def test_reduce_over_leading_axis_is_a_row_loop(k, npos, rows):
     C-contiguous (window, k, npos, rows) array from initial 0.0 adds whole
     rows, offset 0 first, the same bits as a loop of np.add over the rows,
     whenever the trailing block k * npos * rows holds at least 2 elements.
-    Pass 1 of the short path reduces such an array with k = nv + 1; pass 2
-    reduces (window, m) squared deviations, m >= 2, the trailing block of
-    k = 2, npos = 1, rows = 1 where m is 2."""
+    Pass 1 of the short path reduces such an array of rows 1 with
+    k = nv + 1; pass 2 reduces (window, m) squared deviations, m >= 2, the
+    trailing block of k = 2, npos = 1, rows = 1 where m is 2. Rows 3 holds
+    the rule on a deeper trailing block as well."""
     window = 64
     a = hard_signal(window * k * npos * rows, window, seed=100 * k + 10 * npos + rows)
     a = a.reshape(window, k, npos, rows)

@@ -39,12 +39,12 @@ The pipeline cases pin each artifact of acceptance criterion 7's seeded CLI
 pipeline (run_pipeline in tests/test_acceptance.py) by its sha256, one case
 per artifact; sig.csv, the simulated signal, is one of them.
 
-The short cases pin the window engine's short path (_eval_short) on real
-inputs: the bytes of vnu, sigma and rms from eval_windows_raw with the W-96
+The short cases pin the window engine on calls under SHORT positions over
+all rows: the bytes of vnu, sigma and rms from eval_windows_raw with the W-96
 step detector's weights, over a slice of the pc5 10 dB noisy signal (noise
-seed 0) and over a (3, n) block of seeds 0-2, each slice starting at
-SHORT_START and long enough for a given number of positions, every call under
-SHORT positions over all rows.
+seed 0), which takes the short path (_eval_short), and over a (3, n) block of
+seeds 0-2, which takes the block path however short it is. Each slice starts
+at SHORT_START and is long enough for a given number of positions.
 
 Regenerate the file after a deliberate change with
 
@@ -95,10 +95,10 @@ STREAMS = (
     ("sine3", 25.0, (("mad", None),), None),
     ("pc5", 10.0, (("mad", None),), 0.0),
 )
-# (rows, positions) of each short-path call: rows 1 is noise seed 0 alone,
-# rows 3 the block of seeds 0-2
+# (rows, positions) of each call under SHORT: rows 1 is noise seed 0 alone, on
+# the short path, and rows 3 the block of seeds 0-2, on the block path
 SHORT_CALLS = ((1, 1), (1, 2), (1, 10), (1, 107), (1, 255), (3, 1), (3, 10), (3, 85))
-# first sample of each short-path slice; pc5's first change (6.405 s at dt
+# first sample of each short slice; pc5's first change (6.405 s at dt
 # 0.01) lies under every window of every slice
 SHORT_START = 600
 # (suite, noise kind, SNR dB, trials): one group of trials and a part of the next

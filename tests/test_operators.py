@@ -273,12 +273,38 @@ def test_to_integral_form():
     assert n > 0
     assert out.is_strict_integral()
     # n is the smallest such depth
-    assert not poly.scale(RF.s_power(1 - n)).is_strict_integral()
-    assert out.scale(RF.s_power(n)) == poly.scale(RF.s_power(0))
+    assert not poly.compose_left(DiffOperator.mul(RF.s_power(1 - n))).is_strict_integral()
+    assert out.compose_left(DiffOperator.mul(RF.s_power(n))) == poly
     # already-integral input passes through untouched
     n2, out2 = to_integral_form(out)
     assert n2 == 0
     assert out2 == out
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32), a=st.integers(0, 3))
+def test_to_integral_form_shifts_the_power_of_s(seed, a):
+    """On Laurent operator polynomials, to_integral_form returns the least
+    N >= 0 that makes the result strictly integral, and the result is the
+    left product with s^-N, canonical form and all. It only moves the power
+    of s, so it reaches neither _apply_terms nor _laurent_mac. A coefficient
+    over 1/(s + 1) still raises ValueError."""
+    rng = random.Random(seed)
+    poly = OperatorPolynomial(rand_laurent_op(rng) for _ in range(rng.randint(0, 4)))
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_apply_terms", "_laurent_mac"):
+            real = getattr(operators, name)
+            mp.setattr(operators, name, lambda *args, _real=real: calls.append(args) or _real(*args))
+        n, out = to_integral_form(poly)
+        with pytest.raises(ValueError):
+            to_integral_form(OperatorPolynomial((*poly.coeffs, DiffOperator({a: INV}))))
+    assert calls == []
+    assert n >= 0 and out.is_strict_integral()
+    if n:
+        assert not poly.compose_left(DiffOperator.mul(RF.s_power(1 - n))).is_strict_integral()
+    want = poly.compose_left(DiffOperator.mul(RF.s_power(-n)))
+    assert [canonical(c) for c in out.coeffs] == [canonical(c) for c in want.coeffs]
 
 
 def test_operator_text():

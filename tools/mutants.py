@@ -97,8 +97,8 @@ MUTANTS = (
     Mutant(
         "short-pass-2-pairwise",
         "src/algcpd/_engine.py",
-        "ssd = np.add.reduce(dev, axis=0, initial=0.0)[:m].reshape(npos, rows)",
-        "ssd = np.add.reduce(dev[:, :m].copy(), axis=0, initial=0.0).reshape(npos, rows)",
+        "ssd = np.add.reduce(dev, axis=0, initial=0.0)[:npos]",
+        "ssd = np.add.reduce(dev[:, :npos].copy(), axis=0, initial=0.0)",
         (
             "tests/test_engine_oracle.py::test_engine_matches_scalar_loop",
             "tests/test_golden.py::test_golden[short(pc5,normal,snr_db=10,seed=0,W=96,positions=1)]",
@@ -107,12 +107,21 @@ MUTANTS = (
     Mutant(
         "short-one-accumulator-pairwise",
         "src/algcpd/_engine.py",
-        "dev = terms.reshape(-1)[: window * max(m, 2)].reshape(window, -1)",
-        "dev = terms.reshape(-1)[: window * m].reshape(window, -1)",
+        "dev = terms.reshape(-1)[: window * max(npos, 2)].reshape(window, -1)",
+        "dev = terms.reshape(-1)[: window * npos].reshape(window, -1)",
         (
             "tests/test_engine_oracle.py::test_engine_matches_scalar_loop",
             "tests/test_golden.py::test_golden[short(pc5,normal,snr_db=10,seed=0,W=96,positions=1)]",
         ),
+    ),
+    # only one signal takes the short path, which has no row axis; a block
+    # under SHORT positions takes the block path
+    Mutant(
+        "short-path-takes-blocks",
+        "src/algcpd/_engine.py",
+        "if signal.ndim == 1 and npos < SHORT:",
+        "if npos < SHORT:",
+        ("tests/test_engine_oracle.py::test_engine_rows_match_scalar_loop",),
     ),
     # the block path's buffers start on a cache line; unaligned, they give the
     # same bits more slowly, so only the alignment test sees the offset dropped
@@ -278,14 +287,14 @@ MUTANTS = (
             "tests/test_builder.py::test_step_detector_verifies_exactly",
         ),
     ),
-    # scale is one more set of terms: factor times each coefficient, underived.
-    # A derived factor is still a left multiple, which annihilates the model as
-    # well, so verify_detector passes it; the operator's text does not
+    # to_integral_form moves each coefficient's power of s by N. One power too
+    # many is still a left multiple, which annihilates the model as well, so
+    # verify_detector passes it; the operator's text does not
     Mutant(
-        "scale-term-derived",
+        "integral-form-shift-one-deep",
         "src/algcpd/operators.py",
-        "rows = [(rho, [(a, 0, 1)]) for a, rho in self.terms.items()]",
-        "rows = [(rho, [(a, 1, 1)]) for a, rho in self.terms.items()]",
+        "_over_s_power(rho.num, rho.den.degree + n)",
+        "_over_s_power(rho.num, rho.den.degree + n + 1)",
         (
             "tests/test_operators.py::test_to_integral_form",
             "tests/test_golden.py::test_golden[monomial(n1=0,n2=0,order=0)]",
